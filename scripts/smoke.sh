@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
-# CI smoke: build Release + ThreadSanitizer configurations and run the test
-# suite under both. The TSan configuration exists specifically to catch
-# data races in the parallel injection campaign (ThreadPool + RunAll) and
-# in the spex::Session embedding contract (concurrent CheckConfig on one
-# shared Session, persistent snapshot cache across repeated campaigns), so
-# it always runs those tests even in quick mode.
+# CI smoke: build Release, AddressSanitizer+UndefinedBehaviorSanitizer and
+# ThreadSanitizer configurations and run the test suite under each. The
+# ASan+UBSan configuration runs the whole ctest: memory errors and C++ UB
+# (signed overflow, bad shifts) anywhere in the pipeline fail the build.
+# The TSan configuration exists specifically to catch data races in the
+# parallel injection campaign (ThreadPool task groups + RunAll) and in the
+# spex::Session embedding contract (concurrent CheckConfig on one shared
+# Session, campaigns and sharded batches sharing the session pool,
+# persistent snapshot cache across repeated campaigns), so it always runs
+# those tests even in quick mode.
 #
 # Usage:
-#   scripts/smoke.sh          # full: Release ctest + TSan campaign/session tests
-#   scripts/smoke.sh --quick  # Release build + campaign/interp/session tests only
+#   scripts/smoke.sh          # full: Release + ASan/UBSan ctest, TSan campaign/session tests
+#   scripts/smoke.sh --quick  # Release + ASan/UBSan campaign/interp/session tests only
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,11 +23,25 @@ QUICK=0
 echo "== Release configuration =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}"
-if [[ "${QUICK}" == "1" ]]; then
-  ctest --test-dir build-release --output-on-failure -R 'inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|config_set_test|parser_robustness_test'
-else
-  ctest --test-dir build-release --output-on-failure -j "${JOBS}"
-fi
+QUICK_TESTS='inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|config_set_test|parser_robustness_test|thread_pool_test'
+run_ctest() {
+  if [[ "${QUICK}" == "1" ]]; then
+    ctest --test-dir "$1" --output-on-failure -R "${QUICK_TESTS}"
+  else
+    ctest --test-dir "$1" --output-on-failure -j "${JOBS}"
+  fi
+}
+run_ctest build-release
+
+echo "== AddressSanitizer + UndefinedBehaviorSanitizer configuration =="
+# -fno-sanitize-recover turns every UBSan report into a test failure.
+cmake -B build-asan -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DSPEX_BUILD_BENCHES=OFF \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build build-asan -j "${JOBS}"
+run_ctest build-asan
 
 echo "== ThreadSanitizer configuration =="
 cmake -B build-tsan -S . \
@@ -32,7 +50,10 @@ cmake -B build-tsan -S . \
   -DSPEX_BUILD_EXAMPLES=OFF \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build build-tsan -j "${JOBS}" --target inject_test interp_test string_pool_test corpus_test session_test dynamic_check_test batch_check_test matrix_check_test cancel_test serve_test serve_concurrency_test verdict_store_test config_set_test parser_robustness_test
+cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test interp_test string_pool_test corpus_test session_test dynamic_check_test batch_check_test matrix_check_test cancel_test serve_test serve_concurrency_test verdict_store_test config_set_test parser_robustness_test
+# Per-call completion: task groups sharing one pool, concurrent ShardRange
+# callers, and the own-pool wait check.
+./build-tsan/thread_pool_test
 # The parallel-campaign and snapshot-replay determinism tests are the point
 # of the TSan build: num_threads=4 workers over shared module/SUT state plus
 # the state-gated shared snapshot cache. CorpusShardedTest additionally runs
@@ -43,9 +64,11 @@ cmake --build build-tsan -j "${JOBS}" --target inject_test interp_test string_po
 ./build-tsan/corpus_test --gtest_filter='CorpusShardedTest.*'
 # Session façade under TSan: threads sharing one Session run CheckConfig
 # concurrently (static *and* dynamic mode — the latter replays through the
-# shared snapshot cache, concurrently with a campaign), parallel campaigns
-# stream through observers, and repeated campaigns exercise the persistent
-# snapshot cache.
+# shared snapshot cache, concurrently with a campaign), a sharded batch
+# finishes while another target's campaign holds pool workers, concurrent
+# campaigns on one target stay bit-identical to a full replay, parallel
+# campaigns stream through observers, and repeated campaigns exercise the
+# persistent snapshot cache.
 ./build-tsan/session_test --gtest_filter='SessionThreadedTest.*:SessionCampaignTest.*:SessionPoolTest.*:SessionDynamicTest.*'
 ./build-tsan/dynamic_check_test
 # Fleet batch checking: the 4-worker sharded batch (parse/static-check

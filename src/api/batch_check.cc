@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -133,10 +132,9 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
   size_t shard_count = 0;
   std::vector<size_t> shard_begin;  // shard j covers [begin[j], begin[j+1]).
   std::vector<ReplayStats> shard_stats;
-  std::vector<uint8_t> shard_done;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
+  std::vector<std::atomic<bool>> shard_done;  // Set (and notified) once per shard.
   std::atomic<size_t> shards_running{0};
+  std::optional<ThreadPool::TaskGroup> replays;  // The pipelined shards.
 
   if (dynamic && !unique.empty() && !pipelined) {
     // The per-replay deadline applies to each *unique* execution — a
@@ -144,8 +142,8 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
     // every config that contributed it, exactly as N independent
     // timed-out checks would.
     unique_results = campaign->ReplayExternal(template_config, unique,
-                                              options.check.use_parse_snapshot, nullptr, 1,
-                                              limits, &replay_stats);
+                                              options.check.use_parse_snapshot, limits,
+                                              &replay_stats);
   } else if (pipelined) {
     shard_count = std::min(requested_workers, unique.size());
     shard_begin.resize(shard_count + 1);
@@ -158,25 +156,23 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
     }
     shard_begin[shard_count] = pos;
     shard_stats.resize(shard_count);
-    shard_done.assign(shard_count, 0);
+    shard_done = std::vector<std::atomic<bool>>(shard_count);
     shards_running.store(shard_count, std::memory_order_release);
+    replays.emplace(*pool);
     for (size_t j = 0; j < shard_count; ++j) {
-      // Each shard is an independent serial ReplayExternal call — that
-      // entry point is explicitly safe from any number of threads, and
-      // per-slot writes into unique_results are disjoint by construction.
-      pool->Submit([&, j] {
+      // Each shard is an independent ReplayExternal call — that entry
+      // point is explicitly safe from any number of threads, and per-slot
+      // writes into unique_results are disjoint by construction.
+      replays->Submit([&, j] {
         std::vector<Misconfiguration> slice(unique.begin() + shard_begin[j],
                                             unique.begin() + shard_begin[j + 1]);
         std::vector<InjectionResult> part = campaign->ReplayExternal(
-            template_config, slice, options.check.use_parse_snapshot, nullptr, 1, limits,
+            template_config, slice, options.check.use_parse_snapshot, limits,
             &shard_stats[j]);
         std::move(part.begin(), part.end(), unique_results.begin() + shard_begin[j]);
-        {
-          std::lock_guard<std::mutex> lock(done_mutex);
-          shard_done[j] = 1;
-        }
         shards_running.fetch_sub(1, std::memory_order_acq_rel);
-        done_cv.notify_all();
+        shard_done[j].store(true, std::memory_order_release);
+        shard_done[j].notify_all();
       });
     }
   }
@@ -198,11 +194,9 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
   for (size_t i = 0; i < count; ++i) {
     PerConfig& slot = state[i];
     if (!slot.suspects.empty()) {
-      if (pipelined) {
-        std::unique_lock<std::mutex> lock(done_mutex);
-        for (size_t unique_idx : slot.unique_index) {
-          const size_t shard = shard_of(unique_idx);
-          done_cv.wait(lock, [&] { return shard_done[shard] != 0; });
+      for (size_t unique_idx : slot.unique_index) {
+        if (pipelined) {
+          shard_done[shard_of(unique_idx)].wait(false, std::memory_order_acquire);
         }
       }
       std::vector<InjectionResult> results;
@@ -262,17 +256,10 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
     }
   }
   if (pipelined) {
-    // Every unique execution belongs to some config, so all shards are
-    // done by now; the Wait() drains the pool queue so the pool is quiet
-    // before the caller releases its serialization (header contract).
-    {
-      std::unique_lock<std::mutex> lock(done_mutex);
-      done_cv.wait(lock, [&] {
-        return std::all_of(shard_done.begin(), shard_done.end(),
-                           [](uint8_t done) { return done != 0; });
-      });
-    }
-    pool->Wait();
+    // Every unique execution belongs to some config, so the shards have
+    // all published by now; the group wait makes sure their tasks have
+    // also returned before the stack they reference goes away.
+    replays->Wait();
     for (const ReplayStats& shard : shard_stats) {
       replay_stats.store_hits += shard.store_hits;
       replay_stats.store_misses += shard.store_misses;

@@ -161,9 +161,9 @@ Status ValidateConfigText(std::string_view text, ConfigDialect dialect);
 // The batch engine behind Target::CheckConfigBatch. `campaign` carries
 // the persistent snapshot cache and may be null for static-only batches
 // (it is also ignored when options.check.mode is kStatic); `pool` may be
-// null for serial runs. The caller owns serialization of pool-using
-// batches against other pool clients (spex::Target holds its session's
-// campaign serialization mutex). Every config is checked against
+// null for serial runs. The batch waits only for its own pool tasks, so
+// other clients may use the same pool concurrently; it must not be called
+// from a task of `pool` (thread_pool.h). Every config is checked against
 // `constraints` + `template_config` exactly as a dedicated
 // Target::CheckConfig call would check it.
 BatchSummary RunBatchCheck(const ModuleConstraints& constraints,

@@ -92,10 +92,10 @@ Target* Session::LoadTarget(const std::string& name) {
 std::vector<CorpusCampaignResult> Session::RunCorpusCampaigns(
     const std::vector<std::string>& target_names, CampaignOptions options,
     size_t num_workers) {
-  // Corpus runs respect the session's resource contract: serialized with
-  // every other campaign, and capped at SessionOptions::campaign_threads
-  // unless the caller asks for a specific worker count.
-  std::lock_guard<std::mutex> lock(campaign_serial_mutex_);
+  // Capped at SessionOptions::campaign_threads unless the caller asks for
+  // a specific worker count. The corpus fans out on a pool of its own: a
+  // caller may point the inner campaigns at the session pool
+  // (options.worker_pool), and a pool task must never wait on its own pool.
   if (num_workers == 0) {
     num_workers = options_.campaign_threads;
   }
@@ -214,7 +214,7 @@ std::vector<Violation> Target::CheckConfig(std::string_view config_text,
   if (suspects.empty()) {
     return violations;
   }
-  // The shared_ptr keeps the campaign (and the probe context + snapshot
+  // The shared_ptr keeps the campaign (and the leased context + snapshot
   // pools the replay touches) alive even if another thread swaps the
   // target's campaign for one with different options mid-check.
   std::shared_ptr<InjectionCampaign> campaign = EnsureCampaign();
@@ -222,7 +222,7 @@ std::vector<Violation> Target::CheckConfig(std::string_view config_text,
   limits.cancel = options.cancel;
   limits.per_replay_deadline = options.deadline;
   std::vector<InjectionResult> results = campaign->ReplayExternal(
-      template_config_, suspects, options.use_parse_snapshot, nullptr, 1, limits);
+      template_config_, suspects, options.use_parse_snapshot, limits);
   AttachReactions(suspects, results, config, file_name, &violations);
   return violations;
 }
@@ -238,16 +238,11 @@ BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
   if (dynamic) {
     campaign = EnsureCampaign();
   }
-  if (options.num_threads != 1) {
-    // Sharded batches Wait() on the shared pool, which drains its whole
-    // queue — take the session-wide campaign serialization lock, exactly
-    // like RunCampaign.
-    std::lock_guard<std::mutex> lock(session_->campaign_serial_mutex_);
-    return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(),
-                         session_->worker_pool(), configs, options, observer);
-  }
-  return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(),
-                       nullptr, configs, options, observer);
+  // Sharded batches fan out on the session pool and wait only for their
+  // own tasks, so they run alongside campaigns and other batches.
+  ThreadPool* pool = options.num_threads != 1 ? session_->worker_pool() : nullptr;
+  return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(), pool,
+                       configs, options, observer);
 }
 
 BatchSummary Target::CheckConfigSet(std::span<const ConfigSetInput> sets,
@@ -321,22 +316,20 @@ const std::vector<Misconfiguration>& Target::Misconfigurations() {
 }
 
 CampaignSummary Target::RunCampaign(CampaignOptions options, CampaignObserver* observer) {
-  // Parallel campaigns run on the session's shared pool; everything else
-  // about the campaign (snapshot cache, worker contexts) is per-target
-  // state that persists across calls so later batches reuse the cached
-  // prefixes. Campaigns are serialized session-wide: the shared pool's
-  // Wait() drains its whole queue, so two concurrent campaigns on one
-  // pool would block on each other's tasks anyway.
-  std::lock_guard<std::mutex> session_lock(session_->campaign_serial_mutex_);
+  // Parallel campaigns run on the session's shared pool and wait only for
+  // their own tasks; everything else about the campaign (snapshot cache,
+  // execution contexts) is per-target state that persists across calls so
+  // later batches reuse the cached prefixes.
   if (options.num_threads != 1) {
     options.worker_pool = session_->worker_pool();
   }
-  InjectionCampaign* campaign = nullptr;
+  std::shared_ptr<InjectionCampaign> campaign;
   {
     // campaign_mutex_ is released before RunAll so observer callbacks (and
     // other threads) may call Misconfigurations()/campaign_cache_stats()
-    // mid-campaign without deadlocking; campaign_/misconfigs_ are stable
-    // for the duration because campaign_serial_mutex_ is held.
+    // mid-campaign without deadlocking. The shared_ptr keeps the campaign
+    // alive if a concurrent call swaps it; misconfigs_ never changes once
+    // generated.
     std::lock_guard<std::mutex> lock(campaign_mutex_);
     MisconfigsLocked();
     if (campaign_ == nullptr || !campaign_options_.SameBehavior(options)) {
@@ -353,7 +346,7 @@ CampaignSummary Target::RunCampaign(CampaignOptions options, CampaignObserver* o
         campaign_->AttachVerdictStore(verdict_store_, StoreScopeLocked());
       }
     }
-    campaign = campaign_.get();
+    campaign = campaign_;
   }
   return campaign->RunAll(template_config_, misconfigs_, observer);
 }

@@ -22,12 +22,13 @@
 // Thread-safety: a loaded Target's analysis is immutable, so any number of
 // threads may call InferConstraints()/CheckConfig() on the same Target (or
 // different Targets) concurrently — in *either* check mode: static checks
-// are pure reads, and dynamic checks replay on campaign-owned probe
+// are pure reads, and dynamic checks replay on campaign-owned leased
 // contexts over an internally synchronized snapshot cache. LoadSource()/
 // LoadTarget()/ok()/RenderDiagnostics() are internally synchronized.
-// RunCampaign() is serialized *session-wide* (all campaigns share the
-// session's worker pool, whose Wait() drains the whole queue); concurrent
-// RunCampaign calls are safe but run one at a time.
+// Parallel work (campaigns, sharded batches and matrices) shares the
+// session's worker pool, and each call waits only for its own tasks, so
+// calls on different targets run concurrently. Concurrent RunCampaign
+// calls on one target run one after another.
 #ifndef SPEX_API_SESSION_H_
 #define SPEX_API_SESSION_H_
 
@@ -98,10 +99,8 @@ class Session {
   // column. Version load failures are contained per column; `observer`
   // streams cells/columns/transitions on the calling thread.
   //
-  // Thread-safety follows CheckConfigBatch: serial columns
-  // (options.num_threads == 1) may run concurrently with anything;
-  // sharded columns serialize session-wide with campaigns and other
-  // sharded batches.
+  // Thread-safety follows CheckConfigBatch: safe concurrently with any
+  // other call; sharded columns share the session pool.
   MatrixSummary CheckMatrix(std::span<const TargetVersion> versions,
                             std::span<const ConfigInput> configs,
                             const MatrixOptions& options = {},
@@ -110,7 +109,8 @@ class Session {
   // Sharded corpus regeneration through the session's registry and engine
   // options: one analysis + campaign per target name, fanned over
   // `num_workers` (0 = SessionOptions::campaign_threads, whose own 0 means
-  // hardware concurrency). Serialized with the session's other campaigns.
+  // hardware concurrency). The corpus fans out on a pool of its own, so
+  // it may run concurrently with any other call.
   std::vector<CorpusCampaignResult> RunCorpusCampaigns(
       const std::vector<std::string>& target_names, CampaignOptions options = {},
       size_t num_workers = 0);
@@ -124,7 +124,8 @@ class Session {
   std::string RenderDiagnostics() const;
 
   // The shared campaign pool (created on first use). Exposed for embedders
-  // that want to run their own fan-outs on session-owned threads.
+  // that want to run their own fan-outs on session-owned threads, through
+  // a ThreadPool::TaskGroup or ShardRange.
   ThreadPool* worker_pool();
 
  private:
@@ -139,8 +140,6 @@ class Session {
   // Guards diags_, targets_ growth and pool creation (mutable: the const
   // diagnostic accessors lock it too).
   mutable std::mutex mutex_;
-  // Serializes RunCampaign across all of this session's targets.
-  std::mutex campaign_serial_mutex_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Target>> targets_;
 };
@@ -204,12 +203,10 @@ class Target {
   // guarantee). `observer` streams one OnConfigChecked per config, on the
   // calling thread, in batch order.
   //
-  // Thread-safety: serial batches (num_threads == 1, the default) follow
-  // the dynamic-CheckConfig contract — any number may run concurrently,
-  // including concurrently with RunCampaign. Sharded batches
-  // (num_threads != 1) run phases on the session worker pool and are
-  // therefore serialized session-wide with campaigns and other sharded
-  // batches, like RunCampaign itself.
+  // Thread-safety: any number of batches may run concurrently, with each
+  // other and with RunCampaign, like dynamic CheckConfig. Sharded batches
+  // (num_threads != 1) fan out on the session worker pool and wait only
+  // for their own tasks.
   BatchSummary CheckConfigBatch(std::span<const ConfigInput> configs,
                                 const BatchOptions& options = {},
                                 BatchObserver* observer = nullptr);
@@ -250,8 +247,9 @@ class Target {
   // inferred constraints (once, cached) and runs the campaign. The
   // campaign object persists across calls with the same options, so
   // repeated campaigns reuse prefix snapshots instead of rebuilding them;
-  // `observer` streams per-run results. Serialized session-wide (campaigns
-  // share the session's worker pool).
+  // `observer` streams per-run results. Parallel campaigns share the
+  // session's worker pool; concurrent calls on one target run one after
+  // another, calls on different targets run concurrently.
   CampaignSummary RunCampaign(CampaignOptions options = {},
                               CampaignObserver* observer = nullptr);
 
@@ -271,8 +269,8 @@ class Target {
   void AttachVerdictStore(std::shared_ptr<VerdictStore> store);
   std::shared_ptr<VerdictStore> verdict_store();
 
-  // The generated misconfiguration batch (same order as the legacy
-  // MisconfigGenerator path, so façade campaigns are bit-identical).
+  // The generated misconfiguration batch (MisconfigGenerator order, so a
+  // campaign over it matches a directly driven InjectionCampaign).
   const std::vector<Misconfiguration>& Misconfigurations();
 
  private:

@@ -1,7 +1,6 @@
 #include "src/corpus/pipeline.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
@@ -23,56 +22,37 @@ TargetAnalysis AnalyzeTarget(const TargetSpec& spec, const ApiRegistry& apis,
   return analysis;
 }
 
-CampaignSummary RunCampaign(const TargetAnalysis& analysis, CampaignOptions options) {
-  MisconfigGenerator generator;
-  std::vector<Misconfiguration> configs = generator.Generate(analysis.constraints);
-  InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
-                             OsSimulator::StandardEnvironment(), options);
-  ConfigFile template_config =
-      ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
-  return campaign.RunAll(template_config, configs);
-}
-
 std::vector<CorpusCampaignResult> RunCorpusCampaigns(
     const std::vector<std::string>& target_names, const ApiRegistry& apis,
     CampaignOptions options, size_t num_workers, SpexOptions engine_options) {
   std::vector<CorpusCampaignResult> results(target_names.size());
-  if (target_names.empty()) {
-    return results;
-  }
-  size_t worker_count =
-      std::min(ThreadPool::ResolveThreadCount(num_workers), target_names.size());
-
   // Each task owns one target end to end (analysis, generation, campaign)
   // and writes its pre-sized slot; the ApiRegistry is shared read-only.
-  auto run_target = [&](size_t index) {
-    CorpusCampaignResult& slot = results[index];
-    slot.target = target_names[index];
-    DiagnosticEngine diags;
-    slot.analysis = AnalyzeTarget(FindTarget(slot.target), apis, &diags, engine_options);
-    slot.summary = RunCampaign(slot.analysis, options);
-    if (diags.HasErrors()) {
-      slot.diagnostics = diags.Render();
+  auto run_targets = [&](size_t begin, size_t end) {
+    for (size_t index = begin; index < end; ++index) {
+      CorpusCampaignResult& slot = results[index];
+      slot.target = target_names[index];
+      DiagnosticEngine diags;
+      slot.analysis = AnalyzeTarget(FindTarget(slot.target), apis, &diags, engine_options);
+      const TargetBundle& bundle = slot.analysis.bundle;
+      InjectionCampaign campaign(*slot.analysis.module, bundle.sut,
+                                 OsSimulator::StandardEnvironment(), options);
+      slot.summary = campaign.RunAll(ConfigFile::Parse(bundle.template_config, bundle.dialect),
+                                     MisconfigGenerator().Generate(slot.analysis.constraints));
+      if (diags.HasErrors()) {
+        slot.diagnostics = diags.Render();
+      }
     }
   };
-
+  size_t worker_count =
+      std::min(ThreadPool::ResolveThreadCount(num_workers), target_names.size());
   if (worker_count <= 1) {
-    for (size_t i = 0; i < target_names.size(); ++i) {
-      run_target(i);
-    }
-    return results;
+    run_targets(0, results.size());
+  } else {
+    // One task per target: targets differ widely in cost, so an idle
+    // worker takes the next target instead of a fixed share.
+    ThreadPool(worker_count).ShardRange(results.size(), results.size(), run_targets);
   }
-  std::atomic<size_t> next_index{0};
-  ThreadPool pool(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    pool.Submit([&] {
-      for (size_t i = next_index.fetch_add(1); i < results.size();
-           i = next_index.fetch_add(1)) {
-        run_target(i);
-      }
-    });
-  }
-  pool.Wait();
   return results;
 }
 

@@ -1,20 +1,15 @@
 // End-to-end pipeline over corpus targets.
 //
-// Bundles the full SPEX flow for one synthesized system: parse + lower the
-// MiniC source, run constraint inference, and (on demand) run the SPEX-INJ
-// campaign.
+// Bundles the analysis half of the SPEX flow for one synthesized system:
+// parse + lower the MiniC source and run constraint inference.
+// AnalyzeTarget is what Session::LoadTarget runs; RunCorpusCampaigns adds
+// one SPEX-INJ campaign per target for the corpus-wide tables.
 //
-// NOTE: the public entry point for new code is the spex::Session façade in
-// src/api/session.h — it owns the registry/diagnostics/worker-pool/string-
-// pool lifetimes and adds the user-facing ConfigChecker (static constraint
-// checks plus the dynamic mode that replays user configs and reports the
-// observed Table-3 reaction) and persistent campaigns whose snapshot cache
-// both repeated campaigns and dynamic checks reuse. The free functions
-// here are the one-shot layer underneath it, kept as thin stable shims for
-// tests and existing drivers: AnalyzeTarget is what Session::LoadTarget
-// runs, and RunCampaign builds a fresh (cold-cache) campaign per call,
-// exactly as before the façade existed — no snapshot reuse, no dynamic
-// checking. See docs/api.md for the façade's contract.
+// The entry point for new code is spex::Session (src/api/session.h): it
+// owns the registry/diagnostics/worker-pool/string-pool lifetimes, the
+// user-facing ConfigChecker, and persistent campaigns whose snapshot cache
+// both repeated campaigns and dynamic checks reuse (Target::RunCampaign).
+// See docs/api.md for its contract.
 #ifndef SPEX_CORPUS_PIPELINE_H_
 #define SPEX_CORPUS_PIPELINE_H_
 
@@ -43,10 +38,6 @@ struct TargetAnalysis {
 TargetAnalysis AnalyzeTarget(const TargetSpec& spec, const ApiRegistry& apis,
                              DiagnosticEngine* diags, SpexOptions engine_options = {});
 
-// Generate misconfigurations from the inferred constraints and run the full
-// injection campaign against the target.
-CampaignSummary RunCampaign(const TargetAnalysis& analysis, CampaignOptions options = {});
-
 // One sharded corpus run: analysis + campaign summary for a target, plus
 // any diagnostics its worker collected (empty for a clean corpus).
 struct CorpusCampaignResult {
@@ -56,10 +47,11 @@ struct CorpusCampaignResult {
   std::string diagnostics;
 };
 
-// Fans AnalyzeTarget + RunCampaign over a worker pool, one target (and one
-// TargetAnalysis) per task, so corpus-wide tables regenerate in parallel.
-// Results are written into pre-sized slots: order matches `target_names`
-// and every summary is identical to a serial RunCampaign. `num_workers`
+// Fans AnalyzeTarget + a fresh InjectionCampaign over a pool of its own,
+// one target (and one TargetAnalysis) per task, so corpus-wide tables
+// regenerate in parallel. Results are written into pre-sized slots: order
+// matches `target_names` and every summary is identical to a serial
+// campaign over the generated misconfigurations. `num_workers`
 // follows the CampaignOptions::num_threads convention (0 = hardware
 // concurrency); `options` applies to each inner campaign and defaults to
 // serial, which is the right setting when the corpus itself is sharded.

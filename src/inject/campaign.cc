@@ -1,7 +1,9 @@
 #include "src/inject/campaign.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <string_view>
 #include <unordered_set>
 
 #include "src/support/strings.h"
@@ -149,6 +151,14 @@ bool UsableStoredVerdict(const StoredVerdict& record) {
          static_cast<ReactionCategory>(record.category) !=
              ReactionCategory::kDeadlineExceeded;
 }
+
+// What a verdict-store lookup did for one config of a replay pass.
+enum class StoreLookup : uint8_t {
+  kSkipped,   // Cancel-skipped before the lookup.
+  kMissed,    // No usable record: replayed live, appended after.
+  kServed,    // Result came straight from the store.
+  kReverify,  // Hit replayed anyway (sampling knob), compared after.
+};
 
 // Scoped attach of a request token to a worker's interpreter. The token is
 // request state, the interpreter is campaign state — the guard guarantees
@@ -660,19 +670,18 @@ InjectionResult InjectionCampaign::RunOneWith(Interpreter& interp, OsSimulator& 
 
 InjectionCampaign::ProbeLease::ProbeLease(InjectionCampaign* campaign) : campaign_(campaign) {
   std::lock_guard<std::mutex> lock(campaign_->probe_mutex_);
-  if (campaign_->free_probes_.empty()) {
-    campaign_->probe_contexts_.push_back(std::make_unique<WorkerContext>(
-        campaign_->module_, campaign_->os_template_, campaign_->options_.interp));
-    context_ = campaign_->probe_contexts_.back().get();
+  if (campaign_->probe_contexts_.empty()) {
+    context_ = std::make_unique<WorkerContext>(campaign_->module_, campaign_->os_template_,
+                                               campaign_->options_.interp);
   } else {
-    context_ = campaign_->free_probes_.back();
-    campaign_->free_probes_.pop_back();
+    context_ = std::move(campaign_->probe_contexts_.back());
+    campaign_->probe_contexts_.pop_back();
   }
 }
 
 InjectionCampaign::ProbeLease::~ProbeLease() {
   std::lock_guard<std::mutex> lock(campaign_->probe_mutex_);
-  campaign_->free_probes_.push_back(context_);
+  campaign_->probe_contexts_.push_back(std::move(context_));
 }
 
 InjectionResult ReattributeResult(const InjectionResult& base, const Misconfiguration& client) {
@@ -717,31 +726,129 @@ std::shared_ptr<VerdictStore> InjectionCampaign::verdict_store() const {
   return store_;
 }
 
+// One batch moving through ReplayRange: the inputs, the per-config plan
+// and the pre-sized slots every shard writes at its own indices.
+struct InjectionCampaign::ReplayPass {
+  ReplayPass(const ConfigFile& template_config, const std::vector<Misconfiguration>& configs)
+      : template_config(template_config), configs(configs), results(configs.size()) {}
+  ReplayPass(const ReplayPass&) = delete;  // `keysets` points into `keyset_ids`.
+  ReplayPass& operator=(const ReplayPass&) = delete;
+
+  // Makes every config eligible for the snapshot path.
+  void PlanAllKeysets() {
+    keyset_ids.reserve(configs.size());  // No reallocation: keysets point in.
+    for (const Misconfiguration& config : configs) {
+      keyset_ids.push_back(KeysetId(DeltaKeys(config)));
+      keysets.push_back(&keyset_ids.back());
+    }
+  }
+
+  const ConfigFile& template_config;
+  const std::vector<Misconfiguration>& configs;
+  std::vector<std::string> keyset_ids;
+  std::vector<const std::string*> keysets;  // Per config; empty or null = full replay.
+  ReplayLimits limits;
+  std::function<void(size_t)> on_result;  // Called once per written slot.
+
+  // Attached verdict store, snapshotted for this pass (null = none). The
+  // per-config bookkeeping is read back by ReplayExternal after the loop.
+  std::shared_ptr<VerdictStore> store;
+  uint64_t scope_id = 0;
+  std::vector<std::string> store_keys;
+  std::vector<StoreLookup> lookups;
+  std::vector<StoredVerdict> cached;  // The record a kReverify replay is compared to.
+
+  std::vector<InjectionResult> results;
+};
+
+void InjectionCampaign::ReplayRange(ReplayPass& pass, size_t begin, size_t end) {
+  // One leased context per range: leases are what make concurrent ranges
+  // (and concurrent RunAll / ReplayExternal callers) safe.
+  ProbeLease probe(this);
+  WorkerContext& context = probe.context();
+  const ReplayLimits& limits = pass.limits;
+  for (size_t i = begin; i < end; ++i) {
+    const Misconfiguration& config = pass.configs[i];
+    InjectionResult& result = pass.results[i];
+    if (limits.cancel != nullptr && limits.cancel->ShouldCancel()) {
+      // Request-wide token fired: everything not yet replayed in this
+      // range is skipped, cheaply and uniformly — the range boundary is
+      // the coarse cancellation point, the interpreter poll the fine one.
+      result = SkippedResult(config, *limits.cancel);
+    } else if (!ServeFromStore(pass, i)) {
+      // Child token per replay: the per-replay deadline restarts for each
+      // config (one pathological replay burns its own budget, not its
+      // range-mates'), while a fired parent still cancels everything.
+      std::optional<CancelToken> per_replay;
+      if (limits.active()) {
+        per_replay.emplace(limits.cancel);
+        if (limits.per_replay_deadline.count() > 0) {
+          per_replay->ArmDeadlineAfter(limits.per_replay_deadline);
+        }
+      }
+      result = RunOneWith(context.interp, context.os,
+                          pass.keysets.empty() ? nullptr : pass.keysets[i],
+                          pass.template_config, config, per_replay ? &*per_replay : nullptr);
+    }
+    if (pass.on_result) {
+      pass.on_result(i);
+    }
+  }
+}
+
+bool InjectionCampaign::ServeFromStore(ReplayPass& pass, size_t i) const {
+  if (pass.store == nullptr) {
+    return false;
+  }
+  pass.store_keys[i] = SuspectExecutionKey(pass.configs[i]);
+  pass.lookups[i] = StoreLookup::kMissed;
+  StoredVerdict record;
+  bool due = false;
+  if (!pass.store->Lookup(pass.scope_id, pass.store_keys[i], &record, &due) ||
+      !UsableStoredVerdict(record)) {
+    return false;
+  }
+  if (!due) {
+    pass.results[i] = ResultFromStored(record, pass.configs[i]);
+    pass.lookups[i] = StoreLookup::kServed;
+    return true;
+  }
+  pass.lookups[i] = StoreLookup::kReverify;
+  pass.cached[i] = std::move(record);
+  return false;
+}
+
 std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
     const ConfigFile& template_config, const std::vector<Misconfiguration>& configs,
-    bool use_parse_snapshot, ThreadPool* pool, size_t num_threads,
-    const ReplayLimits& limits, ReplayStats* stats) {
+    bool use_parse_snapshot, const ReplayLimits& limits, ReplayStats* stats) {
+  ReplayPass pass(template_config, configs);
+  pass.limits = limits;
   // A user-config check is worth the snapshot path even for a key-set seen
   // once: the campaign persists, so the entry pays for itself on the next
   // check of the same keys (an embedded checker sees the same handful of
   // misconfigured settings over and over). Unlike RunAll's RefreshCacheFor,
-  // a probe never *clears* the cache — another probe may be mid-replay
-  // holding a cache entry — it only adopts the fingerprint when the cache
-  // is untouched, and falls back to ground truth on a mismatch.
+  // an external replay never *clears* the cache — another caller may be
+  // mid-replay holding a cache entry — it only adopts the fingerprint when
+  // the cache is untouched, and falls back to ground truth on a mismatch.
   // The fingerprint is recomputed per call on purpose: a cheaper
   // pointer-identity fast path would silently validate a *different*
   // template whose stack slot reused a previous one's address, and the
   // serialization is not measurable next to even a warm check's replay
   // (BM_DynamicCheckWarm is unchanged with or without it).
-  bool snapshot_ok = false;
   if (use_parse_snapshot && options_.use_parse_snapshot) {
     std::string fingerprint = template_config.Serialize();
-    std::lock_guard<std::mutex> lock(cache_.mutex);
-    if (cache_.template_fingerprint.empty() && cache_.entries.empty()) {
-      cache_.template_fingerprint = std::move(fingerprint);
-      snapshot_ok = true;
-    } else {
-      snapshot_ok = cache_.template_fingerprint == fingerprint;
+    bool snapshot_ok = false;
+    {
+      std::lock_guard<std::mutex> lock(cache_.mutex);
+      if (cache_.template_fingerprint.empty() && cache_.entries.empty()) {
+        cache_.template_fingerprint = std::move(fingerprint);
+        snapshot_ok = true;
+      } else {
+        snapshot_ok = cache_.template_fingerprint == fingerprint;
+      }
+    }
+    if (snapshot_ok) {
+      pass.PlanAllKeysets();
     }
   }
 
@@ -751,123 +858,52 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
   // scope — cached verdicts can never outlive the template they were
   // observed against. ResolveScope is per-call on purpose, mirroring the
   // snapshot-cache fingerprint recomputation above.
-  std::shared_ptr<VerdictStore> store;
-  uint64_t scope_id = 0;
   {
     std::lock_guard<std::mutex> lock(store_mutex_);
-    store = store_;
-    if (store != nullptr) {
-      scope_id = store->ResolveScope(store_scope_ + '\0' + template_config.Serialize());
+    pass.store = store_;
+    if (pass.store != nullptr) {
+      pass.scope_id = pass.store->ResolveScope(store_scope_ + '\0' + template_config.Serialize());
     }
   }
-  // Per-config store bookkeeping, written by shard workers at distinct
-  // indices and read by the driver after the ShardRange barrier — the same
-  // pre-sized-slot discipline as `results`.
-  std::vector<std::string> keys;
-  std::vector<uint8_t> consulted;  // 1 = we looked this config up.
-  std::vector<uint8_t> served;     // 1 = result came straight from the store.
-  std::vector<uint8_t> reverify;   // 1 = hit replayed anyway (sampling knob).
-  std::vector<StoredVerdict> cached;
-  if (store != nullptr) {
-    keys.resize(configs.size());
-    consulted.assign(configs.size(), 0);
-    served.assign(configs.size(), 0);
-    reverify.assign(configs.size(), 0);
-    cached.resize(configs.size());
+  if (pass.store != nullptr) {
+    pass.store_keys.resize(configs.size());
+    pass.lookups.assign(configs.size(), StoreLookup::kSkipped);
+    pass.cached.resize(configs.size());
   }
 
-  std::vector<InjectionResult> results(configs.size());
-  auto replay_range = [&](size_t begin, size_t end) {
-    // One probe context per shard: leases are what make concurrent
-    // replays (and concurrent ReplayExternal callers) safe.
-    ProbeLease probe(this);
-    for (size_t i = begin; i < end; ++i) {
-      if (limits.cancel != nullptr && limits.cancel->ShouldCancel()) {
-        // Request-wide token fired: everything not yet replayed in this
-        // shard is skipped, cheaply and uniformly — the shard boundary is
-        // the coarse cancellation point, the interpreter poll the fine one.
-        results[i] = SkippedResult(configs[i], *limits.cancel);
-        continue;
-      }
-      if (store != nullptr) {
-        keys[i] = SuspectExecutionKey(configs[i]);
-        consulted[i] = 1;
-        StoredVerdict record;
-        bool due = false;
-        if (store->Lookup(scope_id, keys[i], &record, &due) &&
-            UsableStoredVerdict(record)) {
-          if (!due) {
-            results[i] = ResultFromStored(record, configs[i]);
-            served[i] = 1;
-            continue;
-          }
-          // Sampled re-verification: replay live below, compare after.
-          reverify[i] = 1;
-          cached[i] = std::move(record);
-        }
-      }
-      const std::string keyset = KeysetId(DeltaKeys(configs[i]));
-      if (!limits.active()) {
-        results[i] = RunOneWith(probe.context().interp, probe.context().os,
-                                snapshot_ok ? &keyset : nullptr, template_config, configs[i]);
-        continue;
-      }
-      // Child token per replay: the per-replay deadline restarts for each
-      // config (one pathological replay burns its own budget, not its
-      // shard-mates'), while a fired parent still cancels everything.
-      CancelToken per_replay(limits.cancel);
-      if (limits.per_replay_deadline.count() > 0) {
-        per_replay.ArmDeadlineAfter(limits.per_replay_deadline);
-      }
-      results[i] = RunOneWith(probe.context().interp, probe.context().os,
-                              snapshot_ok ? &keyset : nullptr, template_config, configs[i],
-                              &per_replay);
-    }
-  };
-  size_t workers = num_threads == 0 && pool != nullptr ? pool->size()
-                                                       : ThreadPool::ResolveThreadCount(num_threads);
-  if (pool == nullptr) {
-    replay_range(0, configs.size());
-  } else {
-    // Contiguous shards into pre-sized slots: result order (and every
-    // verdict, by the hazard-check/verification machinery) is identical to
-    // the serial path. ShardRange Wait()s on the pool's whole queue — the
-    // caller serializes pool sharing, per the header contract.
-    pool->ShardRange(configs.size(), workers, replay_range);
-  }
+  ReplayRange(pass, 0, configs.size());
 
-  // Driver-side store epilogue (after the barrier): account hits, settle
-  // re-verifications, and persist fresh verdicts in one batched append.
-  // kDeadlineExceeded results — timeouts and cancel-skips alike — are
-  // never stored: they say the checker ran out of time, not what the
-  // target does, and caching one would freeze a transient budget miss
-  // into a permanent wrong answer.
+  // Store epilogue: account hits, settle re-verifications, and persist
+  // fresh verdicts in one batched append. kDeadlineExceeded results —
+  // timeouts and cancel-skips alike — are never stored: they say the
+  // checker ran out of time, not what the target does, and caching one
+  // would freeze a transient budget miss into a permanent wrong answer.
   ReplayStats call_stats;
-  if (store != nullptr) {
+  if (pass.store != nullptr) {
     std::vector<VerdictAppend> pending;
     for (size_t i = 0; i < configs.size(); ++i) {
-      if (consulted[i] == 0) continue;  // Cancel-skipped before lookup.
-      if (served[i] != 0) {
+      if (pass.lookups[i] == StoreLookup::kSkipped) continue;
+      if (pass.lookups[i] == StoreLookup::kServed) {
         ++call_stats.store_hits;
         continue;
       }
-      const InjectionResult& result = results[i];
-      if (reverify[i] != 0) {
+      const InjectionResult& result = pass.results[i];
+      if (pass.lookups[i] == StoreLookup::kReverify) {
         ++call_stats.store_reverified;
         if (result.category == ReactionCategory::kDeadlineExceeded) continue;
-        if (!SameInjectionResult(result, ResultFromStored(cached[i], configs[i]))) {
+        if (!SameInjectionResult(result, ResultFromStored(pass.cached[i], configs[i]))) {
           // The store contradicted a live replay: the live replay wins,
           // in the results and on disk (the append overwrites, last-wins).
           ++call_stats.store_mismatches;
-          pending.push_back({scope_id, keys[i], ToStoredVerdict(result)});
+          pending.push_back({pass.scope_id, pass.store_keys[i], ToStoredVerdict(result)});
         }
         continue;
       }
       ++call_stats.store_misses;
       if (result.category == ReactionCategory::kDeadlineExceeded) continue;
-      pending.push_back({scope_id, keys[i], ToStoredVerdict(result)});
+      pending.push_back({pass.scope_id, pass.store_keys[i], ToStoredVerdict(result)});
     }
-    call_stats.store_appends = store->AppendBatch(std::move(pending));
+    call_stats.store_appends = pass.store->AppendBatch(std::move(pending));
     stat_store_hits_.fetch_add(call_stats.store_hits, std::memory_order_relaxed);
     stat_store_misses_.fetch_add(call_stats.store_misses, std::memory_order_relaxed);
     stat_store_appends_.fetch_add(call_stats.store_appends, std::memory_order_relaxed);
@@ -875,14 +911,7 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
   if (stats != nullptr) {
     *stats = call_stats;
   }
-  return results;
-}
-
-size_t InjectionCampaign::EnsureContexts(size_t count) {
-  while (contexts_.size() < count) {
-    contexts_.push_back(std::make_unique<WorkerContext>(module_, os_template_, options_.interp));
-  }
-  return count;
+  return std::move(pass.results);
 }
 
 void InjectionCampaign::RefreshCacheFor(const ConfigFile& template_config) {
@@ -897,93 +926,61 @@ void InjectionCampaign::RefreshCacheFor(const ConfigFile& template_config) {
 CampaignSummary InjectionCampaign::RunAll(const ConfigFile& template_config,
                                           const std::vector<Misconfiguration>& configs,
                                           CampaignObserver* observer) {
-  CampaignSummary summary;
+  // One RunAll at a time per campaign: the batch id and the template
+  // refresh below are per-batch state. Other campaigns are unaffected.
+  std::lock_guard<std::mutex> one_at_a_time(run_all_mutex_);
   batch_id_.fetch_add(1, std::memory_order_relaxed);
-  size_t worker_count =
-      ThreadPool::ResolveThreadCount(options_.num_threads < 0
-                                         ? 1
-                                         : static_cast<size_t>(options_.num_threads));
-  worker_count = std::min(worker_count, configs.size());
+  ReplayPass pass(template_config, configs);
 
   // Per-batch key-set plan. Building a snapshot costs about one full
   // replay, so a key-set is worth the snapshot path only when this batch
   // revisits it — or when an earlier batch already paid for the entry.
-  std::vector<std::string> config_keysets;
-  std::vector<const std::string*> keyset_for_config(configs.size(), nullptr);
   if (options_.use_parse_snapshot) {
     RefreshCacheFor(template_config);
-    config_keysets.reserve(configs.size());
-    std::unordered_map<std::string, size_t> keyset_counts;
+    pass.PlanAllKeysets();
+    std::unordered_map<std::string_view, size_t> keyset_counts;
     keyset_counts.reserve(configs.size());
-    for (const Misconfiguration& config : configs) {
-      config_keysets.push_back(KeysetId(DeltaKeys(config)));
-      ++keyset_counts[config_keysets.back()];
+    for (const std::string& id : pass.keyset_ids) {
+      ++keyset_counts[id];
     }
     std::lock_guard<std::mutex> lock(cache_.mutex);
     for (size_t i = 0; i < configs.size(); ++i) {
-      if (keyset_counts[config_keysets[i]] >= 2 ||
-          cache_.entries.count(config_keysets[i]) != 0) {
-        keyset_for_config[i] = &config_keysets[i];
+      const std::string& id = pass.keyset_ids[i];
+      if (keyset_counts[id] < 2 && cache_.entries.count(id) == 0) {
+        pass.keysets[i] = nullptr;
       }
     }
   }
 
+  std::mutex observer_mutex;
   if (observer != nullptr) {
     observer->OnCampaignBegin(configs.size());
-  }
-  std::mutex observer_mutex;
-  auto notify = [&](size_t index, const InjectionResult& result) {
-    if (observer != nullptr) {
+    pass.on_result = [&](size_t index) {
       // Serialized: observers see one completed run at a time, in
       // completion order (== batch order on the serial path).
       std::lock_guard<std::mutex> lock(observer_mutex);
-      observer->OnRunComplete(index, result);
-    }
-  };
-
-  if (worker_count <= 1) {
-    // Serial path; reuses the campaign's first worker context across
-    // batches, so snapshots it built earlier stay valid and warm.
-    EnsureContexts(configs.empty() ? 0 : 1);
-    summary.results.reserve(configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-      WorkerContext& context = *contexts_[0];
-      summary.results.push_back(RunOneWith(context.interp, context.os, keyset_for_config[i],
-                                           template_config, configs[i]));
-      notify(i, summary.results.back());
-    }
-  } else {
-    // Fan out over pre-sized slots: worker i writes results[index] for the
-    // indexes it claims, so result order — and therefore every summary
-    // statistic — is identical to the serial run. The module, SUT spec and
-    // OS template are shared immutably; each worker owns its interpreter
-    // and simulator copy. Contexts are campaign members and outlive the
-    // batch: snapshots published by one worker hold pointers into that
-    // worker's interpreter pool, which later batches may still read.
-    summary.results.resize(configs.size());
-    std::atomic<size_t> next_index{0};
-    EnsureContexts(worker_count);
-    ThreadPool* pool = options_.worker_pool;
-    if (pool == nullptr) {
-      if (owned_pool_ == nullptr || owned_pool_->size() < worker_count) {
-        owned_pool_ = std::make_unique<ThreadPool>(worker_count);
-      }
-      pool = owned_pool_.get();
-    }
-    for (size_t w = 0; w < worker_count; ++w) {
-      pool->Submit([&, w] {
-        WorkerContext& context = *contexts_[w];
-        for (size_t i = next_index.fetch_add(1); i < configs.size();
-             i = next_index.fetch_add(1)) {
-          summary.results[i] = RunOneWith(context.interp, context.os, keyset_for_config[i],
-                                          template_config, configs[i]);
-          notify(i, summary.results[i]);
-        }
-      });
-    }
-    pool->Wait();
+      observer->OnRunComplete(index, pass.results[index]);
+    };
   }
 
+  // Contiguous ranges into pre-sized slots: result order — and therefore
+  // every summary statistic — is identical for every worker count. This
+  // call waits only for its own ranges, on the shared pool or a local one.
+  const size_t workers = std::min(
+      ThreadPool::ResolveThreadCount(
+          options_.num_threads < 0 ? 1 : static_cast<size_t>(options_.num_threads)),
+      configs.size());
+  auto replay = [&](size_t begin, size_t end) { ReplayRange(pass, begin, end); };
+  if (workers <= 1) {
+    replay(0, configs.size());
+  } else if (options_.worker_pool != nullptr) {
+    options_.worker_pool->ShardRange(configs.size(), workers, replay);
+  } else {
+    ThreadPool(workers).ShardRange(configs.size(), workers, replay);
+  }
+
+  CampaignSummary summary;
+  summary.results = std::move(pass.results);
   for (const InjectionResult& result : summary.results) {
     summary.total_tests_run += result.tests_run;
   }

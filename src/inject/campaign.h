@@ -19,23 +19,27 @@
 // first-use verification against ground truth. Campaign results are
 // therefore bit-identical to full replay for every thread count.
 //
-// The snapshot cache and the worker execution contexts are *campaign*
-// state, not per-RunAll state: a driver that calls RunAll repeatedly over
-// the same template (ablation benches, a server embedding spex::Session)
-// pays the key-set snapshot builds once and every later batch starts from
-// the cached prefixes. Lifetime story: each snapshot holds pointers into
-// the interned-string pool of the worker context that built it, so the
-// contexts live as long as the campaign itself (they are only destroyed
-// with the cache that points into them). The cache is invalidated when a
-// RunAll sees a different template than the one the cache was built from.
-// Cross-batch safety matches within-batch safety: the per-run hazard check
-// runs on every delta replay, and the first delta replay of a key-set in
-// each batch is re-verified against a ground-truth full replay, so results
-// stay bit-identical to the legacy path for every thread count. RunAll is
-// not reentrant — one campaign serves one RunAll driver thread at a time —
-// but ReplayExternal (the dynamic ConfigChecker's entry point) is: any
-// number of threads may replay user-config deltas through the same cache
-// concurrently, each on its own campaign-owned probe context.
+// The snapshot cache and the execution contexts are *campaign* state, not
+// per-call state: a caller that runs RunAll repeatedly over the same
+// template (ablation benches, a server embedding spex::Session) pays the
+// key-set snapshot builds once and every later batch starts from the
+// cached prefixes. Lifetime story: each snapshot holds pointers into the
+// interned-string pool of the context that built it, so the contexts live
+// as long as the campaign itself (they are only destroyed with the cache
+// that points into them). The cache is invalidated when a RunAll sees a
+// different template than the one the cache was built from. Cross-batch
+// safety matches within-batch safety: the per-run hazard check runs on
+// every delta replay, and the first delta replay of a key-set in each
+// batch is re-verified against a ground-truth full replay, so results stay
+// bit-identical to a full replay for every thread count.
+//
+// RunAll and ReplayExternal are one replay engine: both run the same
+// per-range loop over one free list of leased contexts. RunAll adds its
+// key-set plan and fans ranges over a thread pool; ReplayExternal adds the
+// verdict store and runs its range on the calling thread. Thread-safety:
+// one campaign serves one RunAll at a time (concurrent calls queue on the
+// campaign's own lock, nothing wider), and ReplayExternal may run from any
+// number of threads, concurrently with each other and with RunAll.
 #ifndef SPEX_INJECT_CAMPAIGN_H_
 #define SPEX_INJECT_CAMPAIGN_H_
 
@@ -142,9 +146,9 @@ struct CampaignSummary {
 struct CampaignOptions {
   bool stop_at_first_failure = true;
   bool sort_tests_by_cost = true;
-  // Workers for RunAll: 1 = legacy serial path, 0 = hardware concurrency.
-  // Results are written into pre-sized slots, so ordering, categories and
-  // totals are identical for every thread count.
+  // Workers for RunAll: 1 = serial on the calling thread, 0 = hardware
+  // concurrency. Results are written into pre-sized slots, so ordering,
+  // categories and totals are identical for every thread count.
   int num_threads = 1;
   // Replay each misconfiguration from a post-parse snapshot of the shared
   // template prefix instead of re-parsing the whole template per run.
@@ -152,9 +156,10 @@ struct CampaignOptions {
   // ground-truth path everywhere.
   bool use_parse_snapshot = true;
   // Externally owned worker pool (borrowed, may outnumber num_threads;
-  // spex::Session shares one pool across its targets). When null, the
-  // campaign lazily creates and owns its own pool. Campaigns sharing a
-  // pool must not run RunAll concurrently — Wait() joins the whole queue.
+  // spex::Session shares one pool across its targets). When null, each
+  // parallel RunAll runs on a pool of its own. Campaigns sharing a
+  // pool may run RunAll concurrently: each waits only for its own tasks.
+  // RunAll must not be called from a task of this pool (thread_pool.h).
   ThreadPool* worker_pool = nullptr;
   InterpOptions interp;
 
@@ -236,10 +241,11 @@ class InjectionCampaign {
   bool BaselinePasses(const ConfigFile& template_config);
 
   // Single-shot ground-truth run (never snapshots: a prefix snapshot would
-  // cost exactly what it saves). Driver-thread only, like RunAll.
+  // cost exactly what it saves).
   InjectionResult RunOne(const ConfigFile& template_config, const Misconfiguration& config);
   // Runs the whole batch. `observer`, when given, receives one serialized
   // OnRunComplete per misconfiguration as it finishes (completion order).
+  // Concurrent calls on one campaign run one after another.
   CampaignSummary RunAll(const ConfigFile& template_config,
                          const std::vector<Misconfiguration>& configs,
                          CampaignObserver* observer = nullptr);
@@ -255,24 +261,17 @@ class InjectionCampaign {
   // `use_parse_snapshot = false` forces ground truth for every run (the
   // verification path the dynamic-mode tests diff against).
   //
-  // Thread-safety: unlike RunAll, ReplayExternal may be called from any
-  // number of threads concurrently (each call runs on a campaign-owned
-  // probe context; the snapshot cache is internally synchronized), and
-  // concurrently with one RunAll — provided every concurrent driver uses
-  // the same template. A template change clears the cache and must be
-  // externally quiesced (spex::Target guarantees this: its template is
-  // fixed at load time).
-  //
-  // With `pool` and `num_threads > 1` (0 = pool size), the batch is
-  // sharded over the pool — one probe context per shard, results written
-  // into pre-sized slots, so ordering and verdicts are bit-identical to
-  // the serial path at every worker count. The call Wait()s on the pool,
-  // which drains the *whole* queue: callers sharing a pool across clients
-  // (spex::Session) must serialize pool-using batches externally, exactly
-  // as they do for RunAll.
+  // Thread-safety: ReplayExternal may be called from any number of threads
+  // concurrently (each call runs on its own leased context; the snapshot
+  // cache is internally synchronized), and concurrently with RunAll —
+  // provided every concurrent caller uses the same template. A template
+  // change clears the cache and must be externally quiesced (spex::Target
+  // guarantees this: its template is fixed at load time). The call runs on
+  // the calling thread; callers that want parallelism shard the batch and
+  // call once per shard (the batch checker does).
   //
   // `limits` (see ReplayLimits) bounds each replay: the token is checked
-  // before every replay in a shard and polled inside the interpreter, so a
+  // before every replay and polled inside the interpreter, so a
   // fired request token converts the remaining slots to kDeadlineExceeded
   // results within one poll interval. `limits.cancel` must outlive the
   // call; cancellation may race the call from any thread.
@@ -287,8 +286,6 @@ class InjectionCampaign {
   std::vector<InjectionResult> ReplayExternal(const ConfigFile& template_config,
                                               const std::vector<Misconfiguration>& configs,
                                               bool use_parse_snapshot = true,
-                                              ThreadPool* pool = nullptr,
-                                              size_t num_threads = 1,
                                               const ReplayLimits& limits = {},
                                               ReplayStats* stats = nullptr);
 
@@ -353,9 +350,9 @@ class InjectionCampaign {
     std::unordered_map<std::string, std::unique_ptr<SnapshotEntry>> entries;
     std::string template_fingerprint;  // Serialized template the entries were built from.
   };
-  // One worker's private execution state; persists across batches so the
-  // interpreter pool backing published snapshots stays alive and later
-  // batches skip interpreter construction.
+  // One leased execution context; persists across calls so the string
+  // pool backing published snapshots stays alive and later calls skip
+  // interpreter construction.
   struct WorkerContext {
     OsSimulator os;
     Interpreter interp;
@@ -366,8 +363,8 @@ class InjectionCampaign {
 
   // Resets `interp` / `os` to the template state, runs one misconfiguration
   // and classifies the reaction. `keyset` is the precomputed key-set id of
-  // `config` (null = always full replay; RunAll only passes it for key-sets
-  // worth snapshotting). `cancel` (null = unlimited) is polled by the
+  // `config` (null = always full replay; RunAll's plan only passes it for
+  // key-sets worth snapshotting). `cancel` (null = unlimited) is polled by the
   // interpreter while *this run's* phases execute — never during prefix
   // snapshot builds, which are template-only work shared across requests
   // and already bounded by max_steps. Thread-safe: only touches the
@@ -407,18 +404,23 @@ class InjectionCampaign {
   bool LogsPinpoint(const std::vector<std::string>& logs, const Misconfiguration& config,
                     const ConfigFile& applied) const;
 
-  // Grows contexts_ to `count` workers; returns the resolved worker count.
-  // RunAll-driver-thread only (not synchronized against itself).
-  size_t EnsureContexts(size_t count);
+  // The single replay loop: replays pass.configs[begin, end) on one leased
+  // context, writing pass.results at the same indices. Any number of
+  // ranges of one pass may run concurrently.
+  struct ReplayPass;
+  void ReplayRange(ReplayPass& pass, size_t begin, size_t end);
+  // Looks config `i` up in the pass's verdict store; true when the stored
+  // verdict was written to its slot and no replay is needed.
+  bool ServeFromStore(ReplayPass& pass, size_t i) const;
   // Clears cache entries when `template_config` differs from the cached
   // fingerprint, and stamps the new fingerprint.
   void RefreshCacheFor(const ConfigFile& template_config);
 
-  // Checked-out probe context for one ReplayExternal call; returns itself
-  // to the campaign's free list on destruction. Probe contexts are campaign
-  // members (like the RunAll worker contexts) because a probe that builds a
-  // snapshot publishes pointers into its own string pool — the context must
-  // outlive the cache entry, i.e. live as long as the campaign.
+  // Checked-out context for one replay range; returns itself to the
+  // campaign's free list on destruction. Contexts are campaign members
+  // because a range that builds a snapshot publishes pointers into its
+  // context's string pool — the context must outlive the cache entry, i.e.
+  // live as long as the campaign.
   class ProbeLease {
    public:
     explicit ProbeLease(InjectionCampaign* campaign);
@@ -429,7 +431,7 @@ class InjectionCampaign {
 
    private:
     InjectionCampaign* campaign_;
-    WorkerContext* context_;
+    std::unique_ptr<WorkerContext> context_;
   };
 
   const Module& module_;
@@ -439,17 +441,13 @@ class InjectionCampaign {
 
   // Campaign-lifetime execution state. Declaration order matters for
   // destruction: cache_ (pointers into context pools) is declared after
-  // contexts_ and the probe contexts so it is destroyed first.
-  std::vector<std::unique_ptr<WorkerContext>> contexts_;
-  // Contexts serving concurrent ReplayExternal calls; probe_mutex_ guards
-  // both vectors (owned storage + free list). Never shrinks: a returned
-  // probe is reused by the next check, so repeated dynamic checks skip
-  // interpreter construction just like repeated RunAll batches do.
+  // the contexts so it is destroyed first. probe_contexts_ is the free
+  // list of idle contexts (guarded by probe_mutex_); it never shrinks, so
+  // repeated campaigns and checks skip interpreter construction.
   std::mutex probe_mutex_;
   std::vector<std::unique_ptr<WorkerContext>> probe_contexts_;
-  std::vector<WorkerContext*> free_probes_;
   mutable SnapshotCache cache_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // Used when options_.worker_pool is null.
+  std::mutex run_all_mutex_;  // One RunAll at a time.
   // Incremented per RunAll; batch 0 is RunOne/Baseline/ReplayExternal-only
   // territory. Atomic because external replays read it (for the once-per-
   // batch re-verification bookkeeping) concurrently with RunAll bumping it.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/support/strings.h"
 
@@ -689,34 +690,38 @@ RtValue Interpreter::RunFunction(const Function& fn, std::vector<RtValue> args) 
           }
           int64_t a = lhs.AsInt();
           int64_t b = rhs.AsInt();
+          // MiniC integers wrap in two's complement: + - * << run on uint64_t,
+          // where overflow is defined (signed overflow is undefined in C++).
+          const uint64_t ua = static_cast<uint64_t>(a);
+          const uint64_t ub = static_cast<uint64_t>(b);
+          const bool shift_out = b < 0 || b >= 64;
           int64_t out = 0;
           switch (instr->bin_op()) {
             case IrBinOp::kAdd:
-              out = a + b;
+              out = static_cast<int64_t>(ua + ub);
               break;
             case IrBinOp::kSub:
-              out = a - b;
+              out = static_cast<int64_t>(ua - ub);
               break;
             case IrBinOp::kMul:
-              out = a * b;
+              out = static_cast<int64_t>(ua * ub);
               break;
             case IrBinOp::kDiv:
-              if (b == 0) {
-                throw TrapError("Floating point exception (integer division by zero)");
-              }
-              out = a / b;
-              break;
             case IrBinOp::kRem:
               if (b == 0) {
                 throw TrapError("Floating point exception (integer division by zero)");
               }
-              out = a % b;
+              if (b == -1 && a == std::numeric_limits<int64_t>::min()) {
+                // Unrepresentable quotient: the target crashes, not the checker.
+                throw TrapError("Floating point exception (integer division overflow)");
+              }
+              out = instr->bin_op() == IrBinOp::kDiv ? a / b : a % b;
               break;
             case IrBinOp::kShl:
-              out = b >= 64 ? 0 : a << b;
+              out = shift_out ? 0 : static_cast<int64_t>(ua << b);
               break;
             case IrBinOp::kShr:
-              out = b >= 64 ? 0 : a >> b;
+              out = shift_out ? 0 : a >> b;
               break;
             case IrBinOp::kAnd:
               out = a & b;

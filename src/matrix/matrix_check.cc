@@ -69,10 +69,10 @@ MatrixSummary RunMatrixCheck(Session& session, std::span<const TargetVersion> ve
     column.status = version.status;
     if (version.status.ok()) {
       CellForwarder forwarder(observer, version.index, version.label);
-      // Columns run sequentially: sharded batches serialize session-wide
-      // anyway (they own the campaign pool while running), so the matrix
-      // parallelism lives *inside* a column, where the batch layer shards
-      // cells over the session pool with cross-config dedup intact.
+      // Columns run sequentially: the observer streams them in order and
+      // each is diffed against the previous one. The matrix parallelism
+      // lives *inside* a column, where the batch layer shards cells over
+      // the session pool with cross-config dedup intact.
       column.batch = version.target->CheckConfigBatch(configs, batch_options, &forwarder);
       summary.versions_checked += 1;
       summary.cells += column.batch.reports.size();

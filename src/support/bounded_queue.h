@@ -1,11 +1,11 @@
 // Bounded multi-producer/multi-consumer queue — the admission-control
 // primitive behind spexcheckd.
 //
-// The existing ThreadPool is a fan-out/join device: unbounded queue,
-// Wait() drains everything. A service needs the opposite shape: producers
-// (the accept loop) must *fail fast* when consumers (request workers) fall
-// behind, because the alternative is an unbounded backlog of sockets whose
-// clients gave up long ago. TryPush is therefore non-blocking — a full
+// The existing ThreadPool is a fan-out/join device: unbounded queue, each
+// caller joins its own task group. A service needs the opposite shape:
+// producers (the accept loop) must *fail fast* when consumers (request
+// workers) fall behind, because the alternative is an unbounded backlog of
+// sockets whose clients gave up long ago. TryPush is therefore non-blocking — a full
 // queue is the signal to shed with 503 + Retry-After — while Pop blocks,
 // because an idle worker has nothing better to do.
 //

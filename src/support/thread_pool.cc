@@ -1,8 +1,13 @@
 #include "src/support/thread_pool.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 namespace spex {
+
+// The pool whose WorkerLoop runs on this thread (null off-pool).
+static thread_local const ThreadPool* current_pool = nullptr;
 
 ThreadPool::ThreadPool(size_t num_threads) {
   size_t count = std::max<size_t>(1, num_threads);
@@ -23,21 +28,16 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_ready_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -50,13 +50,33 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) {
-        all_done_.notify_all();
-      }
-    }
   }
+}
+
+void ThreadPool::TaskGroup::Submit(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++pending_;
+  }
+  pool_.Enqueue([this, task = std::move(task)]() mutable {
+    task();
+    task = nullptr;  // Captures die while Wait() still blocks.
+    // Notify under the lock: Wait() cannot return (and the group cannot be
+    // destroyed) until this task has released it.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--pending_ == 0) {
+      done_.notify_all();
+    }
+  });
+}
+
+void ThreadPool::TaskGroup::Wait() {
+  if (current_pool == &pool_) {
+    std::fputs("spex: a ThreadPool task waited on a TaskGroup of its own pool\n", stderr);
+    std::abort();
+  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_.wait(lock, [this] { return pending_ == 0; });
 }
 
 void ThreadPool::ShardRange(size_t count, size_t workers,
@@ -70,12 +90,13 @@ void ThreadPool::ShardRange(size_t count, size_t workers,
     return;
   }
   size_t chunk = (count + workers - 1) / workers;
+  TaskGroup group(*this);
   for (size_t begin = 0; begin < count; begin += chunk) {
     size_t end = std::min(begin + chunk, count);
-    // By reference: Wait() below keeps fn alive past every shard.
-    Submit([&fn, begin, end] { fn(begin, end); });
+    // By reference: the group's Wait() keeps fn alive past every shard.
+    group.Submit([&fn, begin, end] { fn(begin, end); });
   }
-  Wait();
+  group.Wait();
 }
 
 size_t ThreadPool::ResolveThreadCount(size_t requested) {

@@ -1,10 +1,15 @@
 // Fixed-size worker pool for fan-out/join parallelism.
 //
-// SPEX's parallel workloads (injection campaigns, future sharded corpus
+// SPEX's parallel workloads (injection campaigns, sharded batches, corpus
 // runs) are embarrassingly parallel over pre-sized result slots, so this is
 // deliberately a plain shared-queue pool: no work stealing, no futures.
-// Submit closures, then Wait() for the queue to drain. Determinism is the
-// caller's job — write results into per-task slots, never append.
+// Determinism is the caller's job — write results into per-task slots,
+// never append. Completion is per call: every task belongs to a TaskGroup,
+// whose Wait() joins only that group's tasks, so clients sharing one pool
+// share its workers but never wait for each other's work.
+//
+// A pool task must never wait on a group of its own pool: it would hold a
+// worker while waiting for workers. TaskGroup::Wait() aborts if it does.
 #ifndef SPEX_SUPPORT_THREAD_POOL_H_
 #define SPEX_SUPPORT_THREAD_POOL_H_
 
@@ -22,6 +27,7 @@ class ThreadPool {
  public:
   // Spawns `num_threads` workers (clamped to at least 1).
   explicit ThreadPool(size_t num_threads);
+  // Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -29,17 +35,31 @@ class ThreadPool {
 
   size_t size() const { return workers_.size(); }
 
-  // Enqueues a task. Tasks must not throw.
-  void Submit(std::function<void()> task);
+  // The completion handle of one fan-out. Tasks must not throw. The
+  // destructor waits, so tasks may reference the caller's stack.
+  class TaskGroup {
+   public:
+    explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
+    ~TaskGroup() { Wait(); }
 
-  // Blocks until every task submitted so far has finished.
-  void Wait();
+    TaskGroup(const TaskGroup&) = delete;
+    TaskGroup& operator=(const TaskGroup&) = delete;
 
-  // Fans [0, count) over at most `workers` contiguous shards — one
-  // Submit per shard, then Wait() — calling fn(begin, end) per shard.
-  // Runs fn(0, count) inline when a single shard suffices. Note Wait()
-  // drains the pool's *whole* queue: callers sharing a pool serialize
-  // ShardRange against other clients, exactly as they do for Wait().
+    void Submit(std::function<void()> task);
+    // Blocks until every task submitted through this group has finished.
+    // Aborts when called from a task running on the same pool.
+    void Wait();
+
+   private:
+    ThreadPool& pool_;
+    std::mutex mutex_;
+    std::condition_variable done_;
+    size_t pending_ = 0;
+  };
+
+  // Fans [0, count) over at most `workers` contiguous shards, one task
+  // each in a private TaskGroup, calling fn(begin, end) per shard. Runs
+  // fn(0, count) inline (no wait, so legal anywhere) for a single shard.
   void ShardRange(size_t count, size_t workers,
                   const std::function<void(size_t, size_t)>& fn);
 
@@ -48,14 +68,13 @@ class ThreadPool {
   static size_t ResolveThreadCount(size_t requested);
 
  private:
+  void Enqueue(std::function<void()> task);
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_ready_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;  // Queued + currently running tasks.
   bool shutting_down_ = false;
 };
 

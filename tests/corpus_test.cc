@@ -10,6 +10,23 @@
 namespace spex {
 namespace {
 
+// A fresh campaign over the target's generated misconfigurations.
+CampaignSummary RunFreshCampaign(const TargetAnalysis& analysis, CampaignOptions options = {}) {
+  InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
+                             OsSimulator::StandardEnvironment(), options);
+  return campaign.RunAll(
+      ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect),
+      MisconfigGenerator().Generate(analysis.constraints));
+}
+
+// The independent reference: serial ground-truth full replay.
+CampaignOptions FullReplaySerial() {
+  CampaignOptions options;
+  options.num_threads = 1;
+  options.use_parse_snapshot = false;
+  return options;
+}
+
 class CorpusTargetTest : public ::testing::TestWithParam<std::string> {
  protected:
   static const TargetAnalysis& Analysis(const std::string& name) {
@@ -75,10 +92,8 @@ TEST_P(CorpusTargetTest, CampaignFindsVulnerabilitiesDeterministically) {
   const TargetAnalysis& analysis = Analysis(GetParam());
   // The default snapshot-replay path must be indistinguishable from the
   // ground-truth full replay on every corpus target.
-  CampaignSummary first = RunCampaign(analysis);
-  CampaignOptions full_replay;
-  full_replay.use_parse_snapshot = false;
-  CampaignSummary second = RunCampaign(analysis, full_replay);
+  CampaignSummary first = RunFreshCampaign(analysis);
+  CampaignSummary second = RunFreshCampaign(analysis, FullReplaySerial());
   EXPECT_EQ(first.TotalVulnerabilities(), second.TotalVulnerabilities());
   EXPECT_GT(first.TotalVulnerabilities(), 0u) << "every system has some vulnerability";
   ASSERT_EQ(first.results.size(), second.results.size());
@@ -97,7 +112,8 @@ INSTANTIATE_TEST_SUITE_P(AllTargets, CorpusTargetTest,
 
 TEST(CorpusShardedTest, ShardedCampaignsMatchSerialRuns) {
   // RunCorpusCampaigns fans one target per worker; every per-target summary
-  // must be identical to a serial AnalyzeTarget + RunCampaign.
+  // must be identical to a serial full-replay campaign over a separate
+  // AnalyzeTarget.
   const std::vector<std::string> names = {"vsftpd", "openldap", "squid"};
   static ApiRegistry apis = ApiRegistry::BuiltinC();
   std::vector<CorpusCampaignResult> sharded =
@@ -108,7 +124,7 @@ TEST(CorpusShardedTest, ShardedCampaignsMatchSerialRuns) {
     EXPECT_TRUE(sharded[i].diagnostics.empty()) << sharded[i].diagnostics;
     DiagnosticEngine diags;
     TargetAnalysis serial_analysis = AnalyzeTarget(FindTarget(names[i]), apis, &diags);
-    CampaignSummary serial = RunCampaign(serial_analysis);
+    CampaignSummary serial = RunFreshCampaign(serial_analysis, FullReplaySerial());
     const CampaignSummary& parallel = sharded[i].summary;
     ASSERT_EQ(parallel.results.size(), serial.results.size()) << names[i];
     for (size_t j = 0; j < serial.results.size(); ++j) {
@@ -135,7 +151,7 @@ TEST(CorpusShapeTest, PaperHeadlineShapesHold) {
     keep->push_back(
         std::make_unique<TargetAnalysis>(AnalyzeTarget(FindTarget(name), apis, &diags)));
     analyses[name] = keep->back().get();
-    summaries[name] = RunCampaign(*keep->back());
+    summaries[name] = RunFreshCampaign(*keep->back());
   }
   // 1. Storage-A (commercial, hardened) exposes no crashes or hangs.
   EXPECT_EQ(summaries["storage_a"].CountCategory(ReactionCategory::kCrashHang), 0u);

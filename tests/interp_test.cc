@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
 
@@ -98,6 +100,61 @@ TEST(InterpTest, DivisionByZeroTraps) {
   Sut sut("int divide(int a, int b) { return a / b; }");
   CallOutcome outcome = sut.Call("divide", {RtValue::Int(10), RtValue::Int(0)});
   EXPECT_EQ(outcome.status, CallOutcome::Status::kTrap);
+}
+
+constexpr int64_t kIntMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kIntMax = std::numeric_limits<int64_t>::max();
+
+int64_t CallBinary(Sut& sut, const std::string& fn, int64_t a, int64_t b) {
+  CallOutcome outcome = sut.Call(fn, {RtValue::Int(a), RtValue::Int(b)});
+  EXPECT_TRUE(outcome.ok()) << fn << ": " << outcome.trap_reason;
+  return outcome.return_value.AsInt();
+}
+
+TEST(InterpTest, OverflowingArithmeticWrapsTwosComplement) {
+  Sut sut(R"(
+    int add(int a, int b) { return a + b; }
+    int sub(int a, int b) { return a - b; }
+    int mul(int a, int b) { return a * b; }
+    int neg(int a, int b) { return -a; }
+  )");
+  EXPECT_EQ(CallBinary(sut, "add", kIntMax, 1), kIntMin);
+  EXPECT_EQ(CallBinary(sut, "sub", kIntMin, 1), kIntMax);
+  EXPECT_EQ(CallBinary(sut, "mul", kIntMax, 2), -2);
+  // The overflowing multiply in DeterministicAcrossRuns' hash loop.
+  EXPECT_EQ(CallBinary(sut, "mul", 31, 841048816911995911LL),
+            static_cast<int64_t>(31ULL * 841048816911995911ULL));
+  EXPECT_EQ(CallBinary(sut, "neg", kIntMin, 0), kIntMin);
+}
+
+TEST(InterpTest, ShiftsWrapAndOutOfRangeCountsGiveZero) {
+  Sut sut(R"(
+    int shl(int a, int b) { return a << b; }
+    int shr(int a, int b) { return a >> b; }
+  )");
+  EXPECT_EQ(CallBinary(sut, "shl", 1, 63), kIntMin);
+  EXPECT_EQ(CallBinary(sut, "shl", 3, 63), kIntMin);
+  EXPECT_EQ(CallBinary(sut, "shl", -1, 1), -2);
+  EXPECT_EQ(CallBinary(sut, "shl", 1, 64), 0);
+  EXPECT_EQ(CallBinary(sut, "shl", 1, -1), 0);
+  EXPECT_EQ(CallBinary(sut, "shr", 256, -3), 0);
+  EXPECT_EQ(CallBinary(sut, "shr", 256, 4), 16);
+}
+
+TEST(InterpTest, IntMinDividedByMinusOneTraps) {
+  Sut sut(R"(
+    int divide(int a, int b) { return a / b; }
+    int remainder(int a, int b) { return a % b; }
+  )");
+  for (const char* fn : {"divide", "remainder"}) {
+    CallOutcome outcome = sut.Call(fn, {RtValue::Int(kIntMin), RtValue::Int(-1)});
+    EXPECT_EQ(outcome.status, CallOutcome::Status::kTrap) << fn;
+    EXPECT_NE(outcome.trap_reason.find("Floating point exception"), std::string::npos) << fn;
+  }
+  // The neighbours of the overflowing case still divide normally.
+  EXPECT_EQ(CallBinary(sut, "divide", kIntMin, 1), kIntMin);
+  EXPECT_EQ(CallBinary(sut, "divide", kIntMin + 1, -1), kIntMax);
+  EXPECT_EQ(CallBinary(sut, "remainder", kIntMin + 1, -1), 0);
 }
 
 TEST(InterpTest, NullStringToStrcmpTraps) {

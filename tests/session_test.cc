@@ -1,6 +1,6 @@
 // spex::Session façade tests: the user-facing ConfigChecker (one seeded
 // violation per constraint category), clean-config behaviour, campaign
-// bit-identity through the façade vs. the legacy free-function path,
+// bit-identity through the façade vs. a directly driven full replay,
 // snapshot-cache reuse across repeated campaigns, streaming observers,
 // boundary string-pool flatness over a session's lifetime, and the dynamic
 // check mode (observed Table-3 reactions per seeded category, bit-identity
@@ -10,6 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -243,7 +247,7 @@ TEST(SessionCheckTest, EngineOptionsApplyToLoadTarget) {
   EXPECT_FALSE(default_target->InferConstraints().control_deps.empty());
 }
 
-// --- Façade campaigns vs. the legacy free-function path.
+// --- Façade campaigns vs. an independent, directly driven campaign.
 
 void ExpectSameSummaries(const CampaignSummary& expected, const CampaignSummary& actual,
                          const char* label) {
@@ -262,27 +266,36 @@ void ExpectSameSummaries(const CampaignSummary& expected, const CampaignSummary&
   EXPECT_EQ(actual.total_tests_run, expected.total_tests_run) << label;
 }
 
-TEST(SessionCampaignTest, FacadeCampaignBitIdenticalToLegacyPath) {
-  // Legacy hand-wired path.
+// The reference every façade campaign is compared against: a serial,
+// ground-truth full replay on a campaign driven directly over
+// `analysis`, sharing nothing with any Session.
+CampaignSummary FullReplayReference(const TargetAnalysis& analysis) {
+  CampaignOptions ground_truth;
+  ground_truth.num_threads = 1;
+  ground_truth.use_parse_snapshot = false;
+  InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
+                             OsSimulator::StandardEnvironment(), ground_truth);
+  return campaign.RunAll(
+      ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect),
+      MisconfigGenerator().Generate(analysis.constraints));
+}
+
+TEST(SessionCampaignTest, FacadeCampaignBitIdenticalToFullReplay) {
   DiagnosticEngine diags;
   ApiRegistry apis = ApiRegistry::BuiltinC();
   TargetAnalysis analysis = AnalyzeTarget(FindTarget("squid"), apis, &diags);
   ASSERT_FALSE(diags.HasErrors()) << diags.Render();
-  CampaignOptions serial;
-  serial.num_threads = 1;
-  CampaignSummary legacy_serial = RunCampaign(analysis, serial);
-  CampaignOptions parallel;
-  parallel.num_threads = 4;
-  CampaignSummary legacy_parallel = RunCampaign(analysis, parallel);
+  CampaignSummary reference = FullReplayReference(analysis);
 
-  // Façade path.
   Session session;
   Target* target = session.LoadTarget("squid");
   ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
-  ExpectSameSummaries(legacy_serial, target->RunCampaign(serial), "facade serial");
-  ExpectSameSummaries(legacy_parallel, target->RunCampaign(parallel), "facade 4 workers");
-  // And the other direction: serial == parallel through the façade.
-  ExpectSameSummaries(legacy_serial, legacy_parallel, "legacy serial vs parallel");
+  CampaignOptions serial;
+  serial.num_threads = 1;
+  CampaignOptions parallel;
+  parallel.num_threads = 4;
+  ExpectSameSummaries(reference, target->RunCampaign(serial), "facade serial");
+  ExpectSameSummaries(reference, target->RunCampaign(parallel), "facade 4 workers");
 }
 
 TEST(SessionCampaignTest, RepeatedCampaignReusesSnapshots) {
@@ -892,6 +905,112 @@ TEST(SessionThreadedTest, ConcurrentDynamicChecksOnSharedSession) {
   c.join();
   campaign.join();
   EXPECT_EQ(mismatches.load(), 0u);
+}
+
+// Holds a campaign's workers mid-flight: the first OnRunComplete blocks
+// until Release(), and the campaign serializes the rest behind it.
+class BlockingObserver : public CampaignObserver {
+ public:
+  void OnRunComplete(size_t index, const InjectionResult& result) override {
+    (void)index;
+    (void)result;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (entered_) {
+      return;
+    }
+    entered_ = true;
+    changed_.notify_all();
+    changed_.wait(lock, [this] { return released_; });
+  }
+  void AwaitEntered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+// Completion is per call: a sharded batch on one target finishes while a
+// parallel campaign on another target is stuck mid-flight on the same
+// session pool. The wait is bounded, so a session-wide lock makes this
+// test fail rather than hang.
+TEST(SessionThreadedTest, ShardedBatchRunsWhileAnotherTargetsCampaignIsBlocked) {
+  Session session(SessionOptions{.campaign_threads = 4});
+  Target* campaign_target = session.LoadTarget("vsftpd");
+  ASSERT_NE(campaign_target, nullptr) << session.RenderDiagnostics();
+  Target* batch_target = LoadDynamicServer(session);
+  ASSERT_NE(batch_target, nullptr);
+
+  BlockingObserver blocker;
+  CampaignOptions two_workers;
+  two_workers.num_threads = 2;
+  std::thread campaign([&] { campaign_target->RunCampaign(two_workers, &blocker); });
+  blocker.AwaitEntered();
+
+  const std::vector<ConfigInput> fleet = {
+      {"a.conf", "worker_threads = not_a_number\n"},
+      {"b.conf", "use_cache = off\ncache_ttl = 500\n"},
+      {"c.conf", "worker_threads = 99\n"},
+      {"d.conf", "log_format = Json\n"},
+  };
+  BatchOptions sharded;
+  sharded.num_threads = 0;
+  sharded.check.mode = CheckMode::kDynamic;
+  std::future<BatchSummary> batch = std::async(std::launch::async, [&] {
+    return batch_target->CheckConfigBatch(fleet, sharded);
+  });
+  const bool finished = batch.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  blocker.Release();
+  campaign.join();
+  EXPECT_TRUE(finished) << "the sharded batch queued behind another target's campaign";
+
+  BatchSummary summary = batch.get();
+  BatchOptions serial = sharded;
+  serial.num_threads = 1;
+  BatchSummary expected = batch_target->CheckConfigBatch(fleet, serial);
+  ASSERT_EQ(summary.reports.size(), fleet.size());
+  EXPECT_GT(summary.total_suspects, 0u);
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    ExpectSameViolations(expected.reports[i].violations, summary.reports[i].violations,
+                         fleet[i].name.c_str());
+  }
+}
+
+// Concurrent campaigns on one target: the two with equal options share the
+// target's campaign and run one after another inside it; the third swaps
+// in a campaign with different options while they run. Every result is
+// bit-identical to a serial full replay.
+TEST(SessionThreadedTest, ConcurrentCampaignsOnOneTargetMatchFullReplay) {
+  Session session(SessionOptions{.campaign_threads = 4});
+  Target* target = session.LoadTarget("vsftpd");
+  ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+  const CampaignSummary reference = FullReplayReference(target->analysis());
+
+  CampaignOptions two_workers;
+  two_workers.num_threads = 2;
+  CampaignOptions four_workers;
+  four_workers.num_threads = 4;
+  CampaignSummary first;
+  CampaignSummary second;
+  CampaignSummary swapped;
+  std::thread a([&] { first = target->RunCampaign(two_workers); });
+  std::thread b([&] { second = target->RunCampaign(two_workers); });
+  std::thread c([&] { swapped = target->RunCampaign(four_workers); });
+  a.join();
+  b.join();
+  c.join();
+  ExpectSameSummaries(reference, first, "first concurrent campaign");
+  ExpectSameSummaries(reference, second, "second concurrent campaign");
+  ExpectSameSummaries(reference, swapped, "campaign with swapped options");
 }
 
 }  // namespace
