@@ -23,7 +23,7 @@ QUICK=0
 echo "== Release configuration =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}"
-QUICK_TESTS='inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|config_set_test|parser_robustness_test|thread_pool_test'
+QUICK_TESTS='report_json_test|inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|config_set_test|parser_robustness_test|thread_pool_test'
 run_ctest() {
   if [[ "${QUICK}" == "1" ]]; then
     ctest --test-dir "$1" --output-on-failure -R "${QUICK_TESTS}"

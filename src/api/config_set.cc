@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/api/report_json.h"
 #include "src/support/strings.h"
 
 namespace spex {
@@ -324,11 +325,9 @@ class SetJsonParser {
   explicit SetJsonParser(std::string_view text) : text_(text) {}
 
   Status Parse(ConfigSetInput* out) {
-    SkipSpace();
     if (!Consume('{')) {
       return Bad("expected '{'");
     }
-    SkipSpace();
     std::string key;
     Status status = ParseString(&key);
     if (!status.ok()) {
@@ -337,15 +336,12 @@ class SetJsonParser {
     if (key != "files") {
       return Bad("expected a \"files\" key");
     }
-    SkipSpace();
     if (!Consume(':')) {
       return Bad("expected ':' after \"files\"");
     }
-    SkipSpace();
     if (!Consume('[')) {
       return Bad("expected '[' to open the files array");
     }
-    SkipSpace();
     if (!Consume(']')) {
       while (true) {
         ConfigInput file;
@@ -354,9 +350,7 @@ class SetJsonParser {
           return status;
         }
         out->files.push_back(std::move(file));
-        SkipSpace();
         if (Consume(',')) {
-          SkipSpace();
           continue;
         }
         if (Consume(']')) {
@@ -365,7 +359,6 @@ class SetJsonParser {
         return Bad("expected ',' or ']' in the files array");
       }
     }
-    SkipSpace();
     if (!Consume('}')) {
       return Bad("expected '}' to close the request");
     }
@@ -382,26 +375,21 @@ class SetJsonParser {
 
  private:
   Status ParseFile(ConfigInput* out) {
-    SkipSpace();
     if (!Consume('{')) {
       return Bad("expected '{' to open a file object");
     }
     bool saw_name = false;
     bool saw_text = false;
-    SkipSpace();
     if (!Consume('}')) {
       while (true) {
-        SkipSpace();
         std::string key;
         Status status = ParseString(&key);
         if (!status.ok()) {
           return status;
         }
-        SkipSpace();
         if (!Consume(':')) {
           return Bad("expected ':' in a file object");
         }
-        SkipSpace();
         std::string value;
         status = ParseString(&value);
         if (!status.ok()) {
@@ -416,7 +404,6 @@ class SetJsonParser {
         } else {
           return Bad("unknown file field \"" + key + "\" (want name/text)");
         }
-        SkipSpace();
         if (Consume(',')) {
           continue;
         }
@@ -435,95 +422,18 @@ class SetJsonParser {
     return Status::Ok();
   }
 
+  // Every token may be preceded by JSON whitespace; Consume and
+  // ParseString skip it first.
   Status ParseString(std::string* out) {
-    if (!Consume('"')) {
-      return Bad("expected a string");
-    }
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') {
-        return Status::Ok();
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        break;
-      }
-      char escape = text_[pos_++];
-      switch (escape) {
-        case '"':
-        case '\\':
-        case '/':
-          out->push_back(escape);
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'r':
-          out->push_back('\r');
-          break;
-        case 'b':
-          out->push_back('\b');
-          break;
-        case 'f':
-          out->push_back('\f');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Bad("truncated \\u escape");
-          }
-          uint32_t code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char hex = text_[pos_++];
-            code <<= 4;
-            if (hex >= '0' && hex <= '9') {
-              code |= static_cast<uint32_t>(hex - '0');
-            } else if (hex >= 'a' && hex <= 'f') {
-              code |= static_cast<uint32_t>(hex - 'a' + 10);
-            } else if (hex >= 'A' && hex <= 'F') {
-              code |= static_cast<uint32_t>(hex - 'A' + 10);
-            } else {
-              return Bad("bad hex digit in \\u escape");
-            }
-          }
-          AppendUtf8(code, out);
-          break;
-        }
-        default:
-          return Bad(std::string("unknown escape '\\") + escape + "'");
-      }
-    }
-    return Bad("unterminated string");
+    SkipSpace();
+    Status status = DecodeJsonString(text_, &pos_, out);
+    return status.ok() ? status : Bad(status.message());
   }
 
-  static void AppendUtf8(uint32_t code, std::string* out) {
-    if (code < 0x80) {
-      out->push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
+  void SkipSpace() { pos_ = std::min(text_.size(), text_.find_first_not_of(" \t\n\r", pos_)); }
 
   bool Consume(char c) {
+    SkipSpace();
     if (pos_ < text_.size() && text_[pos_] == c) {
       ++pos_;
       return true;

@@ -181,9 +181,10 @@ void RewriteViolationsWithProvenance(const ResolvedConfigSet& set,
 
 // Parses a spexcheckd /check config-set body:
 //   {"files":[{"name":"base.conf","text":"a = 1\n"}, ...]}
-// Strict about shape, tolerant about whitespace; standard JSON string
-// escapes (incl. \uXXXX) are decoded. kInvalidArgument names the first
-// offense; hostile input never crashes (tests/parser_robustness_test.cc).
+// Strict about shape, tolerant about whitespace; strings are decoded by
+// DecodeJsonString (src/api/report_json.h), surrogate pairs included.
+// kInvalidArgument names the first offense and its byte position; hostile
+// input never crashes (tests/parser_robustness_test.cc).
 Status ParseConfigSetJson(std::string_view body, ConfigSetInput* out);
 
 }  // namespace spex

@@ -1,7 +1,6 @@
 #include "src/serve/http.h"
 
 #include <cerrno>
-#include <cstdio>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -218,39 +217,6 @@ std::string QueryParam(std::string_view query, std::string_view key) {
     return value;
   }
   return std::string();
-}
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 int HttpStatusFor(StatusCode code) {

@@ -135,10 +135,6 @@ std::pair<std::string_view, std::string_view> SplitRequestTarget(std::string_vie
 // '+' -> ' ' — target names and modes are [a-z_]+ by construction.
 std::string QueryParam(std::string_view query, std::string_view key);
 
-// JSON string escaping for the JSONL verdict stream (quotes, backslashes,
-// control characters).
-std::string JsonEscape(std::string_view text);
-
 // The HTTP status line a spex::Status maps to. kOk -> 200; kCancelled maps
 // to 499 (the de-facto "client closed request" code), kResourceExhausted
 // and kUnavailable to 503 (the server tells the client to come back, with

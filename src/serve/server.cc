@@ -15,6 +15,7 @@
 
 #include "src/api/batch_check.h"
 #include "src/api/config_set.h"
+#include "src/api/report_json.h"
 #include "src/serve/http.h"
 #include "src/support/strings.h"
 
@@ -54,33 +55,10 @@ void SetNonBlocking(int fd) {
 }
 
 std::string StatusJson(const Status& status) {
-  return std::string("{\"type\":\"error\",\"status\":\"") + StatusCodeName(status.code()) +
-         "\",\"message\":\"" + JsonEscape(status.message()) + "\"}\n";
-}
-
-// One violation as a JSONL line. `config` tags batch lines with the
-// report they belong to; null for single checks.
-std::string ViolationJson(const Violation& violation, const std::string* config) {
-  std::string line = "{\"type\":\"violation\"";
-  if (config != nullptr) {
-    line += ",\"config\":\"" + JsonEscape(*config) + "\"";
-  }
-  line += ",\"file\":\"" + JsonEscape(violation.file) + "\"";
-  line += ",\"line\":" + std::to_string(violation.line);
-  line += ",\"category\":\"" + std::string(ViolationCategoryName(violation.category)) + "\"";
-  line += ",\"param\":\"" + JsonEscape(violation.param) + "\"";
-  line += ",\"value\":\"" + JsonEscape(violation.value) + "\"";
-  line += ",\"message\":\"" + JsonEscape(violation.message) + "\"";
-  if (!violation.override_note.empty()) {
-    line += ",\"note\":\"" + JsonEscape(violation.override_note) + "\"";
-  }
-  if (violation.reaction.has_value()) {
-    line += ",\"reaction\":\"" +
-            std::string(ReactionCategoryName(*violation.reaction)) + "\"";
-    line += ",\"prediction\":\"" + JsonEscape(violation.prediction) + "\"";
-  }
-  line += "}\n";
-  return line;
+  std::string json = R"({"type":"error")";
+  AppendJsonString("status", StatusCodeName(status.code()), &json);
+  AppendJsonString("message", status.message(), &json);
+  return json + "}\n";
 }
 
 // "=== <name>" framing for /batch bodies. Content before the first frame
@@ -628,58 +606,37 @@ bool CheckServer::HandleRequest(int fd, const HttpRequest& request, bool keep_al
   if (request.method == "GET" && path == "/statz") {
     ServerStats snapshot = stats();
     std::string body = "{";
-    auto field = [&](const char* name, uint64_t value, bool first = false) {
-      if (!first) {
-        body += ',';
-      }
-      body += '"';
-      body += name;
-      body += "\":";
-      body += std::to_string(value);
-    };
-    field("accepted", snapshot.accepted, true);
-    field("served_ok", snapshot.served_ok);
-    field("shed", snapshot.shed);
-    field("degraded", snapshot.degraded);
-    field("budget_degraded", snapshot.budget_degraded);
-    field("invalid_requests", snapshot.invalid_requests);
-    field("not_found", snapshot.not_found);
-    field("deadline_exceeded", snapshot.deadline_exceeded);
-    field("cancelled", snapshot.cancelled);
-    field("read_timeouts", snapshot.read_timeouts);
-    field("internal_errors", snapshot.internal_errors);
-    field("batch_configs", snapshot.batch_configs);
-    field("keepalive_reuses", snapshot.keepalive_reuses);
-    field("store_hits", snapshot.store_hits);
-    field("partial_reads", snapshot.partial_reads);
-    field("client_aborts", snapshot.client_aborts);
-    field("open_connections", snapshot.open_connections);
-    field("idle_keepalive", snapshot.idle_keepalive);
-    field("max_connections", options_.max_connections);
-    field("queue_depth", queue_->size());
-    field("inflight_replays", inflight_replays_.load(std::memory_order_relaxed));
-    field("per_target_replay_budget", targets_->replay_budget());
-    field("targets_loaded", targets_->size());
-    field("target_loads", targets_->loads());
-    field("target_hits", targets_->hits());
-    field("target_evictions", targets_->evictions());
+    const std::pair<const char*, uint64_t> counters[] = {
+        {"accepted", snapshot.accepted}, {"served_ok", snapshot.served_ok}, {"shed", snapshot.shed},
+        {"degraded", snapshot.degraded}, {"budget_degraded", snapshot.budget_degraded},
+        {"invalid_requests", snapshot.invalid_requests}, {"not_found", snapshot.not_found},
+        {"deadline_exceeded", snapshot.deadline_exceeded}, {"cancelled", snapshot.cancelled},
+        {"read_timeouts", snapshot.read_timeouts}, {"internal_errors", snapshot.internal_errors},
+        {"batch_configs", snapshot.batch_configs}, {"keepalive_reuses", snapshot.keepalive_reuses},
+        {"store_hits", snapshot.store_hits}, {"partial_reads", snapshot.partial_reads},
+        {"client_aborts", snapshot.client_aborts}, {"open_connections", snapshot.open_connections},
+        {"idle_keepalive", snapshot.idle_keepalive}, {"max_connections", options_.max_connections},
+        {"queue_depth", queue_->size()},
+        {"inflight_replays", inflight_replays_.load(std::memory_order_relaxed)},
+        {"per_target_replay_budget", targets_->replay_budget()},
+        {"targets_loaded", targets_->size()}, {"target_loads", targets_->loads()},
+        {"target_hits", targets_->hits()}, {"target_evictions", targets_->evictions()}};
+    for (const auto& [name, value] : counters) {
+      AppendJsonNumber(name, value, &body);
+    }
     // Per-target budget state: how many replay tokens each hot target has
     // left and how often its traffic degraded — the operator's view of
     // "which target is the noisy one".
     body += ",\"target_budget\":[";
-    bool first_target = true;
     for (const TargetPool::BudgetState& state : targets_->BudgetStates()) {
-      if (!first_target) {
-        body += ',';
-      }
-      first_target = false;
-      body += "{\"name\":\"" + JsonEscape(state.name) + "\"";
-      body += ",\"tokens\":" + std::to_string(static_cast<uint64_t>(state.tokens));
-      body += ",\"degraded\":" + std::to_string(state.degraded) + "}";
+      body += body.back() == '[' ? "{" : ",{";
+      AppendJsonString("name", state.name, &body);
+      AppendJsonNumber("tokens", static_cast<uint64_t>(state.tokens), &body);
+      AppendJsonNumber("degraded", state.degraded, &body);
+      body += '}';
     }
-    body += "]";
-    body += ",\"draining\":";
-    body += draining() ? "true" : "false";
+    body += ']';
+    AppendJsonBool("draining", draining(), &body);
     body += "}\n";
     WriteHttpResponse(fd, 200, "OK", "application/json", body, {}, keep_alive);
     return keep_alive;
@@ -754,29 +711,30 @@ bool CheckServer::HandleCheck(int fd, const std::string& query, const std::strin
     }
     options_.faults.BeforeCheck();
 
+    // Both routes answer in the schema spexcheck prints (report_json.h):
+    // /check streams the config's violations (and any include faults),
+    // /batch one report per config; a summary line closes either.
     std::string response;
+    BatchSummary summary;
+    BatchOptions batch_options;
+    batch_options.check = check;
+    batch_options.num_threads = 1;  // Concurrency comes from the worker pool.
+    bool set_body = false;
+    size_t files_resolved = 0;
     if (!batch) {
       // A body opening with '{' is the multi-file form: a JSON object
       // naming the set's files, resolved (includes, last-wins overrides)
       // to one flattened effective config before checking. Anything else
       // is the classic raw-config-text form.
       size_t first_byte = body.find_first_not_of(" \t\r\n");
-      const bool set_body = first_byte != std::string::npos && body[first_byte] == '{';
+      set_body = first_byte != std::string::npos && body[first_byte] == '{';
       ConfigSetInput set_input;
-      if (set_body) {
-        Status parsed = ParseConfigSetJson(body, &set_input);
-        if (!parsed.ok()) {
-          stat_invalid_.fetch_add(1, std::memory_order_relaxed);
-          WriteError(fd, parsed);
-          return false;
-        }
-      } else {
-        Status valid = ValidateConfigText(body, entry->target->dialect());
-        if (!valid.ok()) {
-          stat_invalid_.fetch_add(1, std::memory_order_relaxed);
-          WriteError(fd, valid);
-          return false;
-        }
+      Status valid = set_body ? ParseConfigSetJson(body, &set_input)
+                              : ValidateConfigText(body, entry->target->dialect());
+      if (!valid.ok()) {
+        stat_invalid_.fetch_add(1, std::memory_order_relaxed);
+        WriteError(fd, valid);
+        return false;
       }
       std::string name = QueryParam(query, "name");
       if (name.empty()) {
@@ -786,126 +744,75 @@ bool CheckServer::HandleCheck(int fd, const std::string& query, const std::strin
       // are bit-identical (the batch identity guarantee), and the
       // BatchSummary carries the verdict-store counters a bare CheckConfig
       // cannot report — so /check can say whether it was served from disk.
-      BatchOptions single_options;
-      single_options.check = check;
-      single_options.num_threads = 1;
-      BatchSummary single_summary;
-      std::vector<ResolvedConfigSet> resolutions;
       if (set_body) {
         set_input.name = name;
         std::vector<ConfigSetInput> sets;
         sets.push_back(std::move(set_input));
-        single_summary =
-            entry->target->CheckConfigSet(sets, single_options, nullptr, &resolutions);
+        std::vector<ResolvedConfigSet> resolutions;
+        summary = entry->target->CheckConfigSet(sets, batch_options, nullptr, &resolutions);
+        files_resolved = resolutions.front().files_resolved;
         for (const ConfigSetError& set_error : resolutions.front().errors) {
-          response += "{\"type\":\"config_set_error\",\"kind\":\"";
-          response += ConfigSetErrorKindName(set_error.kind);
-          response += "\",\"file\":\"" + JsonEscape(set_error.file) + "\"";
-          response += ",\"line\":" + std::to_string(set_error.line);
-          response += ",\"target\":\"" + JsonEscape(set_error.target) + "\"}\n";
+          response += "{\"type\":\"config_set_error\"";
+          AppendConfigSetErrorFields(set_error, &response);
+          response += "}\n";
         }
       } else {
         std::vector<ConfigInput> single;
         single.push_back(ConfigInput{name, body});
-        single_summary = entry->target->CheckConfigBatch(single, single_options);
+        summary = entry->target->CheckConfigBatch(single, batch_options);
       }
-      stat_store_hits_.fetch_add(single_summary.store_hits, std::memory_order_relaxed);
-      const std::vector<Violation>& violations = single_summary.reports.front().violations;
-      for (const Violation& violation : violations) {
-        response += ViolationJson(violation, nullptr);
+      for (const Violation& violation : summary.reports.front().violations) {
+        response += ViolationRecord(violation) + "\n";
       }
-      Status final = token.cancelled()
-                         ? (token.reason() == CancelToken::Reason::kDeadline
-                                ? Status::DeadlineExceeded("request budget exhausted mid-check")
-                                : Status::Cancelled("request cancelled mid-check"))
-                         : Status::Ok();
-      response += "{\"type\":\"summary\",\"status\":\"";
-      response += StatusCodeName(final.code());
-      response += "\",\"target\":\"" + JsonEscape(target_name) + "\"";
-      response += ",\"mode\":\"";
-      response += check.mode == CheckMode::kDynamic ? "dynamic" : "static";
-      response += "\",\"violations\":" + std::to_string(violations.size());
-      if (set_body) {
-        response += ",\"files\":" + std::to_string(resolutions.front().files_resolved);
+    } else {
+      std::vector<ConfigInput> inputs;
+      Status framed = ParseBatchBody(body, &inputs);
+      if (!framed.ok()) {
+        stat_invalid_.fetch_add(1, std::memory_order_relaxed);
+        WriteError(fd, framed);
+        return false;
       }
-      response += ",\"degraded\":";
-      response += degraded ? "true" : "false";
-      // cached: every suspect execution was served from the persistent
-      // verdict store — nothing replayed for this request.
-      const bool cached = single_summary.total_suspects > 0 &&
-                          single_summary.unique_replays == 0 &&
-                          single_summary.store_hits > 0;
-      response += ",\"cached\":";
-      response += cached ? "true" : "false";
-      response += "}\n";
-      int http = HttpStatusFor(final.code());
-      (final.ok() ? stat_served_ok_
-                  : final.code() == StatusCode::kDeadlineExceeded ? stat_deadline_
-                                                                  : stat_cancelled_)
-          .fetch_add(1, std::memory_order_relaxed);
-      // Only a clean verdict keeps the connection: a request that blew its
-      // budget leaves the connection in a state not worth reasoning about.
-      const bool stay_open = keep_alive && final.ok();
-      WriteHttpResponse(fd, http, HttpReasonFor(http), "application/jsonl", response, {},
-                        stay_open);
-      return stay_open;
+      summary = entry->target->CheckConfigBatch(inputs, batch_options);
+      stat_batch_configs_.fetch_add(inputs.size(), std::memory_order_relaxed);
+      for (const ConfigReport& report : summary.reports) {
+        response += ReportRecord(report) + "\n";
+      }
     }
-
-    std::vector<ConfigInput> inputs;
-    Status framed = ParseBatchBody(body, &inputs);
-    if (!framed.ok()) {
-      stat_invalid_.fetch_add(1, std::memory_order_relaxed);
-      WriteError(fd, framed);
-      return false;
-    }
-    BatchOptions batch_options;
-    batch_options.check = check;
-    batch_options.num_threads = 1;  // Concurrency comes from the worker pool.
-    BatchSummary summary = entry->target->CheckConfigBatch(inputs, batch_options);
-    stat_batch_configs_.fetch_add(inputs.size(), std::memory_order_relaxed);
     stat_store_hits_.fetch_add(summary.store_hits, std::memory_order_relaxed);
-    for (const ConfigReport& report : summary.reports) {
-      for (const Violation& violation : report.violations) {
-        response += ViolationJson(violation, &report.name);
+    const char* phase = batch ? "mid-batch" : "mid-check";
+    Status final = !token.cancelled() ? Status::Ok()
+                   : token.reason() == CancelToken::Reason::kDeadline
+                       ? Status::DeadlineExceeded(std::string("request budget exhausted ") + phase)
+                       : Status::Cancelled(std::string("request cancelled ") + phase);
+    response += batch ? R"({"type":"batch_summary")" : R"({"type":"summary")";
+    AppendJsonNumber("schema", kJsonlSchemaVersion, &response);
+    AppendJsonString("status", StatusCodeName(final.code()), &response);
+    if (batch) {
+      AppendBatchCounters(summary, &response);
+    } else {
+      AppendJsonString("target", target_name, &response);
+      AppendJsonString("mode", check.mode == CheckMode::kDynamic ? "dynamic" : "static",
+                       &response);
+      AppendJsonNumber("violations", summary.total_violations, &response);
+      if (set_body) {
+        AppendJsonNumber("files", files_resolved, &response);
       }
-      response += "{\"type\":\"report\",\"index\":" + std::to_string(report.index);
-      response += ",\"config\":\"" + JsonEscape(report.name) + "\"";
-      response += ",\"status\":\"";
-      response += StatusCodeName(report.status.code());
-      response += "\"";
-      if (!report.status.ok()) {
-        response += ",\"error\":\"" + JsonEscape(report.status.message()) + "\"";
-      }
-      response += ",\"violations\":" + std::to_string(report.violations.size());
-      response += ",\"suspects\":" + std::to_string(report.suspects);
-      response += ",\"shared_replays\":" + std::to_string(report.shared_replays);
-      response += "}\n";
     }
-    Status final = token.cancelled()
-                       ? (token.reason() == CancelToken::Reason::kDeadline
-                              ? Status::DeadlineExceeded("request budget exhausted mid-batch")
-                              : Status::Cancelled("request cancelled mid-batch"))
-                       : Status::Ok();
-    response += "{\"type\":\"batch_summary\",\"status\":\"";
-    response += StatusCodeName(final.code());
-    response += "\",\"configs\":" + std::to_string(summary.configs_checked);
-    response += ",\"errors\":" + std::to_string(summary.configs_with_errors);
-    response += ",\"violations\":" + std::to_string(summary.total_violations);
-    response += ",\"total_suspects\":" + std::to_string(summary.total_suspects);
-    response += ",\"unique_replays\":" + std::to_string(summary.unique_replays);
-    response += ",\"degraded\":";
-    response += degraded ? "true" : "false";
-    response += ",\"cached\":";
-    response += (summary.total_suspects > 0 && summary.unique_replays == 0 &&
-                 summary.store_hits > 0)
-                    ? "true"
-                    : "false";
+    AppendJsonBool("degraded", degraded, &response);
+    // cached: every suspect execution was served from the persistent
+    // verdict store — nothing replayed for this request.
+    AppendJsonBool("cached",
+                   summary.total_suspects > 0 && summary.unique_replays == 0 &&
+                       summary.store_hits > 0,
+                   &response);
     response += "}\n";
     int http = HttpStatusFor(final.code());
     (final.ok() ? stat_served_ok_
                 : final.code() == StatusCode::kDeadlineExceeded ? stat_deadline_
                                                                 : stat_cancelled_)
         .fetch_add(1, std::memory_order_relaxed);
+    // Only a clean verdict keeps the connection: a request that blew its
+    // budget leaves the connection in a state not worth reasoning about.
     const bool stay_open = keep_alive && final.ok();
     WriteHttpResponse(fd, http, HttpReasonFor(http), "application/jsonl", response, {},
                       stay_open);

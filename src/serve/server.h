@@ -56,11 +56,11 @@
 //                is ever killed mid-write.
 //
 // Wire protocol (HTTP/1.1, close-by-default with opt-in keep-alive, JSONL
-// bodies). A client sending "Connection: keep-alive" may reuse its
-// connection for sequential requests, bounded by keepalive_max_requests
-// and keepalive_idle_timeout — reuse amortizes the TCP handshake for
-// fleet drivers, and an idle reused connection costs a connection slot
-// on the event loop, not a worker:
+// bodies in the schema spexcheck prints: src/api/report_json.h). A client
+// sending "Connection: keep-alive" may reuse its connection for sequential
+// requests, bounded by keepalive_max_requests and keepalive_idle_timeout —
+// reuse amortizes the TCP handshake for fleet drivers, and an idle reused
+// connection costs a connection slot on the event loop, not a worker:
 //
 //   GET  /healthz                      "ok" (503 "draining" during drain)
 //   GET  /statz                        JSON counters (admission, pool, ...)
@@ -68,9 +68,9 @@
 //                                      JSON line per violation + a summary
 //                                      line.
 //   POST /batch?target=NAME[&...]      body = configs framed by "=== name"
-//                                      lines; response = violation lines +
-//                                      one report line per config + a batch
-//                                      summary line.
+//                                      lines; response = one report line
+//                                      per config (violations inside) + a
+//                                      batch summary line.
 //
 //   Query knobs: mode=static|dynamic (default dynamic), deadline_ms=N
 //   (request budget; 0 = none, capped at the server's default),

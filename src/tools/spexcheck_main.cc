@@ -8,7 +8,7 @@
 // listed version of the target (Session::CheckMatrix) and each config's
 // transition between adjacent versions is classified — "which upgrade
 // breaks whose config". See docs/api.md ("spexcheck CLI reference") for
-// flags, exit codes and the JSONL schema.
+// flags and exit codes, and "JSON-lines schema" for the JSONL records.
 //
 //   spexcheck --target squid configs/                 # every *.conf in configs/
 //   spexcheck --target mysql --format jsonl my.cnf
@@ -37,6 +37,7 @@
 #include <set>
 
 #include "src/api/config_set.h"
+#include "src/api/report_json.h"
 #include "src/api/session.h"
 #include "src/corpus/spec.h"
 #include "src/support/verdict_store.h"
@@ -132,37 +133,22 @@ bool GlobMatch(const std::string& pattern, const std::string& text) {
   return p == pattern.size();
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+// Regular files directly in `dir` whose names match `pattern`, sorted by
+// name so report order (and the JSONL stream) is stable across
+// filesystems. Non-throwing: a file vanishing mid-scan (or turning
+// stat-inaccessible) sets `ec` instead of calling std::terminate.
+std::vector<std::string> ListMatching(const std::string& dir, const std::string& pattern,
+                                      std::error_code& ec) {
+  std::vector<std::string> names;
+  fs::directory_iterator it(dir, ec);
+  for (; !ec && it != fs::directory_iterator(); it.increment(ec)) {
+    std::error_code entry_ec;
+    if (it->is_regular_file(entry_ec) && GlobMatch(pattern, it->path().filename())) {
+      names.push_back(it->path().generic_string());
     }
   }
-  return out;
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 // One version of the target as named on the command line — file paths,
@@ -190,101 +176,40 @@ struct CliOptions {
   std::vector<std::string> paths;
 };
 
-// A config that could not be checked at all — unreadable on disk, or
-// rejected by the batch layer's admission validation. Reported alongside
-// the real reports so one bad file never hides the rest of the fleet.
+// A config that could not be read at all. Reported alongside the real
+// reports so one bad file never hides the rest of the fleet.
 struct ConfigError {
   std::string name;
   std::string message;
 };
 
-// The violation object shared by every JSONL record that carries
-// verdicts (per-config lines and matrix cell records).
-void AppendViolationJson(std::ostream& out, const Violation& v) {
-  out << "{\"category\":\"" << ViolationCategoryName(v.category) << "\",\"param\":\""
-      << JsonEscape(v.param) << "\",\"value\":\"" << JsonEscape(v.value) << "\",\"file\":\""
-      << JsonEscape(v.file) << "\",\"line\":" << v.line << ",\"message\":\""
-      << JsonEscape(v.message) << "\"";
-  if (!v.override_note.empty()) {
-    out << ",\"note\":\"" << JsonEscape(v.override_note) << "\"";
-  }
-  if (v.reaction.has_value()) {
-    out << ",\"reaction\":\"" << ReactionCategoryName(*v.reaction)
-        << "\",\"vulnerability\":" << (IsVulnerability(*v.reaction) ? "true" : "false")
-        << ",\"prediction\":\"" << JsonEscape(v.prediction) << "\"";
-  }
-  out << "}";
-}
-
-void AppendReportJson(std::ostream& out, size_t index, const ConfigReport& report) {
-  out << "\"config\":\"" << JsonEscape(report.name) << "\",\"index\":" << index
-      << ",\"suspects\":" << report.suspects
-      << ",\"shared_replays\":" << report.shared_replays;
-  if (!report.status.ok()) {
-    out << ",\"status\":\"" << StatusCodeName(report.status.code()) << "\",\"error\":\""
-        << JsonEscape(report.status.message()) << "\"";
-  }
-  out << ",\"violations\":[";
-  for (size_t i = 0; i < report.violations.size(); ++i) {
-    if (i != 0) {
-      out << ",";
-    }
-    AppendViolationJson(out, report.violations[i]);
-  }
-  out << "]";
-}
+// A fleet report format. OnConfigSet comes ahead of an include tree's
+// report: how the tree resolved and every contained resolution fault.
+class FleetWriter : public BatchObserver {
+ public:
+  virtual void OnConfigSet(const ResolvedConfigSet& set) = 0;
+};
 
 // One JSON line per config as its report streams in, plus a final
 // summary line — the format a fleet pipeline tails.
-class JsonlWriter : public BatchObserver {
+class JsonlWriter : public FleetWriter {
  public:
-  void OnConfigError(const ConfigError& error) {
-    std::cout << "{\"config\":\"" << JsonEscape(error.name) << "\",\"error\":\""
-              << JsonEscape(error.message) << "\"}\n";
+  void OnConfigSet(const ResolvedConfigSet& set) override {
+    std::cout << ConfigSetRecord(set) << "\n";
   }
 
-  // One record per config set ahead of its report: how many files the
-  // include tree resolved and every contained resolution fault.
-  void OnConfigSet(const ResolvedConfigSet& set) {
-    std::cout << "{\"type\":\"config_set\",\"config\":\"" << JsonEscape(set.name)
-              << "\",\"files\":" << set.files_resolved << ",\"errors\":[";
-    for (size_t i = 0; i < set.errors.size(); ++i) {
-      const ConfigSetError& error = set.errors[i];
-      std::cout << (i == 0 ? "" : ",") << "{\"kind\":\"" << ConfigSetErrorKindName(error.kind)
-                << "\",\"file\":\"" << JsonEscape(error.file) << "\",\"line\":" << error.line
-                << ",\"target\":\"" << JsonEscape(error.target) << "\"}";
-    }
-    std::cout << "]}\n";
-  }
-
-  void OnConfigChecked(size_t index, const ConfigReport& report) override {
-    std::ostringstream line;
-    line << "{";
-    AppendReportJson(line, index, report);
-    line << "}";
-    std::cout << line.str() << "\n";
+  void OnConfigChecked(size_t, const ConfigReport& report) override {
+    std::cout << ReportRecord(report) << "\n";
   }
 
   void OnBatchEnd(const BatchSummary& summary) override {
-    std::cout << "{\"summary\":{\"configs_checked\":" << summary.configs_checked
-              << ",\"configs_with_errors\":" << summary.configs_with_errors
-              << ",\"configs_with_violations\":" << summary.configs_with_violations
-              << ",\"total_violations\":" << summary.total_violations
-              << ",\"total_suspects\":" << summary.total_suspects
-              << ",\"unique_replays\":" << summary.unique_replays << ",\"dedup_ratio\":"
-              << summary.DedupRatio() << ",\"store_hits\":" << summary.store_hits
-              << ",\"store_misses\":" << summary.store_misses
-              << ",\"store_appends\":" << summary.store_appends << "}}\n";
+    std::cout << SummaryRecord(summary) << "\n";
   }
 };
 
-class TextWriter : public BatchObserver {
+class TextWriter : public FleetWriter {
  public:
-  void OnConfigError(const ConfigError& error) {
-    std::cout << error.name << ": ERROR " << error.message << "\n";
-  }
-
-  void OnConfigSet(const ResolvedConfigSet& set) {
+  void OnConfigSet(const ResolvedConfigSet& set) override {
     for (const ConfigSetError& error : set.errors) {
       std::cout << set.name << ": include error: " << error.ToString() << "\n";
     }
@@ -326,26 +251,27 @@ class TextWriter : public BatchObserver {
   }
 };
 
-// Matrix text report: per-version summary lines and non-stable
-// transitions as they stream, then the config × version grid. Per-cell
-// violation detail is the jsonl format's job — a text grid that printed
-// every violation of every cell would bury the upgrade story.
-class MatrixTextWriter : public MatrixObserver {
+// A matrix report format. Either one warns on stderr when a version
+// fails to load.
+class MatrixWriter : public MatrixObserver {
  public:
-  void OnConfigError(const ConfigError& error) {
-    std::cout << error.name << ": ERROR " << error.message << "\n";
-  }
-
-  void OnMatrixBegin(size_t versions, size_t configs) override {
-    std::cout << "matrix: " << versions << " version(s) x " << configs
-              << " config(s)\n";
-  }
-
   void OnVersionLoaded(const LoadedVersion& version) override {
     if (!version.status.ok()) {
       std::cerr << "spexcheck: version '" << version.label
                 << "' failed to load: " << version.status.message() << "\n";
     }
+  }
+};
+
+// Matrix text report: per-version summary lines and non-stable
+// transitions as they stream, then the config × version grid. Per-cell
+// violation detail is the jsonl format's job — a text grid that printed
+// every violation of every cell would bury the upgrade story.
+class MatrixTextWriter : public MatrixWriter {
+ public:
+  void OnMatrixBegin(size_t versions, size_t configs) override {
+    std::cout << "matrix: " << versions << " version(s) x " << configs
+              << " config(s)\n";
   }
 
   void OnVersionChecked(const VersionReport& column) override {
@@ -434,49 +360,26 @@ class MatrixTextWriter : public MatrixObserver {
 
 // Matrix JSONL: typed records — "cell" per (version, config), "version"
 // per column, "diff" per classified transition, one "matrix_summary".
-class MatrixJsonlWriter : public MatrixObserver {
+class MatrixJsonlWriter : public MatrixWriter {
  public:
-  void OnConfigError(const ConfigError& error) {
-    std::cout << "{\"type\":\"config_error\",\"config\":\"" << JsonEscape(error.name)
-              << "\",\"error\":\"" << JsonEscape(error.message) << "\"}\n";
-  }
-
-  void OnVersionLoaded(const LoadedVersion& version) override {
-    if (!version.status.ok()) {
-      std::cerr << "spexcheck: version '" << version.label
-                << "' failed to load: " << version.status.message() << "\n";
-    }
-  }
-
   void OnCellChecked(size_t version, const std::string& version_label,
                      const ConfigReport& report) override {
-    std::ostringstream line;
-    line << "{\"type\":\"cell\",\"version\":" << version << ",\"version_label\":\""
-         << JsonEscape(version_label) << "\",";
-    AppendReportJson(line, report.index, report);
-    line << "}";
-    std::cout << line.str() << "\n";
+    std::string line = "{\"type\":\"cell\",\"version\":" + std::to_string(version) +
+                       ",\"version_label\":\"" + JsonEscape(version_label) + "\"";
+    AppendReportFields(report, &line);
+    std::cout << line << "}\n";
   }
 
   void OnVersionChecked(const VersionReport& column) override {
-    std::ostringstream line;
-    line << "{\"type\":\"version\",\"version\":" << column.index << ",\"label\":\""
-         << JsonEscape(column.label) << "\"";
+    std::string line = "{\"type\":\"version\",\"version\":" + std::to_string(column.index) +
+                       ",\"label\":\"" + JsonEscape(column.label) + "\"";
     if (!column.status.ok()) {
-      line << ",\"status\":\"" << StatusCodeName(column.status.code())
-           << "\",\"error\":\"" << JsonEscape(column.status.message()) << "\"";
+      line += std::string(",\"status\":\"") + StatusCodeName(column.status.code()) +
+              "\",\"error\":\"" + JsonEscape(column.status.message()) + "\"";
     } else {
-      line << ",\"configs_checked\":" << column.batch.configs_checked
-           << ",\"configs_with_violations\":" << column.batch.configs_with_violations
-           << ",\"configs_with_errors\":" << column.batch.configs_with_errors
-           << ",\"total_violations\":" << column.batch.total_violations
-           << ",\"total_suspects\":" << column.batch.total_suspects
-           << ",\"unique_replays\":" << column.batch.unique_replays
-           << ",\"store_hits\":" << column.batch.store_hits
-           << ",\"store_appends\":" << column.batch.store_appends;
+      AppendBatchCounters(column.batch, &line);
     }
-    line << "}";
-    std::cout << line.str() << "\n";
+    std::cout << line << "}\n";
   }
 
   void OnTransition(const ConfigTransition& transition) override {
@@ -494,7 +397,8 @@ class MatrixJsonlWriter : public MatrixObserver {
   }
 
   void OnMatrixEnd(const MatrixSummary& summary) override {
-    std::cout << "{\"type\":\"matrix_summary\",\"versions_requested\":"
+    std::cout << "{\"type\":\"matrix_summary\",\"schema\":" << kJsonlSchemaVersion
+              << ",\"versions_requested\":"
               << summary.versions_requested
               << ",\"versions_checked\":" << summary.versions_checked
               << ",\"configs\":" << summary.configs << ",\"cells\":" << summary.cells
@@ -644,8 +548,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, std::string* error) {
 }
 
 // Expands files and directories into the config list. Directory scans are
-// non-recursive, filtered by `pattern`, sorted by name so report order
-// (and the JSONL stream) is stable across filesystems.
+// non-recursive (ListMatching).
 //
 // Containment boundary: a file that cannot be READ (vanished mid-scan,
 // permission denied) becomes a per-config error record in `errors` and
@@ -658,22 +561,11 @@ bool CollectConfigs(const CliOptions& options, std::vector<ConfigInput>* configs
   for (const std::string& path : options.paths) {
     std::error_code ec;
     if (fs::is_directory(path, ec)) {
-      // Non-throwing iteration throughout: a file vanishing mid-scan (or
-      // turning stat-inaccessible) must exit 2, not std::terminate.
-      std::vector<std::string> in_dir;
-      fs::directory_iterator it(path, ec);
-      for (; !ec && it != fs::directory_iterator(); it.increment(ec)) {
-        std::error_code entry_ec;
-        if (it->is_regular_file(entry_ec) &&
-            GlobMatch(options.pattern, it->path().filename())) {
-          in_dir.push_back(it->path().string());
-        }
-      }
+      std::vector<std::string> in_dir = ListMatching(path, options.pattern, ec);
       if (ec) {
         *error = "cannot read directory " + path + ": " + ec.message();
         return false;
       }
-      std::sort(in_dir.begin(), in_dir.end());
       if (in_dir.empty()) {
         *error = "no files matching '" + options.pattern + "' in " + path;
         return false;
@@ -742,21 +634,10 @@ class FileConfigSetSource : public ConfigSetSource {
 
   std::optional<std::vector<std::string>> ListDir(const std::string& dir) override {
     std::error_code ec;
-    fs::directory_iterator it(dir, ec);
+    std::vector<std::string> names = ListMatching(dir, pattern_, ec);
     if (ec) {
       return std::nullopt;
     }
-    std::vector<std::string> names;
-    for (; !ec && it != fs::directory_iterator(); it.increment(ec)) {
-      std::error_code entry_ec;
-      if (it->is_regular_file(entry_ec) && GlobMatch(pattern_, it->path().filename())) {
-        names.push_back(it->path().generic_string());
-      }
-    }
-    if (ec) {
-      return std::nullopt;
-    }
-    std::sort(names.begin(), names.end());
     return names;
   }
 
@@ -777,19 +658,11 @@ bool CollectConfigSetRoots(const CliOptions& options, std::vector<std::string>* 
       *error = "--include-roots: not a directory: " + dir;
       return false;
     }
-    std::vector<std::string> in_dir;
-    fs::directory_iterator it(dir, ec);
-    for (; !ec && it != fs::directory_iterator(); it.increment(ec)) {
-      std::error_code entry_ec;
-      if (it->is_regular_file(entry_ec) && GlobMatch(options.pattern, it->path().filename())) {
-        in_dir.push_back(it->path().generic_string());
-      }
-    }
+    std::vector<std::string> in_dir = ListMatching(dir, options.pattern, ec);
     if (ec) {
       *error = "cannot read directory " + dir + ": " + ec.message();
       return false;
     }
-    std::sort(in_dir.begin(), in_dir.end());
     for (std::string& root : in_dir) {
       std::error_code canon_ec;
       fs::path canonical = fs::weakly_canonical(root, canon_ec);
@@ -803,6 +676,36 @@ bool CollectConfigSetRoots(const CliOptions& options, std::vector<std::string>* 
     return false;
   }
   return true;
+}
+
+// The flat fleet named by the positional paths. Each unreadable file is
+// reported on stderr and in the output stream (a config_error record in
+// jsonl, "<file>: ERROR <message>" in text). Returns the exit code when the run must
+// stop: a usage error, or not one config readable — exit 2 is reserved
+// for "nothing was checked at all".
+std::optional<int> CollectFleet(const CliOptions& options, std::vector<ConfigInput>* configs,
+                                size_t* unreadable) {
+  if (options.paths.empty()) {
+    std::cerr << "spexcheck: no config files or directories given\n" << kUsage;
+    return 2;
+  }
+  std::vector<ConfigError> read_errors;
+  std::string error;
+  if (!CollectConfigs(options, configs, &read_errors, &error)) {
+    return Fail(error);
+  }
+  for (const ConfigError& read_error : read_errors) {
+    const std::string& name = read_error.name;
+    std::cerr << "spexcheck: " << name << ": " << read_error.message << "\n";
+    std::cout << (options.jsonl ? ConfigErrorRecord(name, read_error.message)
+                                : name + ": ERROR " + read_error.message)
+              << "\n";
+  }
+  *unreadable = read_errors.size();
+  if (configs->empty()) {
+    return Fail("no config could be checked (" + std::to_string(*unreadable) + " unreadable)");
+  }
+  return std::nullopt;
 }
 
 // Reads one target-definition file whole. Unlike fleet configs, these are
@@ -931,6 +834,9 @@ int Run(int argc, char** argv) {
       std::cout << target->analysis().bundle.template_config;
       return 0;
     }
+    JsonlWriter jsonl;
+    TextWriter text;
+    FleetWriter* writer = options.jsonl ? static_cast<FleetWriter*>(&jsonl) : &text;
 
     if (!options.include_roots.empty()) {
       // Multi-file mode: each root file in the include-roots directories
@@ -961,59 +867,25 @@ int Run(int argc, char** argv) {
       batch.check.mode = options.mode;
       batch.num_threads = options.threads;
       BatchSummary summary = target->CheckResolvedConfigSets(sets, batch, nullptr);
-      JsonlWriter jsonl;
-      TextWriter text;
       for (size_t i = 0; i < summary.reports.size(); ++i) {
-        if (options.jsonl) {
-          jsonl.OnConfigSet(sets[i]);
-          jsonl.OnConfigChecked(i, summary.reports[i]);
-        } else {
-          text.OnConfigSet(sets[i]);
-          text.OnConfigChecked(i, summary.reports[i]);
-        }
+        writer->OnConfigSet(sets[i]);
+        writer->OnConfigChecked(i, summary.reports[i]);
       }
-      if (options.jsonl) {
-        jsonl.OnBatchEnd(summary);
-      } else {
-        text.OnBatchEnd(summary);
-      }
+      writer->OnBatchEnd(summary);
       bool any_error = any_set_error || summary.configs_with_errors != 0;
       return summary.total_violations == 0 && !any_error ? 0 : 1;
     }
 
-    if (options.paths.empty()) {
-      std::cerr << "spexcheck: no config files or directories given\n" << kUsage;
-      return 2;
-    }
     std::vector<ConfigInput> configs;
-    std::vector<ConfigError> read_errors;
-    if (!CollectConfigs(options, &configs, &read_errors, &error)) {
-      return Fail(error);
+    size_t unreadable = 0;
+    if (std::optional<int> stop = CollectFleet(options, &configs, &unreadable)) {
+      return *stop;
     }
-
-    JsonlWriter jsonl;
-    TextWriter text;
-    for (const ConfigError& record : read_errors) {
-      std::cerr << "spexcheck: " << record.name << ": " << record.message << "\n";
-      if (options.jsonl) {
-        jsonl.OnConfigError(record);
-      } else {
-        text.OnConfigError(record);
-      }
-    }
-    if (configs.empty()) {
-      // Exit 2 is reserved for "nothing was checked at all" — if even one
-      // config made it through, the run reports what it found instead.
-      return Fail("no config could be checked (" + std::to_string(read_errors.size()) +
-                  " unreadable)");
-    }
-
     BatchOptions batch;
     batch.check.mode = options.mode;
     batch.num_threads = options.threads;
-    BatchObserver* writer = options.jsonl ? static_cast<BatchObserver*>(&jsonl) : &text;
     BatchSummary summary = target->CheckConfigBatch(configs, batch, writer);
-    bool any_error = !read_errors.empty() || summary.configs_with_errors != 0;
+    bool any_error = unreadable != 0 || summary.configs_with_errors != 0;
     return summary.total_violations == 0 && !any_error ? 0 : 1;
   }
 
@@ -1021,36 +893,20 @@ int Run(int argc, char** argv) {
   if (options.dump_template) {
     return Fail("--dump-template takes a single version, not --matrix");
   }
-  if (options.paths.empty()) {
-    std::cerr << "spexcheck: no config files or directories given\n" << kUsage;
-    return 2;
-  }
   std::vector<ConfigInput> configs;
-  std::vector<ConfigError> read_errors;
-  if (!CollectConfigs(options, &configs, &read_errors, &error)) {
-    return Fail(error);
-  }
-  MatrixJsonlWriter matrix_jsonl;
-  MatrixTextWriter matrix_text;
-  for (const ConfigError& record : read_errors) {
-    std::cerr << "spexcheck: " << record.name << ": " << record.message << "\n";
-    if (options.jsonl) {
-      matrix_jsonl.OnConfigError(record);
-    } else {
-      matrix_text.OnConfigError(record);
-    }
-  }
-  if (configs.empty()) {
-    return Fail("no config could be checked (" + std::to_string(read_errors.size()) +
-                " unreadable)");
+  size_t unreadable = 0;
+  if (std::optional<int> stop = CollectFleet(options, &configs, &unreadable)) {
+    return *stop;
   }
 
+  MatrixJsonlWriter matrix_jsonl;
+  MatrixTextWriter matrix_text;
   MatrixOptions matrix_options;
   matrix_options.check.mode = options.mode;
   matrix_options.num_threads = options.threads;
   matrix_options.store = store;
-  MatrixObserver* writer =
-      options.jsonl ? static_cast<MatrixObserver*>(&matrix_jsonl) : &matrix_text;
+  MatrixWriter* writer =
+      options.jsonl ? static_cast<MatrixWriter*>(&matrix_jsonl) : &matrix_text;
   MatrixSummary summary = session.CheckMatrix(versions, configs, matrix_options, writer);
   if (summary.versions_checked != summary.versions_requested) {
     return Fail(std::to_string(summary.versions_requested - summary.versions_checked) +

@@ -514,14 +514,19 @@ TEST(ConfigSetTest, ParseConfigSetJsonDecodesEscapesAndNamesRoot) {
   ConfigSetInput input;
   Status status = ParseConfigSetJson(
       "{ \"files\": [ {\"name\": \"base.conf\", \"text\": \"a = 1\\nb = \\\"x\\\"\\n\"},\n"
-      "  {\"name\": \"conf.d\\/x.conf\", \"text\": \"\\u0041 = 2\\n\"} ] }",
+      "  {\"name\": \"conf.d\\/x.conf\", \"text\": \"\\u0041 = 2\\n\"},\n"
+      "  {\"name\": \"a\\ud83d\\ude00.conf\", \"text\": \"\\u00e9\\u20ac\"} ] }",
       &input);
   ASSERT_TRUE(status.ok()) << status.message();
-  ASSERT_EQ(input.files.size(), 2u);
+  ASSERT_EQ(input.files.size(), 3u);
   EXPECT_EQ(input.name, "base.conf");
   EXPECT_EQ(input.files[0].text, "a = 1\nb = \"x\"\n");
   EXPECT_EQ(input.files[1].name, "conf.d/x.conf");
   EXPECT_EQ(input.files[1].text, "A = 2\n");
+  // A surrogate pair (how JSON writers send a non-BMP character) is one
+  // 4-byte UTF-8 sequence, never two 3-byte halves.
+  EXPECT_EQ(input.files[2].name, "a\xf0\x9f\x98\x80.conf");
+  EXPECT_EQ(input.files[2].text, "\xc3\xa9\xe2\x82\xac");
 }
 
 TEST(ConfigSetTest, ParseConfigSetJsonRejectsShapeErrorsWithPosition) {
@@ -536,12 +541,19 @@ TEST(ConfigSetTest, ParseConfigSetJsonRejectsShapeErrorsWithPosition) {
       "{\"files\":[{\"name\":\"a.conf\"}]}",              // No text.
       "{\"files\":[{\"name\":\"a.conf\",\"text\":\"x\"}]} trailing",
       "{\"files\":[{\"name\":\"a.conf\",\"text\":\"\\q\"}]}",  // Bad escape.
+      "{\"files\":[{\"name\":\"a\\ud83d.conf\",\"text\":\"x\"}]}",  // Lone high surrogate.
+      "{\"files\":[{\"name\":\"a\\ude00\\ud83d\",\"text\":\"x\"}]}",  // Reversed pair.
   };
   for (const char* body : bad_bodies) {
     Status status = ParseConfigSetJson(body, &input);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << body;
     EXPECT_NE(status.message().find("config-set body"), std::string::npos) << body;
   }
+  // A lone surrogate is reported at the backslash of its escape.
+  Status lone = ParseConfigSetJson("{\"files\":[{\"name\":\"a\\ud83d.conf\",\"text\":\"x\"}]}",
+                                   &input);
+  EXPECT_NE(lone.message().find("lone high surrogate"), std::string::npos) << lone.message();
+  EXPECT_NE(lone.message().find("at byte 20"), std::string::npos) << lone.message();
 }
 
 // ---------------------------------------------------------------------------

@@ -139,6 +139,8 @@ TEST(ParserRobustnessTest, HostileJsonBodiesAreCleanInvalidArgument) {
       "{\"files\":[{\"name\":\"a\",\"text\":\"" + std::string(64, '\\'),  // Truncated escapes.
       "{\"files\":[{\"name\":\"a\",\"text\":\"\\u00",                     // Truncated \u.
       "{\"files\":[{\"name\":\"a\",\"text\":\"\\uZZZZ\"}]}",
+      "{\"files\":[{\"name\":\"a\",\"text\":\"\\udc00\"}]}",  // Lone low surrogate.
+      "{\"files\":[{\"name\":\"a\",\"text\":\"\\ud800",       // Truncated pair.
       "{\"files\":[{\"name\":\"a\",\"text\":\"x\"}",  // Unclosed object.
   };
   // Embedded NUL inside a string: bytes pass through or the body is

@@ -260,7 +260,7 @@ TEST(ServeTest, BatchFramesConfigsAndContainsPoisonedOnes) {
   EXPECT_NE(jsonl.find("\"config\":\"poisoned.conf\""), std::string::npos) << jsonl;
   EXPECT_NE(jsonl.find("\"status\":\"invalid_argument\""), std::string::npos) << jsonl;
   EXPECT_NE(jsonl.find("\"type\":\"batch_summary\""), std::string::npos) << jsonl;
-  EXPECT_NE(jsonl.find("\"errors\":1"), std::string::npos) << jsonl;
+  EXPECT_NE(jsonl.find("\"configs_with_errors\":1"), std::string::npos) << jsonl;
   EXPECT_EQ(server.stats().batch_configs, 3u);
 }
 
