@@ -250,7 +250,7 @@ void BM_DynamicCheckCold(benchmark::State& state) {
       }
       state.ResumeTiming();
       benchmark::DoNotOptimize(target->CheckConfig(kSquidUserConfig, "user.conf", dynamic));
-      // Session teardown (campaign, snapshot cache, pool epoch) is setup
+      // Session teardown (campaign, snapshot cache, worker pool) is setup
       // cost, not check latency: keep it outside the timed region.
       state.PauseTiming();
     }

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Fail on broken intra-repo markdown links, dead anchors, and untagged
-fenced code blocks.
+"""Fail on broken intra-repo markdown links, dead anchors, untagged
+fenced code blocks, and documented counters the code does not have.
 
 Three checks over every tracked .md file:
 
@@ -12,6 +12,12 @@ Three checks over every tracked .md file:
     file, using GitHub's heading-to-anchor slug rules.
  3. Every fenced code block must carry a language tag (```cpp, ```sh,
     ```text, ...) so renderers highlight instead of guessing.
+
+One check ties docs/api.md to the code:
+
+ 4. Every backticked counter name in the `CampaignCacheStats` table of
+    docs/api.md must be a field of `struct CampaignCacheStats` in
+    src/inject/campaign.h.
 
 Run from anywhere:
 
@@ -35,6 +41,9 @@ HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 # block whose ``` content is literal text, not a delimiter.
 FENCE_RE = re.compile(r"^ {0,3}(```+|~~~+)\s*(\S*)")
 INLINE_LINK_IN_HEADING_RE = re.compile(r"\[([^\]]*)\]\([^)]*\)")
+BACKTICKED_RE = re.compile(r"`([^`]+)`")
+# A data member declaration: `size_t name = 0;` / `type name;`.
+FIELD_RE = re.compile(r"^\s*[\w:<>]+\s+(\w+)\s*(?:=[^;]*)?;")
 
 
 def markdown_files():
@@ -98,6 +107,44 @@ def scan_file(path, problems):
     return anchors, prose
 
 
+def struct_fields(header, struct):
+    """Data member names of `struct <struct> { ... };` in `header`."""
+    with open(os.path.join(REPO_ROOT, header), encoding="utf-8") as handle:
+        text = handle.read()
+    body = re.search(r"^struct " + struct + r" \{(.*?)^\};", text, re.M | re.S)
+    if body is None:
+        return None
+    return {m.group(1) for m in map(FIELD_RE.match, body.group(1).splitlines()) if m}
+
+
+def check_cache_stats_table(problems):
+    """Check 4: the api.md CampaignCacheStats table documents only real fields."""
+    doc = "docs/api.md"
+    fields = struct_fields("src/inject/campaign.h", "CampaignCacheStats")
+    if fields is None:
+        problems.append("src/inject/campaign.h: struct CampaignCacheStats not found")
+        return
+    with open(os.path.join(REPO_ROOT, doc), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    # The table is the "| Counter" one introduced by prose naming the struct.
+    table = next((i for i, line in enumerate(lines) if line.startswith("| Counter")
+                  and any("`CampaignCacheStats`" in prev for prev in lines[max(0, i - 4):i])),
+                 None)
+    if table is None:
+        problems.append(f"{doc}: CampaignCacheStats counter table not found")
+        return
+    for lineno in range(table + 2, len(lines)):  # Skip header + separator.
+        if not lines[lineno].startswith("|"):
+            break
+        first_cell = lines[lineno].split("|")[1]
+        for name in BACKTICKED_RE.findall(first_cell):
+            if name not in fields:
+                problems.append(
+                    f"{doc}:{lineno + 1}: `{name}` is not a field of "
+                    "CampaignCacheStats (src/inject/campaign.h)"
+                )
+
+
 def main():
     problems = []
     files = sorted(markdown_files())
@@ -126,13 +173,14 @@ def main():
                             f"{rel}:{lineno}: dead anchor -> {match.group(1)} "
                             f"(no heading slugs to #{fragment})"
                         )
+    check_cache_stats_table(problems)
 
     if problems:
         print("check_docs: documentation problems:", file=sys.stderr)
         for entry in problems:
             print(f"  {entry}", file=sys.stderr)
         return 1
-    print(f"check_docs: {len(files)} markdown files OK (links, anchors, code fences)")
+    print(f"check_docs: {len(files)} markdown files OK (links, anchors, code fences, counters)")
     return 0
 
 

@@ -69,7 +69,7 @@ cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test inte
 # campaigns on one target stay bit-identical to a full replay, parallel
 # campaigns stream through observers, and repeated campaigns exercise the
 # persistent snapshot cache.
-./build-tsan/session_test --gtest_filter='SessionThreadedTest.*:SessionCampaignTest.*:SessionPoolTest.*:SessionDynamicTest.*'
+./build-tsan/session_test --gtest_filter='SessionThreadedTest.*:SessionCampaignTest.*:SessionDynamicTest.*'
 ./build-tsan/dynamic_check_test
 # Fleet batch checking: the 4-worker sharded batch (parse/static-check
 # fan-out plus sharded unique-suspect replays through the shared snapshot

@@ -264,8 +264,6 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
       replay_stats.store_hits += shard.store_hits;
       replay_stats.store_misses += shard.store_misses;
       replay_stats.store_appends += shard.store_appends;
-      replay_stats.store_reverified += shard.store_reverified;
-      replay_stats.store_mismatches += shard.store_mismatches;
     }
   }
   // A unique execution served from the persistent store never replayed:

@@ -12,12 +12,7 @@ namespace spex {
 
 Session::Session(SessionOptions options)
     : options_(std::move(options)),
-      apis_(ApiRegistry::BuiltinC()),
-      boundary_epoch_(BoundaryStringPool()) {
-  if (!options_.custom_api_spec.empty()) {
-    apis_.ImportSpec(options_.custom_api_spec, &diags_);
-  }
-}
+      apis_(ApiRegistry::BuiltinC()) {}
 
 Session::~Session() = default;
 

@@ -5,9 +5,8 @@
 // campaigns) for as long as the service is up. Every consumer used to
 // hand-wire parse -> lower -> annotate -> SpexEngine::Run -> RunCampaign;
 // Session owns that wiring plus the long-lived resources none of the
-// one-shot entry points could: the ApiRegistry, the DiagnosticEngine, the
-// shared campaign worker pool, and a boundary string-pool epoch so interned
-// boundary strings are reclaimed when the session ends.
+// one-shot entry points could: the ApiRegistry, the DiagnosticEngine and
+// the shared campaign worker pool.
 //
 //   spex::Session session;
 //   spex::Target* target = session.LoadTarget("squid");          // or LoadSource(...)
@@ -43,7 +42,6 @@
 #include "src/api/config_set.h"
 #include "src/corpus/pipeline.h"
 #include "src/matrix/matrix_check.h"
-#include "src/support/string_pool.h"
 #include "src/support/thread_pool.h"
 
 namespace spex {
@@ -56,9 +54,6 @@ struct SessionOptions {
   // Worker pool shared by every campaign this session runs: 0 = hardware
   // concurrency. The pool is created lazily on the first parallel campaign.
   size_t campaign_threads = 0;
-  // Extra ApiRegistry declarations (the Storage-A mechanism), parsed on
-  // top of the built-in C surface at construction.
-  std::string custom_api_spec;
 };
 
 class Session {
@@ -134,9 +129,6 @@ class Session {
   SessionOptions options_;
   ApiRegistry apis_;
   DiagnosticEngine diags_;
-  // Ties boundary-pool growth to the session: RtValue::Str interning done
-  // on behalf of this session is reclaimed when the last session closes.
-  StringPoolEpoch boundary_epoch_;
   // Guards diags_, targets_ growth and pool creation (mutable: the const
   // diagnostic accessors lock it too).
   mutable std::mutex mutex_;

@@ -128,11 +128,6 @@ const ControlDependence& SpexEngine::ControlDepsFor(const Function& fn) {
   return *it->second;
 }
 
-const ParamDataflow* SpexEngine::DataflowFor(const std::string& param) const {
-  auto it = dataflows_.find(param);
-  return it != dataflows_.end() ? &it->second : nullptr;
-}
-
 ModuleConstraints SpexEngine::Run(const AnnotationFile& annotations, DiagnosticEngine* diags) {
   MappingExtractor extractor(module_, context_, apis_);
   return InferFromMappings(extractor.Extract(annotations, diags));
@@ -140,7 +135,6 @@ ModuleConstraints SpexEngine::Run(const AnnotationFile& annotations, DiagnosticE
 
 ModuleConstraints SpexEngine::InferFromMappings(const std::vector<MappedParam>& mappings) {
   mappings_ = mappings;
-  dataflows_.clear();
   value_to_params_.clear();
 
   std::vector<ParamState> states;
@@ -157,7 +151,6 @@ ModuleConstraints SpexEngine::InferFromMappings(const std::vector<MappedParam>& 
   }
   value_to_params_.reserve(tainted_total);
   for (size_t i = 0; i < states.size(); ++i) {
-    dataflows_[mappings_[i].name] = states[i].dataflow;
     for (const Value* value : states[i].dataflow.tainted_values) {
       value_to_params_[value].push_back(i);
     }

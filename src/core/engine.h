@@ -53,7 +53,6 @@ class SpexEngine {
 
   const AnalysisContext& context() const { return context_; }
   const std::vector<MappedParam>& mappings() const { return mappings_; }
-  const ParamDataflow* DataflowFor(const std::string& param) const;
   const ControlDependence& ControlDepsFor(const Function& fn);
 
  private:
@@ -89,7 +88,6 @@ class SpexEngine {
   DataflowEngine dataflow_engine_;
   RegionAnalyzer region_analyzer_;
   std::vector<MappedParam> mappings_;
-  std::map<std::string, ParamDataflow> dataflows_;
   std::map<const Function*, std::unique_ptr<ControlDependence>> control_deps_;
   // Hashed: point-queried once per cmp operand during control-dep and
   // value-relationship inference, never iterated.

@@ -157,7 +157,6 @@ enum class StoreLookup : uint8_t {
   kSkipped,   // Cancel-skipped before the lookup.
   kMissed,    // No usable record: replayed live, appended after.
   kServed,    // Result came straight from the store.
-  kReverify,  // Hit replayed anyway (sampling knob), compared after.
 };
 
 // Scoped attach of a request token to a worker's interpreter. The token is
@@ -756,7 +755,6 @@ struct InjectionCampaign::ReplayPass {
   uint64_t scope_id = 0;
   std::vector<std::string> store_keys;
   std::vector<StoreLookup> lookups;
-  std::vector<StoredVerdict> cached;  // The record a kReverify replay is compared to.
 
   std::vector<InjectionResult> results;
 };
@@ -803,19 +801,13 @@ bool InjectionCampaign::ServeFromStore(ReplayPass& pass, size_t i) const {
   pass.store_keys[i] = SuspectExecutionKey(pass.configs[i]);
   pass.lookups[i] = StoreLookup::kMissed;
   StoredVerdict record;
-  bool due = false;
-  if (!pass.store->Lookup(pass.scope_id, pass.store_keys[i], &record, &due) ||
+  if (!pass.store->Lookup(pass.scope_id, pass.store_keys[i], &record) ||
       !UsableStoredVerdict(record)) {
     return false;
   }
-  if (!due) {
-    pass.results[i] = ResultFromStored(record, pass.configs[i]);
-    pass.lookups[i] = StoreLookup::kServed;
-    return true;
-  }
-  pass.lookups[i] = StoreLookup::kReverify;
-  pass.cached[i] = std::move(record);
-  return false;
+  pass.results[i] = ResultFromStored(record, pass.configs[i]);
+  pass.lookups[i] = StoreLookup::kServed;
+  return true;
 }
 
 std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
@@ -868,16 +860,15 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
   if (pass.store != nullptr) {
     pass.store_keys.resize(configs.size());
     pass.lookups.assign(configs.size(), StoreLookup::kSkipped);
-    pass.cached.resize(configs.size());
   }
 
   ReplayRange(pass, 0, configs.size());
 
-  // Store epilogue: account hits, settle re-verifications, and persist
-  // fresh verdicts in one batched append. kDeadlineExceeded results —
-  // timeouts and cancel-skips alike — are never stored: they say the
-  // checker ran out of time, not what the target does, and caching one
-  // would freeze a transient budget miss into a permanent wrong answer.
+  // Store epilogue: account hits and persist fresh verdicts in one batched
+  // append. kDeadlineExceeded results — timeouts and cancel-skips alike —
+  // are never stored: they say the checker ran out of time, not what the
+  // target does, and caching one would freeze a transient budget miss into
+  // a permanent wrong answer.
   ReplayStats call_stats;
   if (pass.store != nullptr) {
     std::vector<VerdictAppend> pending;
@@ -888,17 +879,6 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
         continue;
       }
       const InjectionResult& result = pass.results[i];
-      if (pass.lookups[i] == StoreLookup::kReverify) {
-        ++call_stats.store_reverified;
-        if (result.category == ReactionCategory::kDeadlineExceeded) continue;
-        if (!SameInjectionResult(result, ResultFromStored(pass.cached[i], configs[i]))) {
-          // The store contradicted a live replay: the live replay wins,
-          // in the results and on disk (the append overwrites, last-wins).
-          ++call_stats.store_mismatches;
-          pending.push_back({pass.scope_id, pass.store_keys[i], ToStoredVerdict(result)});
-        }
-        continue;
-      }
       ++call_stats.store_misses;
       if (result.category == ReactionCategory::kDeadlineExceeded) continue;
       pending.push_back({pass.scope_id, pass.store_keys[i], ToStoredVerdict(result)});

@@ -205,8 +205,6 @@ struct ReplayStats {
   size_t store_hits = 0;        // Served straight from the store, no replay.
   size_t store_misses = 0;      // Looked up, absent: replayed + appended.
   size_t store_appends = 0;     // Records durably appended this call.
-  size_t store_reverified = 0;  // Sampled hits replayed anyway and compared.
-  size_t store_mismatches = 0;  // Re-verifications that contradicted the store.
 };
 
 // Per-request guardrails for ReplayExternal — how a *service* keeps one

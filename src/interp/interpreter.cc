@@ -34,25 +34,9 @@ RtValue RtValue::Float(double v) {
   return value;
 }
 
-RtValue RtValue::Str(std::string_view v) {
-  StringPool& pool = BoundaryStringPool();
-  RtValue value;
-  value.kind = Kind::kString;
-  value.sp = pool.InternPtr(v, &value.sym);
-  return value;
-}
-
 RtValue RtValue::Null() {
   RtValue value;
   value.kind = Kind::kNull;
-  return value;
-}
-
-RtValue RtValue::FnRef(std::string_view name) {
-  StringPool& pool = BoundaryStringPool();
-  RtValue value;
-  value.kind = Kind::kFnRef;
-  value.sp = pool.InternPtr(name, &value.sym);
   return value;
 }
 

@@ -39,9 +39,10 @@ namespace spex {
 
 // A runtime value: integer, float, string (possibly null), address, or a
 // function reference (config-table handler slots). String payloads are
-// interned: `sp` points into pool-stable storage (an Interpreter's pool or
-// the process-wide boundary pool), so copying an RtValue never copies
-// characters.
+// interned: `sp` points into the stable storage of the pool owned by the
+// Interpreter that produced the value (see Interpreter::InternedString), so
+// copying an RtValue never copies characters. A string RtValue is valid for
+// as long as that Interpreter lives.
 struct RtValue {
   enum class Kind { kInt, kFloat, kString, kNull, kAddr, kFnRef };
   Kind kind = Kind::kInt;
@@ -60,15 +61,7 @@ struct RtValue {
 
   static RtValue Int(int64_t v);
   static RtValue Float(double v);
-  // Interns into the process-wide boundary pool; use Interpreter's
-  // InternedString() on hot paths instead. Lifetime: permanent when no
-  // boundary-pool epoch is open; while any spex::Session (or other
-  // StringPoolEpoch holder) is alive, the payload lives until the last
-  // overlapping epoch closes — do not stash RtValues built during a
-  // Session's lifetime beyond it.
-  static RtValue Str(std::string_view v);
   static RtValue Null();
-  static RtValue FnRef(std::string_view name);
   // Wraps an already-interned payload (no hashing, no copy).
   static RtValue PooledStr(const std::string* sp, Symbol sym);
   static RtValue PooledFnRef(const std::string* sp, Symbol sym);

@@ -43,19 +43,26 @@ class DominatorTree {
 };
 
 // One direct control dependence: `block` executes only if `branch` takes the
-// successor edge `successor_index`.
+// successor edge `successor_index`. Deps order by the branch's per-function
+// Value id, never by its address: callers that keep the first dep per
+// derived key (constraint locations) must not depend on heap layout.
 struct ControlDep {
+  ControlDep() = default;
+  ControlDep(const Instruction* branch, int successor_index)
+      : branch(branch), branch_id(branch->id()), successor_index(successor_index) {}
+
   const Instruction* branch = nullptr;
+  uint32_t branch_id = 0;  // branch->id(), cached so ordering stays a plain compare.
   int successor_index = -1;
 
   bool operator<(const ControlDep& other) const {
-    if (branch != other.branch) {
-      return branch < other.branch;
+    if (branch_id != other.branch_id) {
+      return branch_id < other.branch_id;
     }
     return successor_index < other.successor_index;
   }
   bool operator==(const ControlDep& other) const {
-    return branch == other.branch && successor_index == other.successor_index;
+    return branch_id == other.branch_id && successor_index == other.successor_index;
   }
 };
 

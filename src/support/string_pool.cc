@@ -2,7 +2,7 @@
 
 namespace spex {
 
-Symbol StringPool::InternLockHeld(std::string_view text) {
+Symbol StringPool::Intern(std::string_view text) {
   auto it = index_.find(text);
   if (it != index_.end()) {
     return it->second;
@@ -14,24 +14,8 @@ Symbol StringPool::InternLockHeld(std::string_view text) {
   return sym;
 }
 
-Symbol StringPool::Intern(std::string_view text) {
-  if (locked_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return InternLockHeld(text);
-  }
-  return InternLockHeld(text);
-}
-
 const std::string* StringPool::InternPtr(std::string_view text, Symbol* sym) {
-  if (locked_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Symbol interned = InternLockHeld(text);
-    if (sym != nullptr) {
-      *sym = interned;
-    }
-    return &storage_[interned - 1];
-  }
-  Symbol interned = InternLockHeld(text);
+  Symbol interned = Intern(text);
   if (sym != nullptr) {
     *sym = interned;
   }
@@ -48,63 +32,6 @@ const std::string* StringPool::StablePtr(Symbol sym) const {
 std::string_view StringPool::View(Symbol sym) const {
   const std::string* str = StablePtr(sym);
   return str != nullptr ? std::string_view(*str) : std::string_view();
-}
-
-void StringPool::ReclaimLockHeld(size_t baseline) {
-  // Pop interned strings back to `baseline`. Index keys are views into the
-  // stored strings, so each key must be erased before its storage dies.
-  while (storage_.size() > baseline) {
-    bytes_ -= storage_.back().size();
-    index_.erase(std::string_view(storage_.back()));
-    storage_.pop_back();
-  }
-}
-
-void StringPool::EnterEpoch() {
-  if (locked_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (open_epochs_++ == 0) {
-      epoch_baseline_ = storage_.size();
-    }
-    return;
-  }
-  if (open_epochs_++ == 0) {
-    epoch_baseline_ = storage_.size();
-  }
-}
-
-void StringPool::ExitEpoch() {
-  if (locked_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (open_epochs_ > 0 && --open_epochs_ == 0) {
-      ReclaimLockHeld(epoch_baseline_);
-    }
-    return;
-  }
-  if (open_epochs_ > 0 && --open_epochs_ == 0) {
-    ReclaimLockHeld(epoch_baseline_);
-  }
-}
-
-size_t StringPool::open_epochs() const {
-  if (locked_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return open_epochs_;
-  }
-  return open_epochs_;
-}
-
-StringPool::Stats StringPool::stats() const {
-  if (locked_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return Stats{storage_.size(), bytes_};
-  }
-  return Stats{storage_.size(), bytes_};
-}
-
-StringPool& BoundaryStringPool() {
-  static StringPool* kPool = new StringPool(StringPool::Concurrency::kLocked);
-  return *kPool;
 }
 
 }  // namespace spex

@@ -9,26 +9,15 @@
 // `const std::string*` handed out by the pool stays valid for the pool's
 // lifetime regardless of later Intern() calls.
 //
-// Thread-safety: a pool constructed with kLocked serializes Intern() behind
-// a mutex (used for the process-wide boundary pool that backs
-// RtValue::Str()). Readers never need the lock — they hold stable pointers,
-// and append-only storage means previously interned bytes are never touched
-// again. kSingleThread pools (one per Interpreter) skip the mutex entirely.
-//
-// Reclamation: storage is append-only while in use, but a long-lived
-// embedder (spex::Session) must not grow the boundary pool without bound.
-// Epochs solve this: EnterEpoch()/ExitEpoch() bracket a pool-using scope,
-// and when the *last* concurrently-open epoch closes, every string interned
-// since the *first* one opened is reclaimed (storage truncates back to the
-// size it had at that point). Strings interned with no epoch open are
-// permanent. Pointers handed out inside an epoch stay valid until the last
-// overlapping epoch closes — exactly the Session-lifetime contract.
+// Ownership and threading: a pool has exactly one owner, the Interpreter
+// that interns into it, and is used only from that interpreter's thread.
+// There is no lock and no reclamation; the pool lives and dies with its
+// interpreter.
 #ifndef SPEX_SUPPORT_STRING_POOL_H_
 #define SPEX_SUPPORT_STRING_POOL_H_
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -41,76 +30,36 @@ inline constexpr Symbol kInvalidSymbol = 0;
 
 class StringPool {
  public:
-  enum class Concurrency { kSingleThread, kLocked };
-
   struct Stats {
     size_t strings = 0;  // Distinct interned strings.
     size_t bytes = 0;    // Total payload bytes held.
   };
 
-  explicit StringPool(Concurrency concurrency = Concurrency::kSingleThread)
-      : locked_(concurrency == Concurrency::kLocked) {}
-
+  StringPool() = default;
   StringPool(const StringPool&) = delete;
   StringPool& operator=(const StringPool&) = delete;
 
   // Returns the symbol for `text`, interning it on first sight.
   Symbol Intern(std::string_view text);
 
-  // Intern and return the stable storage pointer in one step (one lock
-  // acquisition in kLocked mode); `sym` receives the symbol if non-null.
+  // Intern and return the stable storage pointer in one step; `sym`
+  // receives the symbol if non-null.
   const std::string* InternPtr(std::string_view text, Symbol* sym = nullptr);
 
-  // Stable pointer for an already-interned symbol. Only safe from the
-  // interning thread for kSingleThread pools; for kLocked pools, callers
-  // should keep the pointer returned by InternPtr instead.
+  // Stable pointer for an already-interned symbol; null for an unknown one.
   const std::string* StablePtr(Symbol sym) const;
 
   std::string_view View(Symbol sym) const;
 
-  Stats stats() const;
-
-  // --- Epoch-based reclamation (see file comment). Epochs may overlap;
-  // reclamation happens when the count of open epochs returns to zero.
-  void EnterEpoch();
-  void ExitEpoch();
-  size_t open_epochs() const;
+  Stats stats() const { return Stats{storage_.size(), bytes_}; }
 
  private:
-  Symbol InternLockHeld(std::string_view text);
-  void ReclaimLockHeld(size_t baseline);
-
   // Deque keeps element addresses stable across growth; index_ keys are
   // views into the stored strings themselves.
   std::deque<std::string> storage_;
   std::unordered_map<std::string_view, Symbol> index_;
   size_t bytes_ = 0;
-  size_t open_epochs_ = 0;
-  size_t epoch_baseline_ = 0;  // storage_.size() when the first epoch opened.
-  mutable std::mutex mutex_;
-  const bool locked_;
 };
-
-// RAII epoch on a pool; the way an embedder ties pool growth to its own
-// lifetime (spex::Session holds one on the boundary pool).
-class StringPoolEpoch {
- public:
-  explicit StringPoolEpoch(StringPool& pool) : pool_(&pool) { pool_->EnterEpoch(); }
-  ~StringPoolEpoch() { pool_->ExitEpoch(); }
-
-  StringPoolEpoch(const StringPoolEpoch&) = delete;
-  StringPoolEpoch& operator=(const StringPoolEpoch&) = delete;
-
- private:
-  StringPool* pool_;
-};
-
-// Process-wide pool backing RtValue::Str() construction at API boundaries
-// (tests, campaign drivers). Locked; strings interned outside any epoch are
-// permanent (few and long-lived), while long-lived embedders bracket their
-// use with StringPoolEpoch so per-session strings are reclaimed when the
-// session ends.
-StringPool& BoundaryStringPool();
 
 }  // namespace spex
 

@@ -24,7 +24,10 @@ constexpr uint32_t kMaxRecordBytes = 1u << 26;
 
 constexpr uint8_t kRecordFingerprint = 1;  // Interns the next scope id.
 constexpr uint8_t kRecordVerdict = 2;
-constexpr uint8_t kRecordTombstone = 3;
+// Type 3 is retired: it was a tombstone record that only tests ever wrote.
+// It now loads as an unknown type (the log is trusted only up to it), and
+// it must never be reused for a new record kind, so that a file holding an
+// old type-3 frame can never be misread as that new kind.
 
 // CRC32 (IEEE, reflected) with a lazily built table — no zlib dependency.
 const uint32_t* Crc32Table() {
@@ -179,25 +182,23 @@ Status VerdictStore::OpenInternal() {
   std::lock_guard<std::mutex> lock(mutex_);
   Status degradation = Status::Ok();
 
-  if (!options_.read_only) {
-    lock_fd_ = ::open((path_ + ".lock").c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
-                      0644);
-    if (lock_fd_ >= 0 && ::flock(lock_fd_, LOCK_EX | LOCK_NB) == 0) {
-      writable_ = true;
-    } else if (lock_fd_ >= 0) {
-      ::close(lock_fd_);
-      lock_fd_ = -1;
-      degradation = Status::Unavailable(
-          "verdict store writer lock is held elsewhere; opened read-only");
-    } else {
-      // The lock file could not even be created (unwritable directory,
-      // missing parent, path is a directory, ...) — a different failure
-      // from contention, and the operator's fix is different too: make
-      // the path writable, don't hunt for the other writer.
-      degradation = Status::Unavailable(
-          std::string("verdict store path unwritable (") +
-          std::strerror(errno) + "); opened read-only");
-    }
+  lock_fd_ = ::open((path_ + ".lock").c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
+                    0644);
+  if (lock_fd_ >= 0 && ::flock(lock_fd_, LOCK_EX | LOCK_NB) == 0) {
+    writable_ = true;
+  } else if (lock_fd_ >= 0) {
+    ::close(lock_fd_);
+    lock_fd_ = -1;
+    degradation = Status::Unavailable(
+        "verdict store writer lock is held elsewhere; opened read-only");
+  } else {
+    // The lock file could not even be created (unwritable directory,
+    // missing parent, path is a directory, ...) — a different failure
+    // from contention, and the operator's fix is different too: make
+    // the path writable, don't hunt for the other writer.
+    degradation = Status::Unavailable(
+        std::string("verdict store path unwritable (") +
+        std::strerror(errno) + "); opened read-only");
   }
 
   fd_ = ::open(path_.c_str(),
@@ -314,8 +315,8 @@ size_t VerdictStore::LoadRecords(const char* data, size_t size, Index* index) {
     } else if (type == kRecordVerdict) {
       uint64_t scope_id = 0;
       std::string key;
-      auto entry = std::make_shared<Entry>();
-      StoredVerdict& verdict = entry->verdict;
+      auto verdict_ptr = std::make_shared<StoredVerdict>();
+      StoredVerdict& verdict = *verdict_ptr;
       uint8_t category = 0;
       uint8_t pinpointed = 0;
       uint64_t tests_run = 0;
@@ -344,17 +345,11 @@ size_t VerdictStore::LoadRecords(const char* data, size_t size, Index* index) {
       std::string composed = ComposeKey(scope_id, key);
       auto it = index->find(composed);
       if (it != index->end()) {
-        it->second = std::move(entry);
+        it->second = std::move(verdict_ptr);
         ++dead_records_;  // The overwritten record is dead log weight.
       } else {
-        index->emplace(std::move(composed), std::move(entry));
+        index->emplace(std::move(composed), std::move(verdict_ptr));
       }
-    } else if (type == kRecordTombstone) {
-      uint64_t scope_id = 0;
-      std::string key;
-      if (!cursor.ReadU64(&scope_id) || !cursor.ReadBytes(&key)) break;
-      if (index->erase(ComposeKey(scope_id, key)) > 0) ++dead_records_;
-      ++dead_records_;  // The tombstone itself is dead weight too.
     } else {
       break;  // Unknown record type: future format, stop trusting here.
     }
@@ -376,21 +371,15 @@ uint64_t VerdictStore::ResolveScope(std::string_view fingerprint) {
 }
 
 bool VerdictStore::Lookup(uint64_t scope_id, std::string_view key,
-                          StoredVerdict* out, bool* reverify_due) const {
+                          StoredVerdict* out) const {
   std::shared_ptr<const Index> index = index_.load(std::memory_order_acquire);
   auto it = index->find(ComposeKey(scope_id, key));
   if (it == index->end()) {
     stat_misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const Entry& entry = *it->second;
-  *out = entry.verdict;
-  uint64_t hits_before = entry.hits.fetch_add(1, std::memory_order_relaxed);
+  *out = *it->second;
   stat_hits_.fetch_add(1, std::memory_order_relaxed);
-  if (reverify_due != nullptr) {
-    *reverify_due = options_.reverify_period > 0 &&
-                    hits_before % options_.reverify_period == 0;
-  }
   return true;
 }
 
@@ -425,18 +414,17 @@ size_t VerdictStore::AppendBatch(std::vector<VerdictAppend> appends) {
     if (append.scope_id >= durable_fingerprints_) continue;  // Unknown scope.
     std::string composed = ComposeKey(append.scope_id, append.key);
     auto it = next->find(composed);
-    if (it != next->end() && it->second->verdict == append.verdict) {
+    if (it != next->end() && *it->second == append.verdict) {
       continue;  // Identical record already stored; skip the log write.
     }
     AppendFrame(&bytes, EncodeVerdict(append.scope_id, append.key,
                                       append.verdict));
-    auto entry = std::make_shared<Entry>();
-    entry->verdict = std::move(append.verdict);
+    auto verdict = std::make_shared<const StoredVerdict>(std::move(append.verdict));
     if (it != next->end()) {
-      it->second = std::move(entry);
+      it->second = std::move(verdict);
       ++dead_records_;
     } else {
-      next->emplace(std::move(composed), std::move(entry));
+      next->emplace(std::move(composed), std::move(verdict));
     }
     ++written;
   }
@@ -461,42 +449,12 @@ void VerdictStore::Append(uint64_t scope_id, std::string_view key,
   AppendBatch(std::move(one));
 }
 
-void VerdictStore::Invalidate(uint64_t scope_id, std::string_view key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string composed = ComposeKey(scope_id, key);
-  std::shared_ptr<const Index> current = index_.load(std::memory_order_acquire);
-  if (current->find(composed) == current->end()) return;
-  if (writable_) {
-    std::string payload;
-    payload.push_back(static_cast<char>(kRecordTombstone));
-    PutU64(&payload, scope_id);
-    PutBytes(&payload, key);
-    std::string bytes;
-    AppendFrame(&bytes, payload);
-    WriteFully(fd_, bytes.data(), bytes.size());
-    dead_records_ += 2;  // The dead verdict plus the tombstone itself.
-  }
-  auto next = std::make_unique<Index>(*current);
-  next->erase(composed);
-  stat_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  index_.store(std::shared_ptr<const Index>(std::move(next)),
-               std::memory_order_release);
-}
-
 void VerdictStore::Flush() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0 && writable_) ::fsync(fd_);
 }
 
-Status VerdictStore::Compact() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return CompactLocked();
-}
-
 Status VerdictStore::CompactLocked() {
-  if (!writable_) {
-    return Status::Unavailable("verdict store is read-only; cannot compact");
-  }
   std::string tmp_path = path_ + ".tmp";
   int tmp_fd =
       ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
@@ -512,11 +470,10 @@ Status VerdictStore::CompactLocked() {
     AppendFrame(&bytes, payload);
   }
   std::shared_ptr<const Index> index = index_.load(std::memory_order_acquire);
-  for (const auto& [composed, entry] : *index) {
+  for (const auto& [composed, verdict] : *index) {
     uint64_t scope_id = 0;
     std::memcpy(&scope_id, composed.data(), 8);
-    AppendFrame(&bytes, EncodeVerdict(scope_id, composed.substr(8),
-                                      entry->verdict));
+    AppendFrame(&bytes, EncodeVerdict(scope_id, composed.substr(8), *verdict));
   }
   bool ok = WriteFully(tmp_fd, bytes.data(), bytes.size()) &&
             ::fsync(tmp_fd) == 0;
@@ -540,7 +497,6 @@ VerdictStoreStats VerdictStore::stats() const {
   stats.misses = stat_misses_.load(std::memory_order_relaxed);
   stats.appends = stat_appends_.load(std::memory_order_relaxed);
   stats.dropped_appends = stat_dropped_appends_.load(std::memory_order_relaxed);
-  stats.invalidations = stat_invalidations_.load(std::memory_order_relaxed);
   stats.live_records = size();
   stats.loaded_records = stat_loaded_.load(std::memory_order_relaxed);
   stats.dropped_bytes = stat_dropped_bytes_.load(std::memory_order_relaxed);

@@ -15,21 +15,24 @@
 // Durability model — append log + compaction:
 //   header | record | record | ...
 // Each record is CRC32-framed ([crc][len][payload]); payloads are
-// fingerprint interns, verdicts, or tombstones. A corrupt, truncated, or
+// fingerprint interns or verdicts. A corrupt, truncated, or
 // version-mismatched store is *never trusted*: parsing stops at the first
 // bad frame, the valid prefix is kept (writable handles truncate the bad
 // tail away), and a bad header means "start empty". Every failure mode
 // degrades to a cache miss, never to a wrong verdict.
 //
 // Concurrency model — single writer, lock-free readers:
-//   - Lookup() is wait-free on the hot path: it loads an atomic
-//     shared_ptr snapshot of the index. Any number of threads may call it
+//   - Lookup() is a pure read of an immutable index snapshot it loads
+//     through an atomic shared_ptr. Any number of threads may call it
 //     concurrently with appends.
-//   - AppendBatch()/Invalidate()/Compact() serialize on an internal
-//     mutex and publish a fresh index snapshot (copy-on-write).
+//   - AppendBatch() serializes on an internal mutex and publishes a fresh
+//     index snapshot (copy-on-write). Compaction runs only at open.
 //   - Cross-process: the writer role is claimed via flock() on a sidecar
-//     "<path>.lock" file. A second process opening the same path gets a
+//     "<path>.lock" file. A second handle opening the same path gets a
 //     read-only handle (lookups work, appends are counted and dropped).
+//
+// Staleness: a hit is trusted because the scope fingerprint covers every
+// verdict-affecting input and the CRC framing rejects damaged records.
 #ifndef SPEX_SUPPORT_VERDICT_STORE_H_
 #define SPEX_SUPPORT_VERDICT_STORE_H_
 
@@ -66,13 +69,6 @@ struct StoredVerdict {
 };
 
 struct VerdictStoreOptions {
-  // Open without claiming the writer lock; all appends are dropped.
-  bool read_only = false;
-  // Sampled re-verification: when > 0, every Nth hit of a key (counting
-  // from the first hit each process makes) reports `reverify_due`, telling
-  // the caller to replay anyway and compare. 0 disables sampling — the
-  // scope fingerprint is then the only staleness guard.
-  size_t reverify_period = 0;
   // Compact at open when dead records exceed this fraction of live ones.
   double compact_dead_ratio = 0.5;
   // ...but never bother compacting fewer dead records than this.
@@ -86,11 +82,10 @@ struct VerdictStoreStats {
   uint64_t misses = 0;           // Lookups that found nothing.
   uint64_t appends = 0;          // Records durably appended by this handle.
   uint64_t dropped_appends = 0;  // Appends discarded (read-only handle).
-  uint64_t invalidations = 0;    // Tombstones written.
   uint64_t live_records = 0;     // Verdicts currently in the index.
   uint64_t loaded_records = 0;   // Verdicts recovered from disk at open.
   uint64_t dropped_bytes = 0;    // Corrupt/truncated tail ignored at open.
-  uint64_t compactions = 0;      // Log rewrites (open-time + explicit).
+  uint64_t compactions = 0;      // Open-time log rewrites.
   bool read_only = false;        // True when this handle cannot write.
 };
 
@@ -122,11 +117,7 @@ class VerdictStore {
   uint64_t ResolveScope(std::string_view fingerprint);
 
   // Looks up a verdict. Lock-free; safe concurrently with appends.
-  // `reverify_due`, when non-null, is set true when the sampling knob says
-  // this hit should be replayed anyway and compared (see
-  // VerdictStoreOptions::reverify_period).
-  bool Lookup(uint64_t scope_id, std::string_view key, StoredVerdict* out,
-              bool* reverify_due = nullptr) const;
+  bool Lookup(uint64_t scope_id, std::string_view key, StoredVerdict* out) const;
 
   // Appends a batch of verdicts (last-wins on duplicate keys) and
   // publishes them for lookup. Returns how many records were durably
@@ -137,15 +128,8 @@ class VerdictStore {
   // Single-record convenience over AppendBatch.
   void Append(uint64_t scope_id, std::string_view key, StoredVerdict verdict);
 
-  // Writes a tombstone for (scope_id, key) and removes it from the index.
-  void Invalidate(uint64_t scope_id, std::string_view key);
-
   // fsync()s the log. Appends are otherwise buffered by the OS only.
   void Flush();
-
-  // Rewrites the log with only live records (scope ids preserved).
-  // No-op (Unavailable) on a read-only handle.
-  Status Compact();
 
   VerdictStoreStats stats() const;
   size_t size() const;
@@ -153,13 +137,10 @@ class VerdictStore {
   const std::string& path() const { return path_; }
 
  private:
-  struct Entry {
-    StoredVerdict verdict;
-    // Per-process hit counter driving sampled re-verification.
-    mutable std::atomic<uint64_t> hits{0};
-  };
-  // Keys are scope_id (8 bytes little-endian) + execution key bytes.
-  using Index = std::unordered_map<std::string, std::shared_ptr<Entry>>;
+  // Keys are scope_id (8 bytes little-endian) + execution key bytes. Values
+  // are shared so a copy-on-write index copy never copies verdicts.
+  using Index =
+      std::unordered_map<std::string, std::shared_ptr<const StoredVerdict>>;
 
   VerdictStore(std::string path, VerdictStoreOptions options);
 
@@ -169,6 +150,7 @@ class VerdictStore {
   size_t LoadRecords(const char* data, size_t size, Index* index);
   // Serializes pending fingerprint interns + appends under mutex_.
   bool WriteAll(const std::string& bytes);
+  // Rewrites the log with only live records (scope ids preserved).
   Status CompactLocked();
 
   const std::string path_;
@@ -185,14 +167,13 @@ class VerdictStore {
   std::vector<std::string> fingerprints_;          // id -> fingerprint.
   std::unordered_map<std::string, uint64_t> fingerprint_ids_;
   size_t durable_fingerprints_ = 0;  // Prefix of fingerprints_ on disk.
-  size_t dead_records_ = 0;          // Overwritten/tombstoned log entries.
+  size_t dead_records_ = 0;          // Overwritten log entries.
 
   // Stats (atomics: hits/misses are bumped from lock-free readers).
   mutable std::atomic<uint64_t> stat_hits_{0};
   mutable std::atomic<uint64_t> stat_misses_{0};
   std::atomic<uint64_t> stat_appends_{0};
   std::atomic<uint64_t> stat_dropped_appends_{0};
-  std::atomic<uint64_t> stat_invalidations_{0};
   std::atomic<uint64_t> stat_loaded_{0};
   std::atomic<uint64_t> stat_dropped_bytes_{0};
   std::atomic<uint64_t> stat_compactions_{0};

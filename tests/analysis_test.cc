@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <sstream>
+
 #include "src/apidb/api_registry.h"
 #include "src/cases/case_db.h"
 #include "src/core/engine.h"
+#include "src/corpus/pipeline.h"
 #include "src/ir/dominance.h"
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
@@ -78,6 +83,107 @@ TEST(ControlDependenceTest, BranchArmsDependOnBranch) {
     }
   }
   EXPECT_EQ(dependent_blocks, 1);  // Only the then-block.
+}
+
+TEST(ControlDependenceTest, TransitiveDepsComeInBranchIdOrder) {
+  auto module = Lower(R"(
+    int f(int c) {
+      int r = 0;
+      if (c > 3) {
+        if (c > 5) { r = 1; }
+      }
+      return r;
+    }
+  )");
+  Function* fn = module->FindFunction("f");
+  fn->Finalize();
+  ControlDependence cdeps(*fn);
+  std::vector<ControlDep> deepest;
+  for (const auto& block : fn->blocks()) {
+    std::vector<ControlDep> deps = cdeps.TransitiveDeps(block.get());
+    if (deps.size() > deepest.size()) {
+      deepest = std::move(deps);
+    }
+  }
+  // The inner then-block executes only if both branches go their way.
+  ASSERT_EQ(deepest.size(), 2u);
+  for (const ControlDep& dep : deepest) {
+    EXPECT_EQ(dep.branch_id, dep.branch->id());
+  }
+  EXPECT_LT(deepest[0].branch_id, deepest[1].branch_id);
+  // Lowering order: the outer branch (in the entry block) has the lower id.
+  EXPECT_EQ(deepest[0].branch->parent(), fn->entry());
+}
+
+// Every field of every constraint, source locations included.
+std::string DumpConstraints(const ModuleConstraints& constraints) {
+  std::ostringstream out;
+  for (const ParamConstraints& p : constraints.params) {
+    out << "param " << p.param << " style=" << static_cast<int>(p.style) << " @"
+        << p.loc.ToString() << " usage=" << p.has_usage
+        << " case=" << static_cast<int>(p.case_sensitivity)
+        << " time=" << static_cast<int>(p.time_unit)
+        << " size=" << static_cast<int>(p.size_unit) << "\n";
+    if (p.basic_type) {
+      out << "  basic " << p.basic_type->ToString() << " @" << p.basic_type->loc.ToString()
+          << "\n";
+    }
+    for (const SemanticTypeConstraint& semantic : p.semantic_types) {
+      out << "  semantic " << semantic.ToString() << " @" << semantic.loc.ToString() << "\n";
+    }
+    if (p.range) {
+      out << "  range " << p.range->ToString()
+          << " oor=" << static_cast<int>(p.range->out_of_range) << " @"
+          << p.range->loc.ToString() << "\n";
+    }
+    if (p.permission) {
+      out << "  permission " << p.permission->ToString() << " @"
+          << p.permission->loc.ToString() << "\n";
+    }
+    for (const UnsafeApiUse& use : p.unsafe_uses) {
+      out << "  unsafe " << use.api << " @" << use.loc.ToString() << "\n";
+    }
+  }
+  for (const ControlDepConstraint& dep : constraints.control_deps) {
+    out << "control " << dep.ToString() << " conf=" << dep.confidence << " @"
+        << dep.loc.ToString() << "\n";
+  }
+  for (const ValueRelConstraint& rel : constraints.value_rels) {
+    out << "rel " << rel.ToString() << " transitive=" << rel.via_transitivity << " @"
+        << rel.loc.ToString() << "\n";
+  }
+  return out.str();
+}
+
+// No constraint field, location included, may follow instruction
+// addresses. Load squid once, then again last of all targets in reversed
+// order with junk allocations between loads, so its instructions land
+// elsewhere on the heap: the constraints must come out identical.
+TEST(ControlDependenceTest, ConstraintsIndependentOfHeapLayout) {
+  ApiRegistry apis = ApiRegistry::BuiltinC();
+  DiagnosticEngine diags;
+  std::string expected;
+  {
+    TargetAnalysis reference = AnalyzeTarget(FindTarget("squid"), apis, &diags);
+    ASSERT_FALSE(reference.constraints.control_deps.empty());
+    expected = DumpConstraints(reference.constraints);
+  }
+  std::vector<TargetSpec> targets = EvaluatedTargets();
+  std::reverse(targets.begin(), targets.end());
+  std::vector<std::unique_ptr<char[]>> junk;
+  std::vector<TargetAnalysis> analyses;
+  for (const TargetSpec& spec : targets) {
+    for (size_t i = 0; i < 1000; ++i) {
+      junk.push_back(std::make_unique<char[]>(16 + (i * 37) % 240));
+    }
+    analyses.push_back(AnalyzeTarget(spec, apis, &diags));
+  }
+  EXPECT_FALSE(diags.HasErrors()) << diags.Render();
+  auto squid = std::find_if(analyses.begin(), analyses.end(), [](const TargetAnalysis& a) {
+    return a.bundle.name == "squid";
+  });
+  ASSERT_NE(squid, analyses.end());
+  EXPECT_EQ(DumpConstraints(squid->constraints), expected);
 }
 
 TEST(DataflowTest, InterproceduralReturnFlowsToCallSiteOnly) {

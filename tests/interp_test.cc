@@ -28,6 +28,10 @@ struct Sut {
   CallOutcome Call(const std::string& fn, std::vector<RtValue> args = {}) {
     return interp->Call(fn, std::move(args));
   }
+
+  // A string argument interned in this interpreter's own pool, the way
+  // replay builds every string it passes in.
+  RtValue Str(std::string_view text) { return interp->InternedString(text); }
 };
 
 TEST(InterpTest, ArithmeticAndControlFlow) {
@@ -75,7 +79,7 @@ TEST(InterpTest, StructTableThroughPointerStores) {
       return -1;
     }
   )");
-  CallOutcome outcome = sut.Call("set_option", {RtValue::Str("timeout"), RtValue::Str("99")});
+  CallOutcome outcome = sut.Call("set_option", {sut.Str("timeout"), sut.Str("99")});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.return_value.AsInt(), 0);
   EXPECT_EQ(sut.interp->ReadGlobal("timeout")->AsInt(), 99);
@@ -190,12 +194,12 @@ TEST(InterpTest, ExitPropagates) {
 
 TEST(InterpTest, AtoiSemantics) {
   Sut sut("int conv(char *s) { return atoi(s); }");
-  EXPECT_EQ(sut.Call("conv", {RtValue::Str("42")}).return_value.AsInt(), 42);
+  EXPECT_EQ(sut.Call("conv", {sut.Str("42")}).return_value.AsInt(), 42);
   // Prefix parse: garbage after digits is ignored (the "1O0" -> 1 case).
-  EXPECT_EQ(sut.Call("conv", {RtValue::Str("1O0")}).return_value.AsInt(), 1);
-  EXPECT_EQ(sut.Call("conv", {RtValue::Str("abc")}).return_value.AsInt(), 0);
+  EXPECT_EQ(sut.Call("conv", {sut.Str("1O0")}).return_value.AsInt(), 1);
+  EXPECT_EQ(sut.Call("conv", {sut.Str("abc")}).return_value.AsInt(), 0);
   // 32-bit wraparound on overflow.
-  EXPECT_EQ(sut.Call("conv", {RtValue::Str("9000000000")}).return_value.AsInt(),
+  EXPECT_EQ(sut.Call("conv", {sut.Str("9000000000")}).return_value.AsInt(),
             static_cast<int32_t>(9000000000LL));
 }
 
@@ -205,7 +209,7 @@ TEST(InterpTest, StrncmpSemantics) {
     int prei(char *a, char *b, int n) { return strncasecmp(a, b, n); }
   )");
   auto cmp = [&](const char* fn, const char* a, const char* b, int64_t n) {
-    return sut.Call(fn, {RtValue::Str(a), RtValue::Str(b), RtValue::Int(n)})
+    return sut.Call(fn, {sut.Str(a), sut.Str(b), RtValue::Int(n)})
         .return_value.AsInt();
   };
   EXPECT_EQ(cmp("pre", "timeout_ms", "timeout_s", 8), 0);
@@ -222,18 +226,18 @@ TEST(InterpTest, ParseIntStrictRejectsGarbage) {
     int out;
     int conv(char *s) { return parse_int_strict(s, &out); }
   )");
-  EXPECT_EQ(sut.Call("conv", {RtValue::Str("42")}).return_value.AsInt(), 0);
+  EXPECT_EQ(sut.Call("conv", {sut.Str("42")}).return_value.AsInt(), 0);
   EXPECT_EQ(sut.interp->ReadGlobal("out")->AsInt(), 42);
-  EXPECT_EQ(sut.Call("conv", {RtValue::Str("1O0")}).return_value.AsInt(), -1);
-  EXPECT_EQ(sut.Call("conv", {RtValue::Str("9G")}).return_value.AsInt(), -1);
+  EXPECT_EQ(sut.Call("conv", {sut.Str("1O0")}).return_value.AsInt(), -1);
+  EXPECT_EQ(sut.Call("conv", {sut.Str("9G")}).return_value.AsInt(), -1);
 }
 
 TEST(InterpTest, FileIntrinsicsUseSimulatedFs) {
   Sut sut("int try_open(char *p) { return open(p, 0); }");
-  EXPECT_GE(sut.Call("try_open", {RtValue::Str("/etc/mime.types")}).return_value.AsInt(), 0);
-  EXPECT_LT(sut.Call("try_open", {RtValue::Str("/nope")}).return_value.AsInt(), 0);
-  EXPECT_LT(sut.Call("try_open", {RtValue::Str("/var")}).return_value.AsInt(), 0);  // EISDIR
-  EXPECT_LT(sut.Call("try_open", {RtValue::Str("/etc/secret.key")}).return_value.AsInt(), 0);
+  EXPECT_GE(sut.Call("try_open", {sut.Str("/etc/mime.types")}).return_value.AsInt(), 0);
+  EXPECT_LT(sut.Call("try_open", {sut.Str("/nope")}).return_value.AsInt(), 0);
+  EXPECT_LT(sut.Call("try_open", {sut.Str("/var")}).return_value.AsInt(), 0);  // EISDIR
+  EXPECT_LT(sut.Call("try_open", {sut.Str("/etc/secret.key")}).return_value.AsInt(), 0);
 }
 
 TEST(InterpTest, BindChecksPortAvailability) {
@@ -287,7 +291,7 @@ TEST(InterpTest, HandlerInvocationThroughTable) {
       return -1;
     }
   )");
-  CallOutcome outcome = sut.Call("dispatch", {RtValue::Str("stored"), RtValue::Str("7")});
+  CallOutcome outcome = sut.Call("dispatch", {sut.Str("stored"), sut.Str("7")});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(sut.interp->ReadGlobal("stored")->AsInt(), 7);
 }
@@ -349,7 +353,7 @@ TEST(InterpTest, ResetRestoresCachedGlobalsImage) {
     int read_weight(int i) { return weights[i]; }
   )";
   Sut mutated(source);
-  ASSERT_TRUE(mutated.Call("mutate", {RtValue::Str("55")}).ok());
+  ASSERT_TRUE(mutated.Call("mutate", {mutated.Str("55")}).ok());
   EXPECT_EQ(mutated.interp->ReadGlobal("timeout")->AsInt(), 1234);
   EXPECT_EQ(mutated.interp->ReadGlobal("stored")->AsInt(), 55);
   EXPECT_FALSE(mutated.interp->logs().empty());
@@ -376,7 +380,7 @@ TEST(InterpTest, ResetRestoresCachedGlobalsImage) {
               fresh.Call("read_weight", {RtValue::Int(i)}).return_value.AsInt());
   }
   // The restored handler/table references still work end to end.
-  ASSERT_TRUE(mutated.Call("mutate", {RtValue::Str("77")}).ok());
+  ASSERT_TRUE(mutated.Call("mutate", {mutated.Str("77")}).ok());
   EXPECT_EQ(mutated.interp->ReadGlobal("stored")->AsInt(), 77);
 }
 

@@ -2,8 +2,7 @@
 // violation per constraint category), clean-config behaviour, campaign
 // bit-identity through the façade vs. a directly driven full replay,
 // snapshot-cache reuse across repeated campaigns, streaming observers,
-// boundary string-pool flatness over a session's lifetime, and the dynamic
-// check mode (observed Table-3 reactions per seeded category, bit-identity
+// and the dynamic check mode (observed Table-3 reactions per seeded category, bit-identity
 // against ground-truth full replay, warm-cache reuse, concurrency).
 #include "src/api/session.h"
 
@@ -18,7 +17,6 @@
 #include <thread>
 
 #include "src/inject/generator.h"
-#include "src/support/string_pool.h"
 
 namespace spex {
 namespace {
@@ -801,40 +799,6 @@ TEST(SessionDynamicTest, TargetWithoutSutDegradesToStaticResult) {
   ExpectSameViolations(target->CheckConfig("worker_threads = 99\n", "user.conf"),
                        target->CheckConfig("worker_threads = 99\n", "user.conf", dynamic),
                        "degraded dynamic");
-}
-
-// --- Session lifetime and the boundary string pool.
-
-TEST(SessionPoolTest, RepeatedCheckConfigKeepsBoundaryPoolFlat) {
-  Session session;
-  Target* target = LoadServer(session);
-  ASSERT_NE(target, nullptr);
-  target->CheckConfig("worker_threads = 99\nidle_timeout = 500ms\n");
-  StringPool::Stats baseline = BoundaryStringPool().stats();
-  for (int round = 0; round < 50; ++round) {
-    std::vector<Violation> violations =
-        target->CheckConfig("worker_threads = 99\nidle_timeout = 500ms\n");
-    ASSERT_EQ(violations.size(), 2u);
-  }
-  StringPool::Stats after = BoundaryStringPool().stats();
-  EXPECT_EQ(after.strings, baseline.strings);
-  EXPECT_EQ(after.bytes, baseline.bytes);
-}
-
-TEST(SessionPoolTest, SessionLifetimeBoundsBoundaryPoolGrowth) {
-  StringPool::Stats before = BoundaryStringPool().stats();
-  for (int round = 0; round < 3; ++round) {
-    Session session;
-    Target* target = LoadServer(session);
-    ASSERT_NE(target, nullptr);
-    // Distinct inputs per round: without epoch reclamation each round
-    // would permanently grow the boundary pool.
-    RtValue::Str("per_session_value_" + std::to_string(round));
-    target->CheckConfig("cache_ttl = " + std::to_string(round) + "00000000\n");
-  }
-  StringPool::Stats after = BoundaryStringPool().stats();
-  EXPECT_EQ(after.strings, before.strings);
-  EXPECT_EQ(after.bytes, before.bytes);
 }
 
 // Two threads sharing one Session run the checker concurrently — the

@@ -1,14 +1,10 @@
-// StringPool tests: round-trip, uniqueness, pointer stability, stats, and
-// the locked boundary-pool mode under concurrent interning.
+// StringPool tests: round-trip, uniqueness, pointer stability and stats.
 #include "src/support/string_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
-
-#include "src/interp/interpreter.h"
 
 namespace spex {
 namespace {
@@ -59,96 +55,6 @@ TEST(StringPoolTest, StatsCountPayloadBytes) {
   StringPool::Stats stats = pool.stats();
   EXPECT_EQ(stats.strings, 2u);
   EXPECT_EQ(stats.bytes, 8u);
-}
-
-TEST(StringPoolTest, LockedPoolSurvivesConcurrentInterning) {
-  StringPool pool(StringPool::Concurrency::kLocked);
-  constexpr int kThreads = 4;
-  constexpr int kStrings = 500;
-  std::vector<std::thread> threads;
-  std::vector<std::vector<const std::string*>> seen(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &seen, t] {
-      for (int i = 0; i < kStrings; ++i) {
-        // Heavy overlap across threads: every thread interns every string.
-        seen[t].push_back(pool.InternPtr("shared_" + std::to_string(i)));
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  // All threads resolved each string to the same stable pointer.
-  for (int i = 0; i < kStrings; ++i) {
-    for (int t = 1; t < kThreads; ++t) {
-      EXPECT_EQ(seen[0][i], seen[t][i]);
-    }
-    EXPECT_EQ(*seen[0][i], "shared_" + std::to_string(i));
-  }
-  EXPECT_EQ(pool.stats().strings, static_cast<size_t>(kStrings));
-}
-
-TEST(StringPoolEpochTest, LastEpochCloseReclaimsEpochStrings) {
-  StringPool pool;
-  pool.Intern("permanent");
-  StringPool::Stats before = pool.stats();
-  pool.EnterEpoch();
-  Symbol scoped = pool.Intern("scoped_string");
-  EXPECT_EQ(pool.View(scoped), "scoped_string");
-  EXPECT_GT(pool.stats().bytes, before.bytes);
-  pool.ExitEpoch();
-  // The epoch string is gone; the pre-epoch string survives.
-  StringPool::Stats after = pool.stats();
-  EXPECT_EQ(after.strings, before.strings);
-  EXPECT_EQ(after.bytes, before.bytes);
-  EXPECT_EQ(pool.View(pool.Intern("permanent")), "permanent");
-  // Re-interning after reclamation works and reuses the freed symbol space.
-  Symbol again = pool.Intern("scoped_string");
-  EXPECT_EQ(pool.View(again), "scoped_string");
-}
-
-TEST(StringPoolEpochTest, OverlappingEpochsReclaimOnlyWhenAllClose) {
-  StringPool pool(StringPool::Concurrency::kLocked);
-  pool.EnterEpoch();
-  const std::string* first = pool.InternPtr("epoch_one");
-  pool.EnterEpoch();  // Overlapping epoch (a second concurrent Session).
-  const std::string* second = pool.InternPtr("epoch_two");
-  pool.ExitEpoch();
-  // One epoch still open: everything interned since the first opened must
-  // stay valid.
-  EXPECT_EQ(*first, "epoch_one");
-  EXPECT_EQ(*second, "epoch_two");
-  EXPECT_EQ(pool.stats().strings, 2u);
-  pool.ExitEpoch();
-  EXPECT_EQ(pool.stats().strings, 0u);
-  EXPECT_EQ(pool.stats().bytes, 0u);
-  EXPECT_EQ(pool.open_epochs(), 0u);
-}
-
-TEST(StringPoolEpochTest, RepeatedEpochsKeepPoolFlat) {
-  StringPool pool;
-  pool.Intern("baseline");
-  StringPool::Stats baseline = pool.stats();
-  for (int round = 0; round < 100; ++round) {
-    StringPoolEpoch epoch(pool);
-    pool.Intern("per_session_" + std::to_string(round));
-    pool.Intern("another_" + std::to_string(round));
-  }
-  // A long-lived process cycling sessions does not grow the pool.
-  EXPECT_EQ(pool.stats().strings, baseline.strings);
-  EXPECT_EQ(pool.stats().bytes, baseline.bytes);
-}
-
-TEST(StringPoolTest, RtValueStrUsesBoundaryPool) {
-  RtValue a = RtValue::Str("timeout");
-  RtValue b = RtValue::Str("timeout");
-  EXPECT_EQ(a.kind, RtValue::Kind::kString);
-  EXPECT_EQ(a.str(), "timeout");
-  // Equal boundary strings share the same pooled payload.
-  EXPECT_EQ(a.sp, b.sp);
-  RtValue fn = RtValue::FnRef("handler");
-  EXPECT_EQ(fn.kind, RtValue::Kind::kFnRef);
-  EXPECT_EQ(fn.str(), "handler");
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Persistent verdict store (src/support/verdict_store.h) and its wiring
 // through Target::CheckConfigBatch: round-trip bit-identity across reopen
-// (serial and sharded), scope isolation + tombstones, corruption /
-// truncation / version-skew fallback (never trusted, never fatal),
-// single-writer degradation, sampled re-verification, and the soundness
+// (serial and sharded), scope isolation, corruption / truncation /
+// version-skew fallback (never trusted, never fatal), the retired type-3
+// record, single-writer degradation, open-time compaction, and the soundness
 // contracts the injection layer owns — template edits land in a fresh
 // scope, checker-deadline verdicts are never cached.
 #include "src/support/verdict_store.h"
@@ -66,8 +66,8 @@ TEST(VerdictStoreTest, RoundTripsEveryFieldAcrossReopen) {
   EXPECT_EQ(store->stats().misses, 2u);
 }
 
-TEST(VerdictStoreTest, ScopesIsolateAndTombstonesSurviveReopen) {
-  std::string path = TempStorePath("tombstone");
+TEST(VerdictStoreTest, ScopesIsolateAcrossReopen) {
+  std::string path = TempStorePath("scopes");
   StoredVerdict a = MakeVerdict(1, "verdict-a");
   StoredVerdict b = MakeVerdict(2, "verdict-b");
   {
@@ -77,13 +77,11 @@ TEST(VerdictStoreTest, ScopesIsolateAndTombstonesSurviveReopen) {
     store->Append(scope_a, "key", a);
     store->Append(scope_b, "key", b);
     EXPECT_EQ(store->size(), 2u);
-    store->Invalidate(scope_a, "key");
-    EXPECT_EQ(store->size(), 1u);
   }
   auto store = VerdictStore::Open(path);
   StoredVerdict loaded;
-  EXPECT_FALSE(store->Lookup(store->ResolveScope("scope-a"), "key", &loaded))
-      << "a tombstone must survive reopen";
+  ASSERT_TRUE(store->Lookup(store->ResolveScope("scope-a"), "key", &loaded));
+  EXPECT_EQ(loaded, a);
   ASSERT_TRUE(store->Lookup(store->ResolveScope("scope-b"), "key", &loaded));
   EXPECT_EQ(loaded, b);
 }
@@ -122,6 +120,43 @@ TEST(VerdictStoreTest, CorruptTailDropsOnlyTheTailAndStaysWritable) {
   auto store = VerdictStore::Open(path, {}, &status);
   EXPECT_TRUE(status.ok()) << "truncation must have repaired the log: " << status.ToString();
   EXPECT_EQ(store->size(), 3u);
+}
+
+// Record type 3 was a tombstone that no release build wrote. A well-formed
+// (CRC-valid) type-3 frame now takes the unknown-type path: everything
+// before it loads, the frame and what follows are dropped and reported.
+TEST(VerdictStoreTest, RetiredTypeThreeFrameLoadsAsUnknownRecord) {
+  std::string path = TempStorePath("type_three");
+  StoredVerdict kept = MakeVerdict(1, "kept");
+  {
+    auto store = VerdictStore::Open(path);
+    store->Append(store->ResolveScope("scope"), "key", kept);
+  }
+  std::string payload(1, '\x03');
+  payload.append(8, '\0');                          // scope id 0
+  payload.append(std::string("\x03\0\0\0key", 7));  // key length + bytes
+  uint32_t crc = 0xffffffffu;
+  for (unsigned char byte : payload) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+  }
+  crc ^= 0xffffffffu;
+  uint32_t len = static_cast<uint32_t>(payload.size());
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::app);
+    file.write(reinterpret_cast<const char*>(&crc), 4);
+    file.write(reinterpret_cast<const char*>(&len), 4);
+    file << payload;
+  }
+  Status status;
+  auto store = VerdictStore::Open(path, {}, &status);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(store->stats().dropped_bytes, 8u + payload.size());
+  EXPECT_EQ(store->stats().loaded_records, 1u);
+  StoredVerdict loaded;
+  ASSERT_TRUE(store->Lookup(store->ResolveScope("scope"), "key", &loaded))
+      << "a type-3 frame must not erase the record it names";
+  EXPECT_EQ(loaded, kept);
 }
 
 TEST(VerdictStoreTest, GarbageHeaderStartsEmptyAndRecovers) {
@@ -210,47 +245,50 @@ TEST(VerdictStoreTest, UnwritablePathDegradesWithPathBlamingStatus) {
   EXPECT_EQ(store->stats().dropped_appends, 1u);
 }
 
-TEST(VerdictStoreTest, ReverifyPeriodSamplesHits) {
-  std::string path = TempStorePath("reverify");
-  VerdictStoreOptions options;
-  options.reverify_period = 2;
-  auto store = VerdictStore::Open(path, options);
-  uint64_t scope = store->ResolveScope("scope");
-  store->Append(scope, "key", MakeVerdict(1, "sampled"));
-  StoredVerdict loaded;
-  bool due = false;
-  ASSERT_TRUE(store->Lookup(scope, "key", &loaded, &due));
-  EXPECT_TRUE(due) << "the first hit each process makes is always re-verified";
-  ASSERT_TRUE(store->Lookup(scope, "key", &loaded, &due));
-  EXPECT_FALSE(due);
-  ASSERT_TRUE(store->Lookup(scope, "key", &loaded, &due));
-  EXPECT_TRUE(due);
-}
-
-TEST(VerdictStoreTest, CompactionPreservesLiveRecordsAcrossReopen) {
+// Production never calls a compaction entry point: a writable open
+// rewrites the log when dead records pass both thresholds. One key
+// overwritten past compact_min_dead leaves two live records, so the dead
+// ratio is far past compact_dead_ratio.
+TEST(VerdictStoreTest, OpenTimeCompactionPreservesLiveRecordsAcrossReopen) {
   std::string path = TempStorePath("compact");
+  const size_t overwrites = VerdictStoreOptions{}.compact_min_dead + 1;
   StoredVerdict final_verdict = MakeVerdict(4, "overwritten");
+  StoredVerdict other = MakeVerdict(2, "scope-b live");
+  uint64_t scope_a = 0;
+  uint64_t scope_b = 0;
   {
     auto store = VerdictStore::Open(path);
-    uint64_t scope_a = store->ResolveScope("scope-a");
-    uint64_t scope_b = store->ResolveScope("scope-b");
-    store->Append(scope_a, "key", MakeVerdict(1, "stale"));
+    scope_a = store->ResolveScope("scope-a");
+    scope_b = store->ResolveScope("scope-b");
+    for (size_t i = 0; i < overwrites; ++i) {
+      store->Append(scope_a, "key", MakeVerdict(1, "stale " + std::to_string(i)));
+    }
     store->Append(scope_a, "key", final_verdict);  // Last-wins overwrite.
-    store->Append(scope_b, "key", MakeVerdict(2, "doomed"));
-    store->Invalidate(scope_b, "key");
-    ASSERT_TRUE(store->Compact().ok());
-    EXPECT_EQ(store->stats().compactions, 1u);
-    EXPECT_EQ(store->size(), 1u);
+    store->Append(scope_b, "key", other);
+    EXPECT_EQ(store->stats().compactions, 0u) << "compaction only runs at open";
   }
+  uintmax_t before = std::filesystem::file_size(path);
+  {
+    Status status;
+    auto store = VerdictStore::Open(path, {}, &status);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(store->stats().compactions, 1u);
+    EXPECT_EQ(store->size(), 2u);
+  }
+  EXPECT_LT(std::filesystem::file_size(path), before) << "dead records were dropped";
+
   Status status;
   auto store = VerdictStore::Open(path, {}, &status);
   EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(store->size(), 1u);
+  EXPECT_EQ(store->stats().compactions, 0u) << "a compacted log has no dead weight";
+  EXPECT_EQ(store->stats().loaded_records, 2u);
+  EXPECT_EQ(store->ResolveScope("scope-a"), scope_a) << "scope ids survive compaction";
+  EXPECT_EQ(store->ResolveScope("scope-b"), scope_b) << "scope ids survive compaction";
   StoredVerdict loaded;
-  ASSERT_TRUE(store->Lookup(store->ResolveScope("scope-a"), "key", &loaded))
-      << "scope ids must survive compaction + reopen";
+  ASSERT_TRUE(store->Lookup(scope_a, "key", &loaded));
   EXPECT_EQ(loaded, final_verdict);
-  EXPECT_FALSE(store->Lookup(store->ResolveScope("scope-b"), "key", &loaded));
+  ASSERT_TRUE(store->Lookup(scope_b, "key", &loaded));
+  EXPECT_EQ(loaded, other);
 }
 
 // --- Batch wiring: the store through Target::CheckConfigBatch. Fixture
@@ -487,41 +525,6 @@ TEST(VerdictStoreBatchTest, CheckerDeadlineVerdictsAreNeverCached) {
   // SUT: caching it would freeze a transient timeout into a permanent lie.
   EXPECT_EQ(summary.store_appends, 0u);
   EXPECT_EQ(store->size(), 0u);
-}
-
-TEST(VerdictStoreBatchTest, SampledReverificationConfirmsWithoutRewrites) {
-  std::string path = TempStorePath("reverify_batch");
-  std::vector<ConfigInput> corpus = FleetCorpus();
-  BatchOptions options;
-  options.check.mode = CheckMode::kDynamic;
-
-  BatchSummary cold;
-  {
-    Session session;
-    Target* target = LoadFleetServer(session);
-    ASSERT_NE(target, nullptr);
-    target->AttachVerdictStore(VerdictStore::Open(path));
-    cold = target->CheckConfigBatch(corpus, options);
-    EXPECT_EQ(cold.store_appends, 7u);
-  }
-
-  // reverify_period = 1: every hit is replayed live anyway and compared.
-  // The replays must all confirm (nothing rewritten) and the reports stay
-  // identical — the sampling knob costs time, never changes answers.
-  VerdictStoreOptions reverify_all;
-  reverify_all.reverify_period = 1;
-  Session session;
-  Target* target = LoadFleetServer(session);
-  ASSERT_NE(target, nullptr);
-  target->AttachVerdictStore(VerdictStore::Open(path, reverify_all));
-  BatchSummary checked = target->CheckConfigBatch(corpus, options);
-  EXPECT_EQ(checked.unique_replays, 7u) << "re-verified hits replay live";
-  EXPECT_EQ(checked.store_appends, 0u) << "confirmations rewrite nothing";
-  ASSERT_EQ(checked.reports.size(), cold.reports.size());
-  for (size_t i = 0; i < cold.reports.size(); ++i) {
-    ExpectSameViolations(cold.reports[i].violations, checked.reports[i].violations,
-                         "reverify " + cold.reports[i].name);
-  }
 }
 
 }  // namespace
