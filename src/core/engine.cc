@@ -467,14 +467,12 @@ void SpexEngine::InferRange(ParamState& state, ParamConstraints* out) {
     // attributed to the outer comparison. Fall back to the transitive
     // region only when the direct bodies show no signal at all.
     RegionBehavior when_true = region_analyzer_.Classify(
-        region_analyzer_.DirectRegionBlocks(cdeps, fn, branch, *true_edge), df);
+        cdeps.DirectRegion({branch, *true_edge}), df);
     RegionBehavior when_false = region_analyzer_.Classify(
-        region_analyzer_.DirectRegionBlocks(cdeps, fn, branch, *false_edge), df);
+        cdeps.DirectRegion({branch, *false_edge}), df);
     if (!when_true.IsInvalid() && !when_false.IsInvalid()) {
-      when_true = region_analyzer_.Classify(
-          region_analyzer_.RegionBlocks(cdeps, fn, branch, *true_edge), df);
-      when_false = region_analyzer_.Classify(
-          region_analyzer_.RegionBlocks(cdeps, fn, branch, *false_edge), df);
+      when_true = region_analyzer_.Classify(cdeps.Region({branch, *true_edge}), df);
+      when_false = region_analyzer_.Classify(cdeps.Region({branch, *false_edge}), df);
     }
     if (when_true.IsInvalid() && !when_false.IsInvalid()) {
       invalid_conds.push_back({pred, threshold});
@@ -501,11 +499,9 @@ void SpexEngine::InferRange(ParamState& state, ParamConstraints* out) {
     }
     const Function& fn = *sw->parent()->parent();
     const ControlDependence& cdeps = ControlDepsFor(fn);
-    RegionBehavior default_behavior =
-        region_analyzer_.Classify(region_analyzer_.DirectRegionBlocks(cdeps, fn, sw, 0), df);
+    RegionBehavior default_behavior = region_analyzer_.Classify(cdeps.DirectRegion({sw, 0}), df);
     if (!default_behavior.IsInvalid()) {
-      default_behavior =
-          region_analyzer_.Classify(region_analyzer_.RegionBlocks(cdeps, fn, sw, 0), df);
+      default_behavior = region_analyzer_.Classify(cdeps.Region({sw, 0}), df);
     }
     if (default_behavior.IsSilentReset()) {
       switch_behavior = OutOfRangeBehavior::kSilentReset;
@@ -561,7 +557,7 @@ void SpexEngine::InferRange(ParamState& state, ParamConstraints* out) {
     }
     const Function& fn = *branch->parent()->parent();
     const ControlDependence& cdeps = ControlDepsFor(fn);
-    auto miss_blocks = region_analyzer_.DirectRegionBlocks(cdeps, fn, branch, *miss_edge_a);
+    auto miss_blocks = cdeps.DirectRegion({branch, *miss_edge_a});
     bool chain_continues = false;
     for (const BasicBlock* block : miss_blocks) {
       for (const auto& instr : block->instructions()) {
@@ -805,7 +801,7 @@ void SpexEngine::InferValueRels(std::vector<ParamState>& states, ModuleConstrain
             const Function& fn = *branch->parent()->parent();
             const ControlDependence& cdeps = ControlDepsFor(fn);
             RegionBehavior when_true = region_analyzer_.Classify(
-                region_analyzer_.RegionBlocks(cdeps, fn, branch, *true_edge), p.dataflow);
+                cdeps.Region({branch, *true_edge}), p.dataflow);
             if (when_true.IsInvalid()) {
               pred = NegateCmpPred(pred);
             }

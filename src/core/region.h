@@ -7,7 +7,7 @@
 #ifndef SPEX_CORE_REGION_H_
 #define SPEX_CORE_REGION_H_
 
-#include <vector>
+#include <span>
 
 #include "src/analysis/dataflow.h"
 #include "src/apidb/api_registry.h"
@@ -35,22 +35,10 @@ class RegionAnalyzer {
  public:
   explicit RegionAnalyzer(const ApiRegistry& apis) : apis_(apis) {}
 
-  // The blocks that execute only when `branch` takes `edge`, including
-  // blocks nested under further branches inside the region.
-  std::vector<const BasicBlock*> RegionBlocks(const ControlDependence& cdeps,
-                                              const Function& fn, const Instruction* branch,
-                                              int edge) const;
-
-  // Only the blocks *directly* control-dependent on the edge — the
-  // straight-line body of the branch, excluding nested sub-branches. Range
-  // classification uses this first so that an `else if` chain's nested reset
-  // is not attributed to the outer comparison.
-  std::vector<const BasicBlock*> DirectRegionBlocks(const ControlDependence& cdeps,
-                                                    const Function& fn,
-                                                    const Instruction* branch, int edge) const;
-
   // Classifies the behaviour of a region with respect to parameter `df`.
-  RegionBehavior Classify(const std::vector<const BasicBlock*>& blocks,
+  // `blocks` come from one function, in function order, as
+  // ControlDependence::Region and DirectRegion return them.
+  RegionBehavior Classify(std::span<const BasicBlock* const> blocks,
                           const ParamDataflow& df) const;
 
  private:

@@ -1,8 +1,7 @@
 #include "src/ir/dominance.h"
 
 #include <algorithm>
-#include <cassert>
-#include <set>
+#include <bit>
 
 namespace spex {
 
@@ -24,6 +23,12 @@ bool IntersectInto(std::vector<uint32_t>& bits, const std::vector<uint32_t>& oth
     }
   }
   return changed;
+}
+
+// Row `i` of a compressed table: data[begin[i] .. begin[i + 1]).
+template <typename T>
+std::span<const T> Row(const std::vector<T>& data, const std::vector<uint32_t>& begin, size_t i) {
+  return std::span<const T>(data).subspan(begin[i], begin[i + 1] - begin[i]);
 }
 
 }  // namespace
@@ -182,58 +187,182 @@ bool DominatorTree::IsReachable(const BasicBlock* block) const {
 }
 
 ControlDependence::ControlDependence(const Function& function) : function_(function) {
+  const auto& blocks = function.blocks();
+  const size_t n = blocks.size();
   DominatorTree postdom(function, /*post=*/true);
 
-  // B is control-dependent on edge (A -> S) iff B post-dominates S (or B == S)
-  // and B does not post-dominate A.
-  for (const auto& block_a : function.blocks()) {
+  // Number the dep edges in ControlDep order: branches by Value id, then
+  // successor index. Unconditional edges impose no control dependence.
+  std::vector<const Instruction*> branches;
+  for (const auto& block : blocks) {
+    const Instruction* term = block->terminator();
+    if (term != nullptr && term->successors().size() >= 2) {
+      branches.push_back(term);
+    }
+  }
+  std::sort(branches.begin(), branches.end(),
+            [](const Instruction* a, const Instruction* b) { return a->id() < b->id(); });
+  first_edge_.assign(n, -1);
+  size_t num_edges = 0;
+  for (const Instruction* branch : branches) {
+    first_edge_[branch->parent()->index()] = static_cast<int>(num_edges);
+    num_edges += branch->successors().size();
+  }
+  std::vector<ControlDep> edges;
+  edges.reserve(num_edges);
+  for (const Instruction* branch : branches) {
+    for (size_t edge = 0; edge < branch->successors().size(); ++edge) {
+      edges.emplace_back(branch, static_cast<int>(edge));
+    }
+  }
+
+  auto edge_id = [&](const ControlDep& dep) {
+    return static_cast<size_t>(first_edge_[dep.branch->parent()->index()] + dep.successor_index);
+  };
+
+  // B is control-dependent on edge (A -> S) iff B post-dominates S (or
+  // B == S) and B does not post-dominate A: exactly the blocks on the
+  // post-dominator tree path from S up to, not including, ipdom(A), minus A
+  // itself. The virtual exit (nullptr) ends every path.
+  direct_.resize(n);
+  for (const auto& block_a : blocks) {
     Instruction* term = block_a->terminator();
-    if (term == nullptr) {
+    if (term == nullptr || term->successors().size() < 2) {
       continue;
     }
+    const BasicBlock* stop = postdom.ImmediateDominator(block_a.get());
     const auto& succs = term->successors();
-    if (succs.size() < 2) {
-      continue;  // Unconditional edges impose no control dependence.
-    }
     for (size_t edge = 0; edge < succs.size(); ++edge) {
-      const BasicBlock* s = succs[edge];
-      for (const auto& block_b : function.blocks()) {
-        const BasicBlock* b = block_b.get();
-        if (!postdom.IsReachable(b) || !postdom.IsReachable(s)) {
-          continue;
-        }
-        bool pd_succ = (b == s) || postdom.Dominates(b, s);
-        bool pd_branch = postdom.Dominates(b, block_a.get());
-        if (pd_succ && !pd_branch) {
-          direct_[b].push_back(ControlDep{term, static_cast<int>(edge)});
+      if (!postdom.IsReachable(succs[edge])) {
+        continue;
+      }
+      for (const BasicBlock* b = succs[edge]; b != nullptr && b != stop;
+           b = postdom.ImmediateDominator(b)) {
+        if (b != block_a.get()) {
+          direct_[b->index()].emplace_back(term, static_cast<int>(edge));
         }
       }
     }
   }
-}
 
-const std::vector<ControlDep>& ControlDependence::DirectDeps(const BasicBlock* block) const {
-  auto it = direct_.find(block);
-  return it != direct_.end() ? it->second : empty_;
-}
-
-std::vector<ControlDep> ControlDependence::TransitiveDeps(const BasicBlock* block) const {
-  std::set<ControlDep> seen;
-  std::vector<const BasicBlock*> work = {block};
-  std::set<const BasicBlock*> visited = {block};
-  while (!work.empty()) {
-    const BasicBlock* current = work.back();
-    work.pop_back();
-    for (const ControlDep& dep : DirectDeps(current)) {
-      if (seen.insert(dep).second) {
-        const BasicBlock* branch_block = dep.branch->parent();
-        if (visited.insert(branch_block).second) {
-          work.push_back(branch_block);
+  // Closures as bitsets over edge ids: closure(B) is the union over B's
+  // direct deps d of {d} and closure(block of d). Iterate to the least
+  // fixpoint; loops make the dependence graph cyclic, so a block can reach
+  // its own branch.
+  const size_t words = (num_edges + 63) / 64;
+  std::vector<uint64_t> closure(n * words, 0);
+  for (size_t b = 0; b < n; ++b) {
+    for (const ControlDep& dep : direct_[b]) {
+      size_t id = edge_id(dep);
+      closure[b * words + id / 64] |= uint64_t{1} << (id % 64);
+    }
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (size_t b = 0; b < n; ++b) {
+      uint64_t* row = closure.data() + b * words;
+      for (const ControlDep& dep : direct_[b]) {
+        const uint64_t* from = closure.data() + dep.branch->parent()->index() * words;
+        for (size_t w = 0; w < words; ++w) {
+          uint64_t next = row[w] | from[w];
+          changed |= next != row[w];
+          row[w] = next;
         }
       }
     }
   }
-  return std::vector<ControlDep>(seen.begin(), seen.end());
+
+  // Materialize each block's closure in edge-id (= ControlDep) order, and
+  // transpose the closures and the direct deps into per-edge regions. Blocks
+  // are visited in function order, so every region comes out in it.
+  closure_begin_.assign(n + 1, 0);
+  region_begin_.assign(num_edges + 1, 0);
+  direct_region_begin_.assign(num_edges + 1, 0);
+  auto for_each_closure_edge = [&](size_t b, auto&& visit) {
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t bits = closure[b * words + w]; bits != 0; bits &= bits - 1) {
+        visit(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      }
+    }
+  };
+  for (size_t b = 0; b < n; ++b) {
+    for_each_closure_edge(b, [&](size_t id) {
+      closure_deps_.push_back(edges[id]);
+      ++region_begin_[id + 1];
+    });
+    closure_begin_[b + 1] = static_cast<uint32_t>(closure_deps_.size());
+    for (const ControlDep& dep : direct_[b]) {
+      ++direct_region_begin_[edge_id(dep) + 1];
+    }
+  }
+  for (size_t id = 0; id < num_edges; ++id) {
+    region_begin_[id + 1] += region_begin_[id];
+    direct_region_begin_[id + 1] += direct_region_begin_[id];
+  }
+  region_blocks_.resize(region_begin_[num_edges]);
+  direct_region_blocks_.resize(direct_region_begin_[num_edges]);
+  std::vector<uint32_t> region_fill(region_begin_.begin(), region_begin_.end() - 1);
+  std::vector<uint32_t> direct_fill(direct_region_begin_.begin(),
+                                    direct_region_begin_.end() - 1);
+  for (size_t b = 0; b < n; ++b) {
+    for_each_closure_edge(b,
+                          [&](size_t id) { region_blocks_[region_fill[id]++] = blocks[b].get(); });
+    for (const ControlDep& dep : direct_[b]) {
+      direct_region_blocks_[direct_fill[edge_id(dep)]++] = blocks[b].get();
+    }
+  }
+}
+
+int ControlDependence::IndexOf(const BasicBlock* block) const {
+  size_t i = block->index();
+  return i < direct_.size() && function_.blocks()[i].get() == block ? static_cast<int>(i) : -1;
+}
+
+int ControlDependence::EdgeId(const ControlDep& dep) const {
+  if (dep.branch == nullptr || dep.successor_index < 0) {
+    return -1;
+  }
+  const BasicBlock* block = dep.branch->parent();
+  int i = IndexOf(block);
+  // Only a terminator has successors, so the range check also rejects
+  // non-branch instructions.
+  if (i < 0 || first_edge_[static_cast<size_t>(i)] < 0 ||
+      static_cast<size_t>(dep.successor_index) >= dep.branch->successors().size()) {
+    return -1;
+  }
+  return first_edge_[static_cast<size_t>(i)] + dep.successor_index;
+}
+
+std::span<const ControlDep> ControlDependence::DirectDeps(const BasicBlock* block) const {
+  int i = IndexOf(block);
+  if (i < 0) {
+    return {};
+  }
+  return direct_[static_cast<size_t>(i)];
+}
+
+std::span<const ControlDep> ControlDependence::TransitiveDeps(const BasicBlock* block) const {
+  int i = IndexOf(block);
+  if (i < 0) {
+    return {};
+  }
+  return Row(closure_deps_, closure_begin_, static_cast<size_t>(i));
+}
+
+std::span<const BasicBlock* const> ControlDependence::Region(const ControlDep& dep) const {
+  int id = EdgeId(dep);
+  if (id < 0) {
+    return {};
+  }
+  return Row(region_blocks_, region_begin_, static_cast<size_t>(id));
+}
+
+std::span<const BasicBlock* const> ControlDependence::DirectRegion(const ControlDep& dep) const {
+  int id = EdgeId(dep);
+  if (id < 0) {
+    return {};
+  }
+  return Row(direct_region_blocks_, direct_region_begin_, static_cast<size_t>(id));
 }
 
 }  // namespace spex

@@ -8,7 +8,7 @@
 #define SPEX_IR_DOMINANCE_H_
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "src/ir/ir.h"
@@ -66,22 +66,53 @@ struct ControlDep {
   }
 };
 
+// Control dependence of one function, computed once at construction and
+// keyed by dense index. Direct deps live in a vector indexed by
+// BasicBlock::index(). The function's dep edges (every successor edge of a
+// branch with two or more successors) are numbered in `ControlDep` order;
+// each block's transitive closure is a bitset over those edge ids, and each
+// edge's region is the transpose of the closures. Every query is a lookup:
+// the returned spans live as long as this object.
 class ControlDependence {
  public:
   explicit ControlDependence(const Function& function);
 
-  // Branch edges this block is directly control-dependent on.
-  const std::vector<ControlDep>& DirectDeps(const BasicBlock* block) const;
+  // Branch edges this block is directly control-dependent on, in the order
+  // of the controlling branches' blocks.
+  std::span<const ControlDep> DirectDeps(const BasicBlock* block) const;
 
   // Transitive closure: direct deps plus the deps of the controlling
-  // branches' own blocks. This is the set of conditions that must all hold
-  // for `block` to execute.
-  std::vector<ControlDep> TransitiveDeps(const BasicBlock* block) const;
+  // branches' own blocks, in `ControlDep` order. This is the set of
+  // conditions that must all hold for `block` to execute. In a loop a block
+  // can depend on its own branch.
+  std::span<const ControlDep> TransitiveDeps(const BasicBlock* block) const;
+
+  // The blocks that execute only when `dep` is taken, including blocks
+  // nested under further branches inside the region, in function order.
+  // Empty if `dep` is not a dep edge of this function.
+  std::span<const BasicBlock* const> Region(const ControlDep& dep) const;
+
+  // Only the blocks *directly* control-dependent on `dep`: the straight-line
+  // body of the branch arm, excluding nested sub-branches. In function order.
+  std::span<const BasicBlock* const> DirectRegion(const ControlDep& dep) const;
 
  private:
+  // Block index of `block` if it belongs to this function, else -1.
+  int IndexOf(const BasicBlock* block) const;
+  // Dense id of `dep` among this function's dep edges, or -1.
+  int EdgeId(const ControlDep& dep) const;
+
   const Function& function_;
-  std::map<const BasicBlock*, std::vector<ControlDep>> direct_;
-  std::vector<ControlDep> empty_;
+  std::vector<std::vector<ControlDep>> direct_;  // Indexed by block index.
+  std::vector<int> first_edge_;                  // Block index -> id of its edge 0, or -1.
+  // Compressed rows: closure_deps_[closure_begin_[b] .. closure_begin_[b+1])
+  // is block b's closure; likewise per edge id for the two region tables.
+  std::vector<uint32_t> closure_begin_;
+  std::vector<ControlDep> closure_deps_;
+  std::vector<uint32_t> region_begin_;
+  std::vector<const BasicBlock*> region_blocks_;
+  std::vector<uint32_t> direct_region_begin_;
+  std::vector<const BasicBlock*> direct_region_blocks_;
 };
 
 }  // namespace spex

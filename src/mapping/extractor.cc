@@ -278,6 +278,7 @@ void MappingExtractor::ExtractComparison(const MappingAnnotation& annotation,
     return;
   }
   std::set<const Value*> par_set(par_loads.begin(), par_loads.end());
+  const std::vector<const Value*> var_loads = FindArgRefLoads(*parser, annotation.parser_var);
   const ControlDependence& cdeps = ControlDepsFor(*parser);
 
   for (const auto& block : parser->blocks()) {
@@ -331,11 +332,10 @@ void MappingExtractor::ExtractComparison(const MappingAnnotation& annotation,
       param.name = name_constant->constant_string();
       param.style = MappingStyle::kComparison;
       param.loc = instr->loc();
-      std::vector<const Value*> var_loads = FindArgRefLoads(*parser, annotation.parser_var);
       for (const Value* load : var_loads) {
         const auto* load_instr = static_cast<const Instruction*>(load);
         auto deps = cdeps.TransitiveDeps(load_instr->parent());
-        if (std::find(deps.begin(), deps.end(), want) != deps.end()) {
+        if (std::binary_search(deps.begin(), deps.end(), want)) {
           param.seeds.values.push_back(load);
         }
       }
@@ -343,11 +343,7 @@ void MappingExtractor::ExtractComparison(const MappingAnnotation& annotation,
       // storage even when the stored value is a constant rather than the
       // value string itself — the boolean idiom `*var = 1` / `*var = 0`
       // assigns by control flow, not data flow.
-      for (const auto& region_block : parser->blocks()) {
-        auto deps = cdeps.TransitiveDeps(region_block.get());
-        if (std::find(deps.begin(), deps.end(), want) == deps.end()) {
-          continue;
-        }
+      for (const BasicBlock* region_block : cdeps.Region(want)) {
         for (const auto& region_instr : region_block->instructions()) {
           if (region_instr->instr_kind() != InstrKind::kStore) {
             continue;

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <sstream>
 
 #include "src/apidb/api_registry.h"
 #include "src/cases/case_db.h"
 #include "src/core/engine.h"
 #include "src/corpus/pipeline.h"
+#include "src/ir/builder.h"
 #include "src/ir/dominance.h"
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
@@ -100,9 +104,9 @@ TEST(ControlDependenceTest, TransitiveDepsComeInBranchIdOrder) {
   ControlDependence cdeps(*fn);
   std::vector<ControlDep> deepest;
   for (const auto& block : fn->blocks()) {
-    std::vector<ControlDep> deps = cdeps.TransitiveDeps(block.get());
+    std::span<const ControlDep> deps = cdeps.TransitiveDeps(block.get());
     if (deps.size() > deepest.size()) {
-      deepest = std::move(deps);
+      deepest.assign(deps.begin(), deps.end());
     }
   }
   // The inner then-block executes only if both branches go their way.
@@ -156,19 +160,22 @@ std::string DumpConstraints(const ModuleConstraints& constraints) {
 }
 
 // No constraint field, location included, may follow instruction
-// addresses. Load squid once, then again last of all targets in reversed
-// order with junk allocations between loads, so its instructions land
-// elsewhere on the heap: the constraints must come out identical.
+// addresses. Load every target once on its own, then all of them again in
+// reversed order with junk allocations between loads, so their
+// instructions land elsewhere on the heap: each target's constraints must
+// come out identical.
 TEST(ControlDependenceTest, ConstraintsIndependentOfHeapLayout) {
   ApiRegistry apis = ApiRegistry::BuiltinC();
   DiagnosticEngine diags;
-  std::string expected;
-  {
-    TargetAnalysis reference = AnalyzeTarget(FindTarget("squid"), apis, &diags);
-    ASSERT_FALSE(reference.constraints.control_deps.empty());
-    expected = DumpConstraints(reference.constraints);
-  }
   std::vector<TargetSpec> targets = EvaluatedTargets();
+  std::map<std::string, std::string> expected;
+  for (const TargetSpec& spec : targets) {
+    TargetAnalysis reference = AnalyzeTarget(spec, apis, &diags);
+    if (reference.bundle.name == "squid") {
+      ASSERT_FALSE(reference.constraints.control_deps.empty());
+    }
+    expected[reference.bundle.name] = DumpConstraints(reference.constraints);
+  }
   std::reverse(targets.begin(), targets.end());
   std::vector<std::unique_ptr<char[]>> junk;
   std::vector<TargetAnalysis> analyses;
@@ -179,11 +186,224 @@ TEST(ControlDependenceTest, ConstraintsIndependentOfHeapLayout) {
     analyses.push_back(AnalyzeTarget(spec, apis, &diags));
   }
   EXPECT_FALSE(diags.HasErrors()) << diags.Render();
-  auto squid = std::find_if(analyses.begin(), analyses.end(), [](const TargetAnalysis& a) {
-    return a.bundle.name == "squid";
-  });
-  ASSERT_NE(squid, analyses.end());
-  EXPECT_EQ(DumpConstraints(squid->constraints), expected);
+  ASSERT_EQ(analyses.size(), expected.size());
+  for (const TargetAnalysis& analysis : analyses) {
+    EXPECT_EQ(DumpConstraints(analysis.constraints), expected[analysis.bundle.name])
+        << analysis.bundle.name;
+  }
+}
+
+// The original control-dependence computation, kept as the oracle. Direct
+// deps: B depends on edge (A -> S) iff B post-dominates S (or is S) and
+// does not post-dominate A, checked for every block pair.
+std::vector<std::vector<ControlDep>> ReferenceDirectDeps(const Function& fn) {
+  DominatorTree postdom(fn, /*post=*/true);
+  std::vector<std::vector<ControlDep>> direct(fn.blocks().size());
+  for (const auto& block_a : fn.blocks()) {
+    Instruction* term = block_a->terminator();
+    if (term == nullptr || term->successors().size() < 2) {
+      continue;
+    }
+    const auto& succs = term->successors();
+    for (size_t edge = 0; edge < succs.size(); ++edge) {
+      const BasicBlock* s = succs[edge];
+      for (const auto& block_b : fn.blocks()) {
+        const BasicBlock* b = block_b.get();
+        if (!postdom.IsReachable(b) || !postdom.IsReachable(s)) {
+          continue;
+        }
+        bool pd_succ = (b == s) || postdom.Dominates(b, s);
+        bool pd_branch = postdom.Dominates(b, block_a.get());
+        if (pd_succ && !pd_branch) {
+          direct[b->index()].emplace_back(term, static_cast<int>(edge));
+        }
+      }
+    }
+  }
+  return direct;
+}
+
+// Closure by a fresh walk per query, as TransitiveDeps once computed it.
+std::vector<ControlDep> ReferenceTransitiveDeps(
+    const std::vector<std::vector<ControlDep>>& direct, const BasicBlock* block) {
+  std::set<ControlDep> seen;
+  std::vector<const BasicBlock*> work = {block};
+  std::set<const BasicBlock*> visited = {block};
+  while (!work.empty()) {
+    const BasicBlock* current = work.back();
+    work.pop_back();
+    for (const ControlDep& dep : direct[current->index()]) {
+      if (seen.insert(dep).second) {
+        const BasicBlock* branch_block = dep.branch->parent();
+        if (visited.insert(branch_block).second) {
+          work.push_back(branch_block);
+        }
+      }
+    }
+  }
+  return std::vector<ControlDep>(seen.begin(), seen.end());
+}
+
+std::string DescribeDeps(std::span<const ControlDep> deps) {
+  std::string out;
+  for (const ControlDep& dep : deps) {
+    out += "%" + std::to_string(dep.branch->id()) + "/" + std::to_string(dep.successor_index) +
+           " ";
+  }
+  return out;
+}
+
+std::string DescribeBlocks(std::span<const BasicBlock* const> blocks) {
+  std::string out;
+  for (const BasicBlock* block : blocks) {
+    out += std::to_string(block->index()) + ":" + block->name() + " ";
+  }
+  return out;
+}
+
+// Checks `cdeps` against the oracle for every block and every successor
+// edge of `fn`; returns the number of dep edges checked.
+size_t ExpectMatchesReference(const Function& fn, const ControlDependence& cdeps) {
+  auto direct = ReferenceDirectDeps(fn);
+  std::vector<std::vector<ControlDep>> closure;
+  for (const auto& block : fn.blocks()) {
+    closure.push_back(ReferenceTransitiveDeps(direct, block.get()));
+    EXPECT_EQ(DescribeDeps(cdeps.DirectDeps(block.get())), DescribeDeps(direct[block->index()]))
+        << fn.name() << " " << block->name();
+    EXPECT_EQ(DescribeDeps(cdeps.TransitiveDeps(block.get())), DescribeDeps(closure.back()))
+        << fn.name() << " " << block->name();
+  }
+  size_t dep_edges = 0;
+  for (const auto& block : fn.blocks()) {
+    const Instruction* term = block->terminator();
+    if (term == nullptr) {
+      continue;
+    }
+    for (size_t edge = 0; edge < term->successors().size(); ++edge) {
+      ControlDep dep{term, static_cast<int>(edge)};
+      std::vector<const BasicBlock*> region;
+      std::vector<const BasicBlock*> direct_region;
+      for (const auto& candidate : fn.blocks()) {
+        const auto& deps = closure[candidate->index()];
+        if (std::find(deps.begin(), deps.end(), dep) != deps.end()) {
+          region.push_back(candidate.get());
+        }
+        const auto& direct_deps = direct[candidate->index()];
+        if (std::find(direct_deps.begin(), direct_deps.end(), dep) != direct_deps.end()) {
+          direct_region.push_back(candidate.get());
+        }
+      }
+      EXPECT_EQ(DescribeBlocks(cdeps.Region(dep)), DescribeBlocks(region))
+          << fn.name() << " " << block->name() << "/" << edge;
+      EXPECT_EQ(DescribeBlocks(cdeps.DirectRegion(dep)), DescribeBlocks(direct_region))
+          << fn.name() << " " << block->name() << "/" << edge;
+      dep_edges += term->successors().size() >= 2 ? 1 : 0;
+    }
+  }
+  return dep_edges;
+}
+
+TEST(ControlDependenceTest, ClosureAndRegionsMatchReferenceWalk) {
+  ApiRegistry apis = ApiRegistry::BuiltinC();
+  DiagnosticEngine diags;
+  for (const TargetSpec& spec : EvaluatedTargets()) {
+    TargetAnalysis analysis = AnalyzeTarget(spec, apis, &diags);
+    size_t functions = 0;
+    size_t dep_edges = 0;
+    for (const auto& fn : analysis.module->functions()) {
+      if (fn->IsDeclaration()) {
+        continue;
+      }
+      ++functions;
+      dep_edges += ExpectMatchesReference(*fn, ControlDependence(*fn));
+    }
+    EXPECT_GT(functions, 0u) << spec.name;
+    EXPECT_GT(dep_edges, 0u) << spec.name;
+  }
+  EXPECT_FALSE(diags.HasErrors()) << diags.Render();
+
+  // A while loop with an early exit: the loop header runs again only if the
+  // body's test fails, and the body runs only if the header's test holds,
+  // so the header depends on its own branch.
+  auto loop = Lower(R"(
+    int f(int n) {
+      int i = 0;
+      while (i < n) {
+        if (i == 7) { break; }
+        i = i + 1;
+      }
+      return i;
+    }
+  )");
+  Function* f = loop->FindFunction("f");
+  f->Finalize();
+  ControlDependence loop_deps(*f);
+  EXPECT_GT(ExpectMatchesReference(*f, loop_deps), 0u);
+  bool self_dependent = false;
+  for (const auto& block : f->blocks()) {
+    for (const ControlDep& dep : loop_deps.TransitiveDeps(block.get())) {
+      self_dependent |= dep.branch->parent() == block.get();
+    }
+  }
+  EXPECT_TRUE(self_dependent);
+
+  // Nested ifs whose blocks are numbered innermost first, so each block's
+  // controlling branch sits in a later block: the closure must keep
+  // iterating until the outermost condition reaches the innermost arm.
+  Module nested("nested");
+  const IrType* i64 = nested.types().IntType(64, false);
+  Function* h = nested.AddFunction("h", i64);
+  Argument* c = h->AddArgument(i64, "c");
+  BasicBlock* entry = h->CreateBlock("entry");
+  std::vector<BasicBlock*> arms;
+  for (int depth = 3; depth >= 1; --depth) {
+    arms.insert(arms.begin(), h->CreateBlock("then" + std::to_string(depth)));
+  }
+  BasicBlock* exit = h->CreateBlock("exit");
+  IrBuilder builder(&nested, h);
+  BasicBlock* from = entry;
+  for (BasicBlock* arm : arms) {
+    builder.SetInsertPoint(from);
+    builder.CreateCondBr(c, arm, exit, SourceLoc{});
+    from = arm;
+  }
+  builder.SetInsertPoint(from);
+  builder.CreateBr(exit, SourceLoc{});
+  builder.SetInsertPoint(exit);
+  builder.CreateRet(c, SourceLoc{});
+  h->Finalize();
+  ControlDependence nested_deps(*h);
+  EXPECT_EQ(ExpectMatchesReference(*h, nested_deps), 6u);
+  ASSERT_LT(arms.back()->index(), arms.front()->index());
+  EXPECT_EQ(nested_deps.TransitiveDeps(arms.back()).size(), 3u);
+
+  // A switch with a default arm: successor 0 is the default.
+  auto sw = Lower(R"(
+    int g(int m) {
+      int r = 0;
+      switch (m) {
+        case 1: r = 10; break;
+        case 2: r = 20; break;
+        default: r = -1;
+      }
+      return r;
+    }
+  )");
+  Function* g = sw->FindFunction("g");
+  g->Finalize();
+  ControlDependence switch_deps(*g);
+  EXPECT_GT(ExpectMatchesReference(*g, switch_deps), 0u);
+  const Instruction* switch_instr = nullptr;
+  for (const auto& block : g->blocks()) {
+    const Instruction* term = block->terminator();
+    if (term != nullptr && term->instr_kind() == InstrKind::kSwitch) {
+      switch_instr = term;
+    }
+  }
+  ASSERT_NE(switch_instr, nullptr);
+  auto default_arm = switch_deps.DirectRegion({switch_instr, 0});
+  ASSERT_EQ(default_arm.size(), 1u);
+  EXPECT_EQ(default_arm[0], switch_instr->successors()[0]);
 }
 
 TEST(DataflowTest, InterproceduralReturnFlowsToCallSiteOnly) {
