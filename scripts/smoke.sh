@@ -51,7 +51,7 @@ cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test interp_test string_pool_test corpus_test session_test dynamic_check_test batch_check_test matrix_check_test cancel_test serve_test serve_concurrency_test verdict_store_test config_set_test parser_robustness_test
-# Per-call completion: task groups sharing one pool, concurrent ShardRange
+# Per-call completion: task groups sharing one pool, concurrent ForEachIndex
 # callers, and the own-pool wait check.
 ./build-tsan/thread_pool_test
 # The parallel-campaign and snapshot-replay determinism tests are the point

@@ -1,8 +1,5 @@
 #include "src/api/batch_check.h"
 
-#include <algorithm>
-#include <atomic>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -53,7 +50,7 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
   }
   const bool dynamic = campaign != nullptr && options.check.mode == CheckMode::kDynamic;
 
-  // --- Phase 1 (sharded): parse, static check and suspect extraction are
+  // --- Phase 1 (claimed): parse, static check and suspect extraction are
   // independent per config — pure functions into pre-sized slots. A config
   // that fails validation is contained right here: its slot carries the
   // error and contributes nothing downstream, so the poisoned entry is
@@ -66,31 +63,24 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
     Status status;
   };
   std::vector<PerConfig> state(count);
-  auto analyze_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      PerConfig& slot = state[i];
-      slot.status = ValidateConfigText(configs[i].text, dialect);
-      if (!slot.status.ok()) {
-        continue;
-      }
-      slot.parsed = ConfigFile::Parse(configs[i].text, dialect);
-      slot.violations = CheckConfigFile(constraints, slot.parsed, configs[i].name);
-      if (dynamic) {
-        slot.suspects =
-            BuildDynamicSuspects(constraints, template_config, slot.parsed, slot.violations);
-      }
-    }
-  };
   const size_t requested_workers =
       options.num_threads == 0 && pool != nullptr
           ? pool->size()
           : ThreadPool::ResolveThreadCount(
                 options.num_threads < 0 ? 1 : static_cast<size_t>(options.num_threads));
-  if (pool == nullptr) {
-    analyze_range(0, count);
-  } else {
-    pool->ShardRange(count, requested_workers, analyze_range);
-  }
+  ForEachIndex(pool, count, requested_workers, [&](size_t i) {
+    PerConfig& slot = state[i];
+    slot.status = ValidateConfigText(configs[i].text, dialect);
+    if (!slot.status.ok()) {
+      return;
+    }
+    slot.parsed = ConfigFile::Parse(configs[i].text, dialect);
+    slot.violations = CheckConfigFile(constraints, slot.parsed, configs[i].name);
+    if (dynamic) {
+      slot.suspects =
+          BuildDynamicSuspects(constraints, template_config, slot.parsed, slot.violations);
+    }
+  });
 
   // --- Phase 2 (driver thread): dedup suspects across configs by
   // execution identity. First occurrence becomes the representative the
@@ -111,94 +101,34 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
     }
   }
 
-  // --- Phase 3: each unique execution replays exactly once, through the
-  // campaign's persistent snapshot cache (and, when a verdict store is
-  // attached, only when the store has never seen the execution).
-  //
-  // With a pool and >1 workers the shards are submitted *without* a
-  // barrier: phase 4 starts finalizing configs as soon as the shards
-  // covering *their* unique executions land, so batch latency is
-  // dominated by the slowest chain of unique replays a config actually
-  // needs, not by the whole batch's slowest shard. The serial path keeps
-  // the single blocking call.
-  std::vector<InjectionResult> unique_results(unique.size());
+  // --- Phase 3 (claimed): each unique execution replays exactly once,
+  // through the campaign's persistent snapshot cache (and, when a verdict
+  // store is attached, only when the store has never seen the execution).
+  // The per-replay deadline applies to each *unique* execution — a
+  // deduplicated replay that times out reports kDeadlineExceeded to every
+  // config that contributed it, exactly as N independent timed-out checks
+  // would.
+  std::vector<InjectionResult> unique_results;
   ReplayStats replay_stats;
-  ReplayLimits limits;
-  limits.cancel = options.check.cancel;
-  limits.per_replay_deadline = options.check.deadline;
-
-  const bool pipelined =
-      dynamic && !unique.empty() && pool != nullptr && requested_workers > 1;
-  size_t shard_count = 0;
-  std::vector<size_t> shard_begin;  // shard j covers [begin[j], begin[j+1]).
-  std::vector<ReplayStats> shard_stats;
-  std::vector<std::atomic<bool>> shard_done;  // Set (and notified) once per shard.
-  std::atomic<size_t> shards_running{0};
-  std::optional<ThreadPool::TaskGroup> replays;  // The pipelined shards.
-
-  if (dynamic && !unique.empty() && !pipelined) {
-    // The per-replay deadline applies to each *unique* execution — a
-    // deduplicated replay that times out reports kDeadlineExceeded to
-    // every config that contributed it, exactly as N independent
-    // timed-out checks would.
+  if (!unique.empty()) {  // Only a dynamic batch has suspects.
+    ReplayLimits limits;
+    limits.cancel = options.check.cancel;
+    limits.per_replay_deadline = options.check.deadline;
     unique_results = campaign->ReplayExternal(template_config, unique,
                                               options.check.use_parse_snapshot, limits,
-                                              &replay_stats);
-  } else if (pipelined) {
-    shard_count = std::min(requested_workers, unique.size());
-    shard_begin.resize(shard_count + 1);
-    const size_t base = unique.size() / shard_count;
-    const size_t extra = unique.size() % shard_count;
-    size_t pos = 0;
-    for (size_t j = 0; j < shard_count; ++j) {
-      shard_begin[j] = pos;
-      pos += base + (j < extra ? 1 : 0);
-    }
-    shard_begin[shard_count] = pos;
-    shard_stats.resize(shard_count);
-    shard_done = std::vector<std::atomic<bool>>(shard_count);
-    shards_running.store(shard_count, std::memory_order_release);
-    replays.emplace(*pool);
-    for (size_t j = 0; j < shard_count; ++j) {
-      // Each shard is an independent ReplayExternal call — that entry
-      // point is explicitly safe from any number of threads, and per-slot
-      // writes into unique_results are disjoint by construction.
-      replays->Submit([&, j] {
-        std::vector<Misconfiguration> slice(unique.begin() + shard_begin[j],
-                                            unique.begin() + shard_begin[j + 1]);
-        std::vector<InjectionResult> part = campaign->ReplayExternal(
-            template_config, slice, options.check.use_parse_snapshot, limits,
-            &shard_stats[j]);
-        std::move(part.begin(), part.end(), unique_results.begin() + shard_begin[j]);
-        shards_running.fetch_sub(1, std::memory_order_acq_rel);
-        shard_done[j].store(true, std::memory_order_release);
-        shard_done[j].notify_all();
-      });
-    }
+                                              &replay_stats, pool, requested_workers);
   }
-  auto shard_of = [&](size_t unique_idx) {
-    return static_cast<size_t>(std::upper_bound(shard_begin.begin(), shard_begin.end(),
-                                                unique_idx) -
-                               shard_begin.begin()) -
-           1;
-  };
 
   // --- Phase 4 (driver thread, batch order): fan each unique verdict out
   // to the configs that contributed it, attach reactions, stream the
   // report. Serial on purpose: observer callbacks are ordered and the
-  // fan-out is copies, not execution. On the pipelined path each config
-  // waits only for the shards holding *its* unique executions.
+  // fan-out is copies, not execution.
   BatchSummary summary;
   summary.configs_checked = count;
   summary.reports.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     PerConfig& slot = state[i];
     if (!slot.suspects.empty()) {
-      for (size_t unique_idx : slot.unique_index) {
-        if (pipelined) {
-          shard_done[shard_of(unique_idx)].wait(false, std::memory_order_acquire);
-        }
-      }
       std::vector<InjectionResult> results;
       results.reserve(slot.suspects.size());
       size_t timed_out = 0;
@@ -249,22 +179,6 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
       observer->OnConfigChecked(i, report);
     }
     summary.reports.push_back(std::move(report));
-    if (pipelined && shards_running.load(std::memory_order_acquire) > 0) {
-      // This config's report went out while replays were still running
-      // elsewhere in the batch: finalization genuinely overlapped.
-      ++summary.finalized_overlapped;
-    }
-  }
-  if (pipelined) {
-    // Every unique execution belongs to some config, so the shards have
-    // all published by now; the group wait makes sure their tasks have
-    // also returned before the stack they reference goes away.
-    replays->Wait();
-    for (const ReplayStats& shard : shard_stats) {
-      replay_stats.store_hits += shard.store_hits;
-      replay_stats.store_misses += shard.store_misses;
-      replay_stats.store_appends += shard.store_appends;
-    }
   }
   // A unique execution served from the persistent store never replayed:
   // a fully warm re-check reports unique_replays == 0 (and DedupRatio 1.0).

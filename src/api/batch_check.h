@@ -8,7 +8,7 @@
 // each *unique* mistake once: suspects are extracted per config (the same
 // BuildDynamicSuspects diff the single-config checker uses), deduplicated
 // across configs by execution identity, replayed once per unique
-// execution (sharded over the session worker pool), and the observed
+// execution (claimed over the session worker pool), and the observed
 // Table-3 verdict is fanned out to every config that contributed the
 // suspect. Verdicts are bit-identical to N independent CheckConfig calls
 // at every thread count — see the dedup identity guarantee below.
@@ -55,9 +55,10 @@ struct BatchOptions {
   // Mode and snapshot knob, applied to every config in the batch (the
   // same CheckOptions a single CheckConfig call takes).
   CheckOptions check;
-  // Sharding: 1 = serial on the calling thread (the default), 0 = the
-  // session worker pool at its full width, N = N shards on the pool.
-  // Verdicts and report order are identical for every value.
+  // Fan-out: 1 = serial on the calling thread (the default), 0 = the
+  // session worker pool at its full width, N = N claimers, the calling
+  // thread included. Verdicts and report order are identical for every
+  // value.
   int num_threads = 1;
 };
 
@@ -113,11 +114,8 @@ struct BatchSummary {
   size_t store_hits = 0;
   size_t store_misses = 0;
   size_t store_appends = 0;
-  // Configs whose finalization (verdict fan-out + report streaming)
-  // completed while at least one replay shard was still running — the
-  // observable that proves per-config finalization is pipelined behind
-  // the replays rather than barriered after them. Always 0 on the serial
-  // path (there is nothing to overlap with).
+  // Always 0: finalization runs after every replay of the batch has
+  // finished. Kept only because the perfbench probe still reads it.
   size_t finalized_overlapped = 0;
   // Fraction of suspect replays saved by dedup + store: 1 - unique/total
   // (0.0 for an empty or static batch). ~0.7 on a fleet where 70% of
@@ -161,11 +159,13 @@ Status ValidateConfigText(std::string_view text, ConfigDialect dialect);
 // The batch engine behind Target::CheckConfigBatch. `campaign` carries
 // the persistent snapshot cache and may be null for static-only batches
 // (it is also ignored when options.check.mode is kStatic); `pool` may be
-// null for serial runs. The batch waits only for its own pool tasks, so
-// other clients may use the same pool concurrently; it must not be called
-// from a task of `pool` (thread_pool.h). Every config is checked against
-// `constraints` + `template_config` exactly as a dedicated
-// Target::CheckConfig call would check it.
+// null for serial runs. Phases 1 (analysis) and 3 (unique replays) claim
+// their indices through ForEachIndex; phase 4 (fan-out and observer
+// callbacks) runs after phase 3. The batch waits only for its own pool
+// tasks, so other clients may use the same pool concurrently; it must not
+// be called from a task of `pool` (thread_pool.h). Every config is
+// checked against `constraints` + `template_config` exactly as a
+// dedicated Target::CheckConfig call would check it.
 BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
                            const ConfigFile& template_config, ConfigDialect dialect,
                            InjectionCampaign* campaign, ThreadPool* pool,

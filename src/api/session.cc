@@ -233,7 +233,7 @@ BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
   if (dynamic) {
     campaign = EnsureCampaign();
   }
-  // Sharded batches fan out on the session pool and wait only for their
+  // Parallel batches fan out on the session pool and wait only for their
   // own tasks, so they run alongside campaigns and other batches.
   ThreadPool* pool = options.num_threads != 1 ? session_->worker_pool() : nullptr;
   return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(), pool,

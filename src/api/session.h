@@ -24,7 +24,7 @@
 // are pure reads, and dynamic checks replay on campaign-owned leased
 // contexts over an internally synchronized snapshot cache. LoadSource()/
 // LoadTarget()/ok()/RenderDiagnostics() are internally synchronized.
-// Parallel work (campaigns, sharded batches and matrices) shares the
+// Parallel work (campaigns, batches and matrices) shares the
 // session's worker pool, and each call waits only for its own tasks, so
 // calls on different targets run concurrently. Concurrent RunCampaign
 // calls on one target run one after another.
@@ -120,7 +120,7 @@ class Session {
 
   // The shared campaign pool (created on first use). Exposed for embedders
   // that want to run their own fan-outs on session-owned threads, through
-  // a ThreadPool::TaskGroup or ShardRange.
+  // a ThreadPool::TaskGroup or ForEachIndex.
   ThreadPool* worker_pool();
 
  private:
@@ -196,7 +196,7 @@ class Target {
   // calling thread, in batch order.
   //
   // Thread-safety: any number of batches may run concurrently, with each
-  // other and with RunCampaign, like dynamic CheckConfig. Sharded batches
+  // other and with RunCampaign, like dynamic CheckConfig. Parallel batches
   // (num_threads != 1) fan out on the session worker pool and wait only
   // for their own tasks.
   BatchSummary CheckConfigBatch(std::span<const ConfigInput> configs,

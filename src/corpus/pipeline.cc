@@ -1,6 +1,7 @@
 #include "src/corpus/pipeline.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
@@ -26,33 +27,29 @@ std::vector<CorpusCampaignResult> RunCorpusCampaigns(
     const std::vector<std::string>& target_names, const ApiRegistry& apis,
     CampaignOptions options, size_t num_workers, SpexOptions engine_options) {
   std::vector<CorpusCampaignResult> results(target_names.size());
-  // Each task owns one target end to end (analysis, generation, campaign)
+  // Each claim owns one target end to end (analysis, generation, campaign)
   // and writes its pre-sized slot; the ApiRegistry is shared read-only.
-  auto run_targets = [&](size_t begin, size_t end) {
-    for (size_t index = begin; index < end; ++index) {
-      CorpusCampaignResult& slot = results[index];
-      slot.target = target_names[index];
-      DiagnosticEngine diags;
-      slot.analysis = AnalyzeTarget(FindTarget(slot.target), apis, &diags, engine_options);
-      const TargetBundle& bundle = slot.analysis.bundle;
-      InjectionCampaign campaign(*slot.analysis.module, bundle.sut,
-                                 OsSimulator::StandardEnvironment(), options);
-      slot.summary = campaign.RunAll(ConfigFile::Parse(bundle.template_config, bundle.dialect),
-                                     MisconfigGenerator().Generate(slot.analysis.constraints));
-      if (diags.HasErrors()) {
-        slot.diagnostics = diags.Render();
-      }
-    }
-  };
-  size_t worker_count =
+  // Targets differ widely in cost, so an idle claimer takes the next one.
+  const size_t workers =
       std::min(ThreadPool::ResolveThreadCount(num_workers), target_names.size());
-  if (worker_count <= 1) {
-    run_targets(0, results.size());
-  } else {
-    // One task per target: targets differ widely in cost, so an idle
-    // worker takes the next target instead of a fixed share.
-    ThreadPool(worker_count).ShardRange(results.size(), results.size(), run_targets);
+  std::optional<ThreadPool> pool;
+  if (workers > 1) {
+    pool.emplace(workers - 1);  // The calling thread claims too.
   }
+  ForEachIndex(pool ? &*pool : nullptr, results.size(), workers, [&](size_t index) {
+    CorpusCampaignResult& slot = results[index];
+    slot.target = target_names[index];
+    DiagnosticEngine diags;
+    slot.analysis = AnalyzeTarget(FindTarget(slot.target), apis, &diags, engine_options);
+    const TargetBundle& bundle = slot.analysis.bundle;
+    InjectionCampaign campaign(*slot.analysis.module, bundle.sut,
+                               OsSimulator::StandardEnvironment(), options);
+    slot.summary = campaign.RunAll(ConfigFile::Parse(bundle.template_config, bundle.dialect),
+                                   MisconfigGenerator().Generate(slot.analysis.constraints));
+    if (diags.HasErrors()) {
+      slot.diagnostics = diags.Render();
+    }
+  });
   return results;
 }
 

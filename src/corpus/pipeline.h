@@ -38,8 +38,8 @@ struct TargetAnalysis {
 TargetAnalysis AnalyzeTarget(const TargetSpec& spec, const ApiRegistry& apis,
                              DiagnosticEngine* diags, SpexOptions engine_options = {});
 
-// One sharded corpus run: analysis + campaign summary for a target, plus
-// any diagnostics its worker collected (empty for a clean corpus).
+// One target of a corpus run: analysis + campaign summary, plus any
+// diagnostics its worker collected (empty for a clean corpus).
 struct CorpusCampaignResult {
   std::string target;
   TargetAnalysis analysis;
@@ -48,13 +48,14 @@ struct CorpusCampaignResult {
 };
 
 // Fans AnalyzeTarget + a fresh InjectionCampaign over a pool of its own,
-// one target (and one TargetAnalysis) per task, so corpus-wide tables
-// regenerate in parallel. Results are written into pre-sized slots: order
-// matches `target_names` and every summary is identical to a serial
-// campaign over the generated misconfigurations. `num_workers`
-// follows the CampaignOptions::num_threads convention (0 = hardware
-// concurrency); `options` applies to each inner campaign and defaults to
-// serial, which is the right setting when the corpus itself is sharded.
+// one target (and one TargetAnalysis) per claimed index (ForEachIndex),
+// so corpus-wide tables regenerate in parallel. Results are written into
+// pre-sized slots: order matches `target_names` and every summary is
+// identical to a serial campaign over the generated misconfigurations.
+// `num_workers` follows the CampaignOptions::num_threads convention (0 =
+// hardware concurrency); `options` applies to each inner campaign and
+// defaults to serial, which is the right setting when the corpus itself
+// fans out.
 std::vector<CorpusCampaignResult> RunCorpusCampaigns(
     const std::vector<std::string>& target_names, const ApiRegistry& apis,
     CampaignOptions options = {}, size_t num_workers = 0, SpexOptions engine_options = {});

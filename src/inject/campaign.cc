@@ -725,8 +725,8 @@ std::shared_ptr<VerdictStore> InjectionCampaign::verdict_store() const {
   return store_;
 }
 
-// One batch moving through ReplayRange: the inputs, the per-config plan
-// and the pre-sized slots every shard writes at its own indices.
+// One batch moving through ReplayIndex: the inputs, the per-config plan
+// and the pre-sized slots every claimer writes at its own indices.
 struct InjectionCampaign::ReplayPass {
   ReplayPass(const ConfigFile& template_config, const std::vector<Misconfiguration>& configs)
       : template_config(template_config), configs(configs), results(configs.size()) {}
@@ -759,38 +759,36 @@ struct InjectionCampaign::ReplayPass {
   std::vector<InjectionResult> results;
 };
 
-void InjectionCampaign::ReplayRange(ReplayPass& pass, size_t begin, size_t end) {
-  // One leased context per range: leases are what make concurrent ranges
-  // (and concurrent RunAll / ReplayExternal callers) safe.
-  ProbeLease probe(this);
-  WorkerContext& context = probe.context();
+void InjectionCampaign::ReplayIndex(ReplayPass& pass, size_t i) {
+  const Misconfiguration& config = pass.configs[i];
+  InjectionResult& result = pass.results[i];
   const ReplayLimits& limits = pass.limits;
-  for (size_t i = begin; i < end; ++i) {
-    const Misconfiguration& config = pass.configs[i];
-    InjectionResult& result = pass.results[i];
-    if (limits.cancel != nullptr && limits.cancel->ShouldCancel()) {
-      // Request-wide token fired: everything not yet replayed in this
-      // range is skipped, cheaply and uniformly — the range boundary is
-      // the coarse cancellation point, the interpreter poll the fine one.
-      result = SkippedResult(config, *limits.cancel);
-    } else if (!ServeFromStore(pass, i)) {
-      // Child token per replay: the per-replay deadline restarts for each
-      // config (one pathological replay burns its own budget, not its
-      // range-mates'), while a fired parent still cancels everything.
-      std::optional<CancelToken> per_replay;
-      if (limits.active()) {
-        per_replay.emplace(limits.cancel);
-        if (limits.per_replay_deadline.count() > 0) {
-          per_replay->ArmDeadlineAfter(limits.per_replay_deadline);
-        }
+  if (limits.cancel != nullptr && limits.cancel->ShouldCancel()) {
+    // Request-wide token fired: every config not yet replayed is skipped,
+    // cheaply and uniformly — the claim is the coarse cancellation point,
+    // the interpreter poll the fine one.
+    result = SkippedResult(config, *limits.cancel);
+  } else if (!ServeFromStore(pass, i)) {
+    // Child token per replay: the per-replay deadline restarts for each
+    // config (one pathological replay burns its own budget, not the
+    // others'), while a fired parent still cancels everything.
+    std::optional<CancelToken> per_replay;
+    if (limits.active()) {
+      per_replay.emplace(limits.cancel);
+      if (limits.per_replay_deadline.count() > 0) {
+        per_replay->ArmDeadlineAfter(limits.per_replay_deadline);
       }
-      result = RunOneWith(context.interp, context.os,
-                          pass.keysets.empty() ? nullptr : pass.keysets[i],
-                          pass.template_config, config, per_replay ? &*per_replay : nullptr);
     }
-    if (pass.on_result) {
-      pass.on_result(i);
-    }
+    // One leased context per replay: leases are what make concurrent
+    // claimers (and concurrent RunAll / ReplayExternal callers) safe.
+    ProbeLease probe(this);
+    WorkerContext& context = probe.context();
+    result = RunOneWith(context.interp, context.os,
+                        pass.keysets.empty() ? nullptr : pass.keysets[i],
+                        pass.template_config, config, per_replay ? &*per_replay : nullptr);
+  }
+  if (pass.on_result) {
+    pass.on_result(i);
   }
 }
 
@@ -812,7 +810,8 @@ bool InjectionCampaign::ServeFromStore(ReplayPass& pass, size_t i) const {
 
 std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
     const ConfigFile& template_config, const std::vector<Misconfiguration>& configs,
-    bool use_parse_snapshot, const ReplayLimits& limits, ReplayStats* stats) {
+    bool use_parse_snapshot, const ReplayLimits& limits, ReplayStats* stats, ThreadPool* pool,
+    size_t workers) {
   ReplayPass pass(template_config, configs);
   pass.limits = limits;
   // A user-config check is worth the snapshot path even for a key-set seen
@@ -862,7 +861,7 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
     pass.lookups.assign(configs.size(), StoreLookup::kSkipped);
   }
 
-  ReplayRange(pass, 0, configs.size());
+  ForEachIndex(pool, configs.size(), workers, [&](size_t i) { ReplayIndex(pass, i); });
 
   // Store epilogue: account hits and persist fresh verdicts in one batched
   // append. kDeadlineExceeded results — timeouts and cancel-skips alike —
@@ -943,21 +942,20 @@ CampaignSummary InjectionCampaign::RunAll(const ConfigFile& template_config,
     };
   }
 
-  // Contiguous ranges into pre-sized slots: result order — and therefore
+  // Claimed indices into pre-sized slots: result order — and therefore
   // every summary statistic — is identical for every worker count. This
-  // call waits only for its own ranges, on the shared pool or a local one.
+  // call waits only for its own claimers, on the shared pool or a local
+  // one (the calling thread is a claimer too).
   const size_t workers = std::min(
       ThreadPool::ResolveThreadCount(
           options_.num_threads < 0 ? 1 : static_cast<size_t>(options_.num_threads)),
       configs.size());
-  auto replay = [&](size_t begin, size_t end) { ReplayRange(pass, begin, end); };
-  if (workers <= 1) {
-    replay(0, configs.size());
-  } else if (options_.worker_pool != nullptr) {
-    options_.worker_pool->ShardRange(configs.size(), workers, replay);
-  } else {
-    ThreadPool(workers).ShardRange(configs.size(), workers, replay);
+  ThreadPool* pool = options_.worker_pool;
+  std::optional<ThreadPool> local_pool;
+  if (pool == nullptr && workers > 1) {
+    pool = &local_pool.emplace(workers - 1);
   }
+  ForEachIndex(pool, configs.size(), workers, [&](size_t i) { ReplayIndex(pass, i); });
 
   CampaignSummary summary;
   summary.results = std::move(pass.results);

@@ -33,13 +33,13 @@
 // batch is re-verified against a ground-truth full replay, so results stay
 // bit-identical to a full replay for every thread count.
 //
-// RunAll and ReplayExternal are one replay engine: both run the same
-// per-range loop over one free list of leased contexts. RunAll adds its
-// key-set plan and fans ranges over a thread pool; ReplayExternal adds the
-// verdict store and runs its range on the calling thread. Thread-safety:
-// one campaign serves one RunAll at a time (concurrent calls queue on the
-// campaign's own lock, nothing wider), and ReplayExternal may run from any
-// number of threads, concurrently with each other and with RunAll.
+// RunAll and ReplayExternal are one replay engine: both replay each
+// config through ReplayIndex, claimed through ForEachIndex, on contexts
+// leased from one free list. RunAll adds its key-set plan; ReplayExternal
+// adds the verdict store. Thread-safety: one campaign serves one RunAll
+// at a time (concurrent calls queue on the campaign's own lock, nothing
+// wider), and ReplayExternal may run from any number of threads,
+// concurrently with each other and with RunAll.
 #ifndef SPEX_INJECT_CAMPAIGN_H_
 #define SPEX_INJECT_CAMPAIGN_H_
 
@@ -260,13 +260,14 @@ class InjectionCampaign {
   // verification path the dynamic-mode tests diff against).
   //
   // Thread-safety: ReplayExternal may be called from any number of threads
-  // concurrently (each call runs on its own leased context; the snapshot
+  // concurrently (each replay runs on its own leased context; the snapshot
   // cache is internally synchronized), and concurrently with RunAll —
   // provided every concurrent caller uses the same template. A template
   // change clears the cache and must be externally quiesced (spex::Target
-  // guarantees this: its template is fixed at load time). The call runs on
-  // the calling thread; callers that want parallelism shard the batch and
-  // call once per shard (the batch checker does).
+  // guarantees this: its template is fixed at load time). With a `pool`
+  // and `workers` > 1 the configs are claimed by up to `workers` threads,
+  // the calling one included (it must not be a task of `pool`); otherwise
+  // the call runs on the calling thread. Results are identical either way.
   //
   // `limits` (see ReplayLimits) bounds each replay: the token is checked
   // before every replay and polled inside the interpreter, so a
@@ -278,14 +279,16 @@ class InjectionCampaign {
   // before replaying: a hit synthesizes the result from the stored record
   // (bit-identical to a replay — the stored fields are exactly the ones
   // ReattributeResult copies); a miss replays live and the fresh verdict
-  // is appended afterwards (kDeadlineExceeded verdicts are never stored:
-  // they describe the checker's budget, not the target). `stats`, when
-  // non-null, receives this call's store accounting.
+  // is appended afterwards, in one batched append per call
+  // (kDeadlineExceeded verdicts are never stored: they describe the
+  // checker's budget, not the target). `stats`, when non-null, receives
+  // this call's store accounting.
   std::vector<InjectionResult> ReplayExternal(const ConfigFile& template_config,
                                               const std::vector<Misconfiguration>& configs,
                                               bool use_parse_snapshot = true,
                                               const ReplayLimits& limits = {},
-                                              ReplayStats* stats = nullptr);
+                                              ReplayStats* stats = nullptr,
+                                              ThreadPool* pool = nullptr, size_t workers = 1);
 
   // Attaches (or replaces: pass nullptr to detach) the persistent verdict
   // store consulted by ReplayExternal. `scope` must fold in every input
@@ -402,11 +405,11 @@ class InjectionCampaign {
   bool LogsPinpoint(const std::vector<std::string>& logs, const Misconfiguration& config,
                     const ConfigFile& applied) const;
 
-  // The single replay loop: replays pass.configs[begin, end) on one leased
-  // context, writing pass.results at the same indices. Any number of
-  // ranges of one pass may run concurrently.
+  // The single replay step: serves pass.configs[i] from the store or
+  // replays it on a leased context, writing pass.results[i]. Any number of
+  // indices of one pass may run concurrently.
   struct ReplayPass;
-  void ReplayRange(ReplayPass& pass, size_t begin, size_t end);
+  void ReplayIndex(ReplayPass& pass, size_t i);
   // Looks config `i` up in the pass's verdict store; true when the stored
   // verdict was written to its slot and no replay is needed.
   bool ServeFromStore(ReplayPass& pass, size_t i) const;
@@ -414,11 +417,11 @@ class InjectionCampaign {
   // fingerprint, and stamps the new fingerprint.
   void RefreshCacheFor(const ConfigFile& template_config);
 
-  // Checked-out context for one replay range; returns itself to the
-  // campaign's free list on destruction. Contexts are campaign members
-  // because a range that builds a snapshot publishes pointers into its
-  // context's string pool — the context must outlive the cache entry, i.e.
-  // live as long as the campaign.
+  // Checked-out context for one replay; returns itself to the campaign's
+  // free list on destruction. Contexts are campaign members because a
+  // replay that builds a snapshot publishes pointers into its context's
+  // string pool — the context must outlive the cache entry, i.e. live as
+  // long as the campaign.
   class ProbeLease {
    public:
     explicit ProbeLease(InjectionCampaign* campaign);

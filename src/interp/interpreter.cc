@@ -278,7 +278,6 @@ void Interpreter::Reset() {
   cells_ = init_cells_;
   std::fill(global_read_stamps_.begin(), global_read_stamps_.end(), 0);
   std::fill(global_write_stamps_.begin(), global_write_stamps_.end(), 0);
-  alloca_bounds_.clear();
   logs_.clear();
   active_frames_.clear();
   steps_ = 0;
@@ -295,7 +294,6 @@ Interpreter::Snapshot Interpreter::TakeSnapshot() const {
   snapshot.cells_ = cells_;
   snapshot.read_stamps_ = global_read_stamps_;
   snapshot.write_stamps_ = global_write_stamps_;
-  snapshot.alloca_bounds_ = alloca_bounds_;
   snapshot.logs_ = logs_;
   snapshot.steps_ = steps_;
   snapshot.next_frame_id_ = next_frame_id_;
@@ -310,7 +308,6 @@ void Interpreter::RestoreSnapshot(const Snapshot& snapshot) {
   cells_ = snapshot.cells_;
   global_read_stamps_ = snapshot.read_stamps_;
   global_write_stamps_ = snapshot.write_stamps_;
-  alloca_bounds_ = snapshot.alloca_bounds_;
   logs_ = snapshot.logs_;
   steps_ = snapshot.steps_;
   next_frame_id_ = snapshot.next_frame_id_;
@@ -415,12 +412,13 @@ void Interpreter::CheckBounds(const Value* root, int32_t slot,
   if (path.empty()) {
     return;
   }
+  // A root without a global slot is a local: its alloca instruction
+  // carries the static bound.
   int64_t bound = 0;
   if (slot >= 0) {
     bound = global_bounds_[static_cast<size_t>(slot)];
-  } else {
-    auto it = alloca_bounds_.find(root);
-    bound = it != alloca_bounds_.end() ? it->second : 0;
+  } else if (root->value_kind() == ValueKind::kInstruction) {
+    bound = static_cast<const Instruction*>(root)->alloca_array_size();
   }
   if (bound <= 0) {
     return;
@@ -628,7 +626,6 @@ RtValue Interpreter::RunFunction(const Function& fn, std::vector<RtValue> args) 
       Step();
       switch (instr->instr_kind()) {
         case InstrKind::kAlloca: {
-          alloca_bounds_.emplace(instr, instr->alloca_array_size());
           RtValue addr;
           addr.kind = RtValue::Kind::kAddr;
           addr.frame = frame.id;

@@ -154,7 +154,6 @@ class Interpreter {
     CellMap cells_;
     std::vector<int32_t> read_stamps_;
     std::vector<int32_t> write_stamps_;
-    std::unordered_map<const Value*, int64_t> alloca_bounds_;
     std::vector<std::string> logs_;
     int64_t steps_ = 0;
     int64_t next_frame_id_ = 0;
@@ -176,7 +175,6 @@ class Interpreter {
 
   // --- Observables.
   const std::vector<std::string>& logs() const { return logs_; }
-  void ClearLogs() { logs_.clear(); }
   // Current value of a scalar global, or nullopt if it does not exist.
   std::optional<RtValue> ReadGlobal(const std::string& name) const;
   void WriteGlobal(const std::string& name, RtValue value);
@@ -380,7 +378,6 @@ class Interpreter {
   std::vector<int32_t> global_read_stamps_;
   std::vector<int32_t> global_write_stamps_;
   CellMap cells_;                        // Non-scalar globals + alloca cells.
-  std::unordered_map<const Value*, int64_t> alloca_bounds_;
   std::vector<std::string> logs_;
   // Recycled register files; RunFunction pops/pushes to avoid a fresh
   // allocation per call.

@@ -1,6 +1,7 @@
 #include "src/support/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -79,32 +80,34 @@ void ThreadPool::TaskGroup::Wait() {
   done_.wait(lock, [this] { return pending_ == 0; });
 }
 
-void ThreadPool::ShardRange(size_t count, size_t workers,
-                            const std::function<void(size_t, size_t)>& fn) {
-  if (count == 0) {
-    return;
-  }
-  workers = std::min(workers, count);
-  if (workers <= 1) {
-    fn(0, count);
-    return;
-  }
-  size_t chunk = (count + workers - 1) / workers;
-  TaskGroup group(*this);
-  for (size_t begin = 0; begin < count; begin += chunk) {
-    size_t end = std::min(begin + chunk, count);
-    // By reference: the group's Wait() keeps fn alive past every shard.
-    group.Submit([&fn, begin, end] { fn(begin, end); });
-  }
-  group.Wait();
-}
-
 size_t ThreadPool::ResolveThreadCount(size_t requested) {
   if (requested != 0) {
     return requested;
   }
   unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : hardware;
+}
+
+void ForEachIndex(ThreadPool* pool, size_t count, size_t workers,
+                  const std::function<void(size_t)>& fn) {
+  std::atomic<size_t> cursor{0};
+  auto claim = [&] {
+    for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < count;
+         i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
+    }
+  };
+  const size_t claimers = pool == nullptr ? 1 : std::min(workers, count);
+  if (claimers <= 1) {
+    claim();
+    return;
+  }
+  ThreadPool::TaskGroup group(*pool);
+  for (size_t k = 1; k < claimers; ++k) {
+    group.Submit(claim);  // By reference: Wait() below outlives every claim.
+  }
+  claim();
+  group.Wait();
 }
 
 }  // namespace spex

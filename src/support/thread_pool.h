@@ -1,12 +1,13 @@
 // Fixed-size worker pool for fan-out/join parallelism.
 //
-// SPEX's parallel workloads (injection campaigns, sharded batches, corpus
+// SPEX's parallel workloads (injection campaigns, fleet batches, corpus
 // runs) are embarrassingly parallel over pre-sized result slots, so this is
 // deliberately a plain shared-queue pool: no work stealing, no futures.
-// Determinism is the caller's job — write results into per-task slots,
-// never append. Completion is per call: every task belongs to a TaskGroup,
-// whose Wait() joins only that group's tasks, so clients sharing one pool
-// share its workers but never wait for each other's work.
+// They all fan out through ForEachIndex. Determinism is the caller's job —
+// write results into per-index slots, never append. Completion is per
+// call: every task belongs to a TaskGroup, whose Wait() joins only that
+// group's tasks, so clients sharing one pool share its workers but never
+// wait for each other's work.
 //
 // A pool task must never wait on a group of its own pool: it would hold a
 // worker while waiting for workers. TaskGroup::Wait() aborts if it does.
@@ -57,12 +58,6 @@ class ThreadPool {
     size_t pending_ = 0;
   };
 
-  // Fans [0, count) over at most `workers` contiguous shards, one task
-  // each in a private TaskGroup, calling fn(begin, end) per shard. Runs
-  // fn(0, count) inline (no wait, so legal anywhere) for a single shard.
-  void ShardRange(size_t count, size_t workers,
-                  const std::function<void(size_t, size_t)>& fn);
-
   // Maps a user-facing thread-count knob to a worker count:
   // 0 = hardware concurrency (at least 1), otherwise the value itself.
   static size_t ResolveThreadCount(size_t requested);
@@ -77,6 +72,16 @@ class ThreadPool {
   std::condition_variable task_ready_;
   bool shutting_down_ = false;
 };
+
+// Calls fn(i) exactly once for every i in [0, count). Up to
+// min(workers, count) claimers pull indices from one shared cursor: the
+// calling thread plus up to `workers - 1` tasks of a private TaskGroup on
+// `pool`, so an expensive index never holds up the cheap ones behind it.
+// With a null pool or workers <= 1 the calling thread runs every index in
+// order and nothing waits, which is legal anywhere; otherwise the call
+// must not come from a task of `pool`. fn must not throw.
+void ForEachIndex(ThreadPool* pool, size_t count, size_t workers,
+                  const std::function<void(size_t)>& fn);
 
 }  // namespace spex
 

@@ -442,13 +442,6 @@ size_t VerdictStore::AppendBatch(std::vector<VerdictAppend> appends) {
   return written;
 }
 
-void VerdictStore::Append(uint64_t scope_id, std::string_view key,
-                          StoredVerdict verdict) {
-  std::vector<VerdictAppend> one;
-  one.push_back({scope_id, std::string(key), std::move(verdict)});
-  AppendBatch(std::move(one));
-}
-
 void VerdictStore::Flush() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0 && writable_) ::fsync(fd_);

@@ -125,9 +125,6 @@ class VerdictStore {
   // any thread.
   size_t AppendBatch(std::vector<VerdictAppend> appends);
 
-  // Single-record convenience over AppendBatch.
-  void Append(uint64_t scope_id, std::string_view key, StoredVerdict verdict);
-
   // fsync()s the log. Appends are otherwise buffered by the OS only.
   void Flush();
 

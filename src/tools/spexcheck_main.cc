@@ -75,7 +75,7 @@ options:
                        listed version, diff adjacent columns (text: grid +
                        transitions; jsonl: cell/version/diff records)
   --mode <m>           static | dynamic (default: dynamic)
-  --threads <n>        batch shards: 1 = serial, 0 = hardware (default: 0)
+  --threads <n>        batch workers: 1 = serial, 0 = hardware (default: 0)
   --format <f>         text | jsonl (default: text)
   --pattern <glob>     filename filter for directories, * and ? wildcards
                        (default: *.conf)

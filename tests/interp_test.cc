@@ -100,6 +100,32 @@ TEST(InterpTest, ArrayOutOfBoundsIsSegfault) {
   EXPECT_NE(crash.trap_reason.find("Segmentation fault"), std::string::npos);
 }
 
+TEST(InterpTest, LocalArrayOutOfBoundsIsSegfault) {
+  Sut sut(R"(
+    int fill_local(int n) {
+      int buf[16];
+      int i;
+      for (i = 0; i < n; i++) { buf[i] = 1; }
+      return buf[0];
+    }
+  )");
+  EXPECT_TRUE(sut.Call("fill_local", {RtValue::Int(16)}).ok());
+  CallOutcome fresh = sut.Call("fill_local", {RtValue::Int(17)});
+  EXPECT_EQ(fresh.status, CallOutcome::Status::kTrap);
+  EXPECT_NE(fresh.trap_reason.find("Segmentation fault (array index 16 out of bounds 0..15"),
+            std::string::npos)
+      << fresh.trap_reason;
+
+  // The bound survives a snapshot round trip taken before the alloca ran.
+  sut.interp->Reset();
+  Interpreter::Snapshot snapshot = sut.interp->TakeSnapshot();
+  EXPECT_TRUE(sut.Call("fill_local", {RtValue::Int(16)}).ok());
+  sut.interp->RestoreSnapshot(snapshot);
+  CallOutcome restored = sut.Call("fill_local", {RtValue::Int(17)});
+  EXPECT_EQ(restored.status, CallOutcome::Status::kTrap);
+  EXPECT_EQ(restored.trap_reason, fresh.trap_reason);
+}
+
 TEST(InterpTest, DivisionByZeroTraps) {
   Sut sut("int divide(int a, int b) { return a / b; }");
   CallOutcome outcome = sut.Call("divide", {RtValue::Int(10), RtValue::Int(0)});

@@ -1,14 +1,14 @@
 // ThreadPool tests: per-call completion through TaskGroup (one group's
-// Wait() never waits for another group's tasks), ShardRange coverage, and
-// the own-pool wait check.
+// Wait() never waits for another group's tasks), ForEachIndex coverage and
+// serial order, and the own-pool wait check.
 #include "src/support/thread_pool.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <latch>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace spex {
@@ -51,45 +51,50 @@ TEST(ThreadPoolTest, GroupDestructorWaitsForItsTasks) {
   EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(ThreadPoolTest, ShardRangeCoversEveryIndexOnceInContiguousShards) {
+TEST(ThreadPoolTest, ForEachIndexRunsEveryIndexExactlyOnce) {
   ThreadPool pool(3);
-  for (size_t count : {0u, 1u, 2u, 7u, 64u}) {
-    for (size_t workers : {1u, 3u, 8u}) {
-      std::vector<int> hits(count, 0);
-      std::atomic<int> shards{0};
-      pool.ShardRange(count, workers, [&](size_t begin, size_t end) {
-        EXPECT_LT(begin, end);
-        shards.fetch_add(1);
-        for (size_t i = begin; i < end; ++i) {
-          ++hits[i];
-        }
-      });
+  for (size_t count : {0u, 1u, 2u, 7u, 1000u}) {
+    for (size_t workers : {0u, 1u, 2u, 3u, 8u}) {
+      std::vector<std::atomic<int>> hits(count);
+      ForEachIndex(&pool, count, workers, [&](size_t i) { hits[i].fetch_add(1); });
       for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(hits[i], 1) << "count " << count << " workers " << workers << " index " << i;
+        EXPECT_EQ(hits[i].load(), 1)
+            << "count " << count << " workers " << workers << " index " << i;
       }
-      EXPECT_LE(static_cast<size_t>(shards.load()), std::max<size_t>(1, workers));
     }
   }
 }
 
-TEST(ThreadPoolTest, ConcurrentShardRangesOnOnePool) {
+TEST(ThreadPoolTest, ForEachIndexRunsInOrderOnTheCallerWithoutParallelism) {
   ThreadPool pool(2);
-  std::vector<int> left(100, 0);
-  std::vector<int> right(100, 0);
-  auto fill = [&pool](std::vector<int>* slots) {
-    pool.ShardRange(slots->size(), 4, [slots](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        (*slots)[i] = static_cast<int>(i);
-      }
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::vector<std::pair<ThreadPool*, size_t>> serial_calls = {
+      {nullptr, 0}, {nullptr, 1}, {nullptr, 4}, {&pool, 0}, {&pool, 1}};
+  for (auto [maybe_pool, workers] : serial_calls) {
+    std::vector<size_t> order;
+    ForEachIndex(maybe_pool, 7, workers, [&](size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
     });
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6}))
+        << "pool " << (maybe_pool != nullptr) << " workers " << workers;
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentForEachIndexCallersOnOnePool) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> left(100);
+  std::vector<std::atomic<int>> right(100);
+  auto fill = [&pool](std::vector<std::atomic<int>>* slots) {
+    ForEachIndex(&pool, slots->size(), 4, [slots](size_t i) { (*slots)[i].fetch_add(1); });
   };
   std::thread a(fill, &left);
   std::thread b(fill, &right);
   a.join();
   b.join();
   for (size_t i = 0; i < left.size(); ++i) {
-    EXPECT_EQ(left[i], static_cast<int>(i));
-    EXPECT_EQ(right[i], static_cast<int>(i));
+    EXPECT_EQ(left[i].load(), 1) << "index " << i;
+    EXPECT_EQ(right[i].load(), 1) << "index " << i;
   }
 }
 

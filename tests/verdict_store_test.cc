@@ -39,6 +39,13 @@ StoredVerdict MakeVerdict(uint8_t category, const std::string& detail) {
   return verdict;
 }
 
+// Appends one record through the batched API.
+void AppendOne(VerdictStore& store, uint64_t scope_id, std::string key, StoredVerdict verdict) {
+  std::vector<VerdictAppend> one;
+  one.push_back({scope_id, std::move(key), std::move(verdict)});
+  store.AppendBatch(std::move(one));
+}
+
 TEST(VerdictStoreTest, RoundTripsEveryFieldAcrossReopen) {
   std::string path = TempStorePath("roundtrip");
   StoredVerdict verdict = MakeVerdict(3, "crash in server_init");
@@ -47,7 +54,7 @@ TEST(VerdictStoreTest, RoundTripsEveryFieldAcrossReopen) {
     auto store = VerdictStore::Open(path, {}, &status);
     EXPECT_TRUE(status.ok()) << status.ToString();
     ASSERT_FALSE(store->read_only());
-    store->Append(store->ResolveScope("scope-a"), "key-1", verdict);
+    AppendOne(*store, store->ResolveScope("scope-a"), "key-1", verdict);
     store->Flush();
     EXPECT_EQ(store->size(), 1u);
   }
@@ -74,8 +81,8 @@ TEST(VerdictStoreTest, ScopesIsolateAcrossReopen) {
     auto store = VerdictStore::Open(path);
     uint64_t scope_a = store->ResolveScope("scope-a");
     uint64_t scope_b = store->ResolveScope("scope-b");
-    store->Append(scope_a, "key", a);
-    store->Append(scope_b, "key", b);
+    AppendOne(*store, scope_a, "key", a);
+    AppendOne(*store, scope_b, "key", b);
     EXPECT_EQ(store->size(), 2u);
   }
   auto store = VerdictStore::Open(path);
@@ -93,8 +100,8 @@ TEST(VerdictStoreTest, CorruptTailDropsOnlyTheTailAndStaysWritable) {
   {
     auto store = VerdictStore::Open(path);
     uint64_t scope = store->ResolveScope("scope");
-    store->Append(scope, "key-1", first);
-    store->Append(scope, "key-2", second);
+    AppendOne(*store, scope, "key-1", first);
+    AppendOne(*store, scope, "key-2", second);
   }
   {
     // A torn write: garbage bytes after the last valid frame.
@@ -114,7 +121,7 @@ TEST(VerdictStoreTest, CorruptTailDropsOnlyTheTailAndStaysWritable) {
     EXPECT_EQ(loaded, second);
     // ...and the handle still writes (the bad tail was truncated away).
     ASSERT_FALSE(store->read_only());
-    store->Append(store->ResolveScope("scope"), "key-3", MakeVerdict(3, "third"));
+    AppendOne(*store, store->ResolveScope("scope"), "key-3", MakeVerdict(3, "third"));
   }
   Status status;
   auto store = VerdictStore::Open(path, {}, &status);
@@ -130,7 +137,7 @@ TEST(VerdictStoreTest, RetiredTypeThreeFrameLoadsAsUnknownRecord) {
   StoredVerdict kept = MakeVerdict(1, "kept");
   {
     auto store = VerdictStore::Open(path);
-    store->Append(store->ResolveScope("scope"), "key", kept);
+    AppendOne(*store, store->ResolveScope("scope"), "key", kept);
   }
   std::string payload(1, '\x03');
   payload.append(8, '\0');                          // scope id 0
@@ -171,7 +178,7 @@ TEST(VerdictStoreTest, GarbageHeaderStartsEmptyAndRecovers) {
   EXPECT_EQ(store->size(), 0u) << "a bad header is never trusted";
   EXPECT_GT(store->stats().dropped_bytes, 0u);
   // The handle rebuilt a fresh header: appends round-trip from here on.
-  store->Append(store->ResolveScope("scope"), "key", MakeVerdict(1, "fresh"));
+  AppendOne(*store, store->ResolveScope("scope"), "key", MakeVerdict(1, "fresh"));
   store.reset();
   Status reopened_status;
   auto reopened = VerdictStore::Open(path, {}, &reopened_status);
@@ -202,7 +209,7 @@ TEST(VerdictStoreTest, SecondHandleDegradesToReadOnlyAndDropsAppends) {
   std::string path = TempStorePath("second_writer");
   auto writer = VerdictStore::Open(path);
   ASSERT_FALSE(writer->read_only());
-  writer->Append(writer->ResolveScope("scope"), "key", MakeVerdict(1, "from writer"));
+  AppendOne(*writer, writer->ResolveScope("scope"), "key", MakeVerdict(1, "from writer"));
   writer->Flush();
 
   Status status;
@@ -212,7 +219,7 @@ TEST(VerdictStoreTest, SecondHandleDegradesToReadOnlyAndDropsAppends) {
   StoredVerdict loaded;
   EXPECT_TRUE(reader->Lookup(reader->ResolveScope("scope"), "key", &loaded))
       << "read-only handles still serve what was durable at open";
-  reader->Append(reader->ResolveScope("scope"), "key-2", MakeVerdict(2, "dropped"));
+  AppendOne(*reader, reader->ResolveScope("scope"), "key-2", MakeVerdict(2, "dropped"));
   EXPECT_EQ(reader->stats().dropped_appends, 1u);
   EXPECT_FALSE(reader->Lookup(reader->ResolveScope("scope"), "key-2", &loaded));
 }
@@ -241,7 +248,7 @@ TEST(VerdictStoreTest, UnwritablePathDegradesWithPathBlamingStatus) {
   // Degraded handles stay usable: lookups miss, appends drop and count.
   StoredVerdict loaded;
   EXPECT_FALSE(store->Lookup(store->ResolveScope("scope"), "key", &loaded));
-  store->Append(store->ResolveScope("scope"), "key", MakeVerdict(1, "dropped"));
+  AppendOne(*store, store->ResolveScope("scope"), "key", MakeVerdict(1, "dropped"));
   EXPECT_EQ(store->stats().dropped_appends, 1u);
 }
 
@@ -261,10 +268,10 @@ TEST(VerdictStoreTest, OpenTimeCompactionPreservesLiveRecordsAcrossReopen) {
     scope_a = store->ResolveScope("scope-a");
     scope_b = store->ResolveScope("scope-b");
     for (size_t i = 0; i < overwrites; ++i) {
-      store->Append(scope_a, "key", MakeVerdict(1, "stale " + std::to_string(i)));
+      AppendOne(*store, scope_a, "key", MakeVerdict(1, "stale " + std::to_string(i)));
     }
-    store->Append(scope_a, "key", final_verdict);  // Last-wins overwrite.
-    store->Append(scope_b, "key", other);
+    AppendOne(*store, scope_a, "key", final_verdict);  // Last-wins overwrite.
+    AppendOne(*store, scope_b, "key", other);
     EXPECT_EQ(store->stats().compactions, 0u) << "compaction only runs at open";
   }
   uintmax_t before = std::filesystem::file_size(path);
