@@ -14,6 +14,15 @@ int main() {
                    "saving"});
   for (Target* target : AllTargets()) {
     const TargetAnalysis& analysis = target->analysis();
+    const ConfigFile template_config =
+        ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
+    // A Target's own campaign always runs the paper configuration, so each
+    // scheduling variant gets a campaign of its own.
+    auto total_tests = [&](const CampaignOptions& options) {
+      InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
+                                 OsSimulator::StandardEnvironment(), options);
+      return campaign.RunAll(template_config, target->Misconfigurations()).total_tests_run;
+    };
     CampaignOptions naive;
     naive.stop_at_first_failure = false;
     naive.sort_tests_by_cost = false;
@@ -22,9 +31,9 @@ int main() {
     stop_only.sort_tests_by_cost = false;
     CampaignOptions paper;  // Both optimizations (defaults).
 
-    int64_t tests_naive = target->RunCampaign(naive).total_tests_run;
-    int64_t tests_stop = target->RunCampaign(stop_only).total_tests_run;
-    int64_t tests_paper = target->RunCampaign(paper).total_tests_run;
+    int64_t tests_naive = total_tests(naive);
+    int64_t tests_stop = total_tests(stop_only);
+    int64_t tests_paper = total_tests(paper);
     char saving[32];
     snprintf(saving, sizeof(saving), "%.1f%%",
              tests_naive == 0

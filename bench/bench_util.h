@@ -6,8 +6,8 @@
 // ApiRegistry, diagnostics and campaign worker pool, and AllTargets() loads
 // each corpus system through it once per binary (the full synthesize ->
 // parse -> lower -> infer pipeline, cached for the binary's lifetime).
-// Repeated campaigns against one Target reuse its snapshot cache, which is
-// what makes the ablation benches cheap.
+// Repeated campaigns against one Target reuse its snapshot cache; benches
+// that vary CampaignOptions drive an InjectionCampaign of their own.
 #ifndef SPEX_BENCH_BENCH_UTIL_H_
 #define SPEX_BENCH_BENCH_UTIL_H_
 

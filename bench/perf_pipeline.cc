@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -175,18 +176,24 @@ const CampaignFixture& SquidCampaignFixture() {
   return *kFixture;
 }
 
-// Arg 0: CampaignOptions::num_threads (0 = hardware concurrency, 1 = serial).
-// The campaign is constructed per iteration so every RunAll starts cold —
-// the snapshot cache is campaign state now, and this benchmark tracks the
-// cold-start cost; BM_RepeatedCampaign below tracks the warm path.
+// Arg 0: RunAll width (1 = serial, 0 = hardware concurrency). The pool is
+// built once, outside the timed loop, so /0 times the fan-out and not pool
+// start-up. The campaign is constructed per iteration so every RunAll
+// starts cold — the snapshot cache is campaign state, and this benchmark
+// tracks the cold-start cost; BM_RepeatedCampaign below tracks the warm
+// path.
 void BM_CampaignThroughput(benchmark::State& state) {
   const CampaignFixture& fixture = SquidCampaignFixture();
-  CampaignOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
+  const size_t workers = ThreadPool::ResolveThreadCount(static_cast<size_t>(state.range(0)));
+  std::optional<ThreadPool> pool;
+  if (workers > 1) {
+    pool.emplace(workers - 1);  // The calling thread claims too.
+  }
   for (auto _ : state) {
     InjectionCampaign campaign(*fixture.analysis.module, fixture.analysis.bundle.sut,
-                               OsSimulator::StandardEnvironment(), options);
-    benchmark::DoNotOptimize(campaign.RunAll(fixture.template_config, fixture.batch));
+                               OsSimulator::StandardEnvironment());
+    benchmark::DoNotOptimize(campaign.RunAll(fixture.template_config, fixture.batch, nullptr,
+                                             pool ? &*pool : nullptr, workers));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(fixture.batch.size()));

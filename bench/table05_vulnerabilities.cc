@@ -2,8 +2,8 @@
 // category (a), and the unique source-code locations behind them (b).
 //
 // Regeneration is sharded: RunCorpusCampaigns fans one analysis + campaign
-// per target over the worker pool, so the whole table rebuilds in roughly
-// the time of its slowest target.
+// per target over the session worker pool, so the whole table rebuilds in
+// roughly the time of its slowest target.
 #include "bench/bench_util.h"
 
 using namespace spex;
@@ -33,7 +33,7 @@ int main() {
     names.push_back(spec.name);
   }
   std::vector<CorpusCampaignResult> corpus =
-      BenchSession().RunCorpusCampaigns(names, CampaignOptions{}, /*num_workers=*/0);
+      BenchSession().RunCorpusCampaigns(names, CampaignOptions{}, /*num_threads=*/0);
 
   size_t crash = 0, early = 0, func = 0, sviol = 0, sign = 0, total = 0, all_locs = 0;
   size_t i = 0;

@@ -44,7 +44,7 @@ int main() {
             << analysis.constraints.TotalConstraints() << " inferred constraints)\n\n";
 
   ProgressObserver progress;
-  spex::CampaignSummary summary = target->RunCampaign({}, &progress);
+  spex::CampaignSummary summary = target->RunCampaign(&progress);
   std::cout << "Injection campaign: " << summary.results.size() << " misconfigurations, "
             << summary.TotalVulnerabilities() << " vulnerabilities at "
             << summary.UniqueVulnerabilityLocations() << " source locations.\n\n";

@@ -23,7 +23,7 @@ QUICK=0
 echo "== Release configuration =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}"
-QUICK_TESTS='report_json_test|inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|config_set_test|parser_robustness_test|thread_pool_test'
+QUICK_TESTS='replay_golden_test|report_json_test|inject_test|interp_test|session_test|dynamic_check_test|batch_check_test|matrix_check_test|cancel_test|serve_test|serve_concurrency_test|config_set_test|parser_robustness_test|thread_pool_test'
 run_ctest() {
   if [[ "${QUICK}" == "1" ]]; then
     ctest --test-dir "$1" --output-on-failure -R "${QUICK_TESTS}"
@@ -55,7 +55,7 @@ cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test inte
 # callers, and the own-pool wait check.
 ./build-tsan/thread_pool_test
 # The parallel-campaign and snapshot-replay determinism tests are the point
-# of the TSan build: num_threads=4 workers over shared module/SUT state plus
+# of the TSan build: 4 RunAll claimers over shared module/SUT state plus
 # the state-gated shared snapshot cache. CorpusShardedTest additionally runs
 # the whole analysis pipeline (synthesize/parse/lower/infer) concurrently.
 ./build-tsan/inject_test --gtest_filter='CampaignParallelTest.*:CampaignTest.*:CampaignSnapshotTest.*'

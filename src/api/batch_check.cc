@@ -63,11 +63,7 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
     Status status;
   };
   std::vector<PerConfig> state(count);
-  const size_t requested_workers =
-      options.num_threads == 0 && pool != nullptr
-          ? pool->size()
-          : ThreadPool::ResolveThreadCount(
-                options.num_threads < 0 ? 1 : static_cast<size_t>(options.num_threads));
+  const size_t requested_workers = ClaimerCount(options.num_threads, pool);
   ForEachIndex(pool, count, requested_workers, [&](size_t i) {
     PerConfig& slot = state[i];
     slot.status = ValidateConfigText(configs[i].text, dialect);

@@ -64,7 +64,11 @@ struct BatchOptions {
 
 // Per-config result: the same Violation list a dedicated
 // CheckConfig(text, name, options) call would return, plus the config's
-// share of the batch bookkeeping.
+// share of the batch bookkeeping. One exception: text that fails
+// ValidateConfigText — in the key=value dialect, a settings line with no
+// '=' or an empty key. CheckConfig parses it leniently and checks what it
+// finds (`max_connections 5000` becomes an unknown parameter); the batch
+// rejects the whole config with kInvalidArgument and no violations.
 struct ConfigReport {
   size_t index = 0;    // Position in the batch (== callback index).
   std::string name;    // ConfigInput::name, echoed for self-contained logs.

@@ -85,17 +85,12 @@ Target* Session::LoadTarget(const std::string& name) {
 }
 
 std::vector<CorpusCampaignResult> Session::RunCorpusCampaigns(
-    const std::vector<std::string>& target_names, CampaignOptions options,
-    size_t num_workers) {
-  // Capped at SessionOptions::campaign_threads unless the caller asks for
-  // a specific worker count. The corpus fans out on a pool of its own: a
-  // caller may point the inner campaigns at the session pool
-  // (options.worker_pool), and a pool task must never wait on its own pool.
-  if (num_workers == 0) {
-    num_workers = options_.campaign_threads;
-  }
-  return spex::RunCorpusCampaigns(target_names, apis_, options, num_workers,
-                                  options_.engine);
+    const std::vector<std::string>& target_names, CampaignOptions options, int num_threads) {
+  // Targets fan out on the session pool; each inner campaign runs
+  // serially inside its claim, so no pool task waits on its own pool.
+  ThreadPool* pool = num_threads != 1 ? worker_pool() : nullptr;
+  return spex::RunCorpusCampaigns(target_names, apis_, options, pool,
+                                  ClaimerCount(num_threads, pool), options_.engine);
 }
 
 Target::Target(Session* session, TargetAnalysis analysis)
@@ -116,19 +111,16 @@ bool Target::SupportsDynamicCheck() const {
          analysis_.module->FindFunction(analysis_.bundle.sut.init_function) != nullptr;
 }
 
-std::shared_ptr<InjectionCampaign> Target::EnsureCampaign() {
+InjectionCampaign* Target::EnsureCampaign() {
   std::lock_guard<std::mutex> lock(campaign_mutex_);
   if (campaign_ == nullptr) {
-    // First dynamic check before any RunCampaign: default options, so a
-    // later default RunCampaign reuses this campaign (and its snapshots).
-    campaign_ = std::make_shared<InjectionCampaign>(*analysis_.module, analysis_.bundle.sut,
-                                                    OsSimulator::StandardEnvironment(),
-                                                    campaign_options_);
+    campaign_ = std::make_unique<InjectionCampaign>(*analysis_.module, analysis_.bundle.sut,
+                                                    OsSimulator::StandardEnvironment());
     if (verdict_store_ != nullptr) {
-      campaign_->AttachVerdictStore(verdict_store_, StoreScopeLocked());
+      campaign_->AttachVerdictStore(verdict_store_, StoreScope());
     }
   }
-  return campaign_;
+  return campaign_.get();
 }
 
 namespace {
@@ -143,12 +135,12 @@ void AppendScopeField(std::string* scope, std::string_view field) {
 
 }  // namespace
 
-std::string Target::StoreScopeLocked() const {
+std::string Target::StoreScope() const {
   // Everything that could change a replay's verdict besides the template
   // (the campaign folds the template in per call) — a change to any of
   // these lands stored verdicts in a fresh scope, so they re-check cold.
-  // Deliberately absent: num_threads, use_parse_snapshot, worker_pool —
-  // the bit-identity machinery guarantees verdicts do not depend on them.
+  // Deliberately absent: use_parse_snapshot and every fan-out width — the
+  // bit-identity machinery guarantees verdicts do not depend on them.
   // Sources can be large, so they enter as stable 64-bit digests.
   const TargetBundle& bundle = analysis_.bundle;
   std::string scope = "spex-scope-v1|";
@@ -174,11 +166,14 @@ std::string Target::StoreScopeLocked() const {
     AppendScopeField(&scope, param);
     AppendScopeField(&scope, storage);
   }
-  scope += campaign_options_.stop_at_first_failure ? '1' : '0';
-  scope += campaign_options_.sort_tests_by_cost ? '1' : '0';
-  scope += std::to_string(campaign_options_.interp.max_steps);
+  // The target's campaign always runs the default (paper) options; their
+  // verdict knobs stay in the scope so stores written before keep working.
+  const CampaignOptions campaign;
+  scope += campaign.stop_at_first_failure ? '1' : '0';
+  scope += campaign.sort_tests_by_cost ? '1' : '0';
+  scope += std::to_string(campaign.interp.max_steps);
   scope += ',';
-  scope += std::to_string(campaign_options_.interp.max_call_depth);
+  scope += std::to_string(campaign.interp.max_call_depth);
   return scope;
 }
 
@@ -186,7 +181,7 @@ void Target::AttachVerdictStore(std::shared_ptr<VerdictStore> store) {
   std::lock_guard<std::mutex> lock(campaign_mutex_);
   verdict_store_ = std::move(store);
   if (campaign_ != nullptr) {
-    campaign_->AttachVerdictStore(verdict_store_, StoreScopeLocked());
+    campaign_->AttachVerdictStore(verdict_store_, StoreScope());
   }
 }
 
@@ -209,10 +204,7 @@ std::vector<Violation> Target::CheckConfig(std::string_view config_text,
   if (suspects.empty()) {
     return violations;
   }
-  // The shared_ptr keeps the campaign (and the leased context + snapshot
-  // pools the replay touches) alive even if another thread swaps the
-  // target's campaign for one with different options mid-check.
-  std::shared_ptr<InjectionCampaign> campaign = EnsureCampaign();
+  InjectionCampaign* campaign = EnsureCampaign();
   ReplayLimits limits;
   limits.cancel = options.cancel;
   limits.per_replay_deadline = options.deadline;
@@ -229,14 +221,11 @@ BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
   // cannot be driven dynamically degrade to the static result per config,
   // exactly like CheckConfig.
   const bool dynamic = options.check.mode == CheckMode::kDynamic && SupportsDynamicCheck();
-  std::shared_ptr<InjectionCampaign> campaign;
-  if (dynamic) {
-    campaign = EnsureCampaign();
-  }
+  InjectionCampaign* campaign = dynamic ? EnsureCampaign() : nullptr;
   // Parallel batches fan out on the session pool and wait only for their
   // own tasks, so they run alongside campaigns and other batches.
   ThreadPool* pool = options.num_threads != 1 ? session_->worker_pool() : nullptr;
-  return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign.get(), pool,
+  return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign, pool,
                        configs, options, observer);
 }
 
@@ -296,7 +285,8 @@ BatchSummary Target::CheckResolvedConfigSets(std::span<const ResolvedConfigSet> 
   return summary;
 }
 
-const std::vector<Misconfiguration>& Target::MisconfigsLocked() {
+const std::vector<Misconfiguration>& Target::Misconfigurations() {
+  std::lock_guard<std::mutex> lock(campaign_mutex_);
   if (!misconfigs_ready_) {
     MisconfigGenerator generator;
     misconfigs_ = generator.Generate(analysis_.constraints);
@@ -305,45 +295,19 @@ const std::vector<Misconfiguration>& Target::MisconfigsLocked() {
   return misconfigs_;
 }
 
-const std::vector<Misconfiguration>& Target::Misconfigurations() {
-  std::lock_guard<std::mutex> lock(campaign_mutex_);
-  return MisconfigsLocked();
-}
-
-CampaignSummary Target::RunCampaign(CampaignOptions options, CampaignObserver* observer) {
+CampaignSummary Target::RunCampaign(CampaignObserver* observer, int num_threads) {
+  // One campaign serves every width, so its snapshot cache and execution
+  // contexts carry over between serial and parallel calls. No lock is
+  // held across RunAll: observer callbacks (and other threads) may call
+  // Misconfigurations()/campaign_cache_stats() mid-campaign, and
+  // misconfigs_ never changes once generated.
+  InjectionCampaign* campaign = EnsureCampaign();
+  const std::vector<Misconfiguration>& misconfigs = Misconfigurations();
   // Parallel campaigns run on the session's shared pool and wait only for
-  // their own tasks; everything else about the campaign (snapshot cache,
-  // execution contexts) is per-target state that persists across calls so
-  // later batches reuse the cached prefixes.
-  if (options.num_threads != 1) {
-    options.worker_pool = session_->worker_pool();
-  }
-  std::shared_ptr<InjectionCampaign> campaign;
-  {
-    // campaign_mutex_ is released before RunAll so observer callbacks (and
-    // other threads) may call Misconfigurations()/campaign_cache_stats()
-    // mid-campaign without deadlocking. The shared_ptr keeps the campaign
-    // alive if a concurrent call swaps it; misconfigs_ never changes once
-    // generated.
-    std::lock_guard<std::mutex> lock(campaign_mutex_);
-    MisconfigsLocked();
-    if (campaign_ == nullptr || !campaign_options_.SameBehavior(options)) {
-      // Swapping options discards the old campaign's snapshot cache; a
-      // dynamic check still replaying on it holds its own shared_ptr, so
-      // the swap is safe (the old campaign dies with the last check).
-      campaign_ = std::make_shared<InjectionCampaign>(
-          *analysis_.module, analysis_.bundle.sut, OsSimulator::StandardEnvironment(),
-          options);
-      campaign_options_ = options;
-      if (verdict_store_ != nullptr) {
-        // Re-derive the scope: campaign knobs are part of it, so a
-        // campaign with different behaviour reads/writes its own scope.
-        campaign_->AttachVerdictStore(verdict_store_, StoreScopeLocked());
-      }
-    }
-    campaign = campaign_;
-  }
-  return campaign->RunAll(template_config_, misconfigs_, observer);
+  // their own tasks.
+  ThreadPool* pool = num_threads != 1 ? session_->worker_pool() : nullptr;
+  return campaign->RunAll(template_config_, misconfigs, observer, pool,
+                          ClaimerCount(num_threads, pool));
 }
 
 CampaignCacheStats Target::campaign_cache_stats() {

@@ -24,10 +24,11 @@
 // are pure reads, and dynamic checks replay on campaign-owned leased
 // contexts over an internally synchronized snapshot cache. LoadSource()/
 // LoadTarget()/ok()/RenderDiagnostics() are internally synchronized.
-// Parallel work (campaigns, batches and matrices) shares the
-// session's worker pool, and each call waits only for its own tasks, so
-// calls on different targets run concurrently. Concurrent RunCampaign
-// calls on one target run one after another.
+// Parallel work (campaigns, batches, matrices and corpus runs) shares the
+// session's worker pool (the only ThreadPool the library creates), and
+// each call waits only for its own tasks, so calls on different targets
+// run concurrently. Concurrent RunCampaign calls on one target run one
+// after another.
 #ifndef SPEX_API_SESSION_H_
 #define SPEX_API_SESSION_H_
 
@@ -51,8 +52,10 @@ class Target;
 struct SessionOptions {
   // Constraint-inference knobs (confidence threshold etc.).
   SpexOptions engine;
-  // Worker pool shared by every campaign this session runs: 0 = hardware
-  // concurrency. The pool is created lazily on the first parallel campaign.
+  // Width of the worker pool shared by every parallel call this session
+  // runs (campaigns, batches, matrices, corpus runs): 0 = hardware
+  // concurrency. A call's own `num_threads` of 0 means this full width.
+  // The pool is created lazily on the first parallel call.
   size_t campaign_threads = 0;
 };
 
@@ -102,13 +105,14 @@ class Session {
                             MatrixObserver* observer = nullptr);
 
   // Sharded corpus regeneration through the session's registry and engine
-  // options: one analysis + campaign per target name, fanned over
-  // `num_workers` (0 = SessionOptions::campaign_threads, whose own 0 means
-  // hardware concurrency). The corpus fans out on a pool of its own, so
-  // it may run concurrently with any other call.
+  // options: one analysis + fresh campaign per target name. Fan-out
+  // follows BatchOptions::num_threads: 1 = serial, 0 = the session pool at
+  // its full width, N = N claimers. Targets are claimed on the session
+  // pool and each inner campaign runs serially, so the call may run
+  // concurrently with any other call (but not from a pool task).
   std::vector<CorpusCampaignResult> RunCorpusCampaigns(
       const std::vector<std::string>& target_names, CampaignOptions options = {},
-      size_t num_workers = 0);
+      int num_threads = 0);
 
   const ApiRegistry& apis() const { return apis_; }
   const SessionOptions& options() const { return options_; }
@@ -167,10 +171,10 @@ class Target {
   // bit-identical to a ground-truth full replay: the campaign's per-run
   // hazard check and first-use verification gate every snapshot shortcut.
   //
-  // Dynamic checks share the target's persistent campaign, so a check
-  // after RunCampaign() (or after an earlier check of the same keys)
-  // replays from warm snapshots without building new ones; a check with no
-  // campaign yet lazily creates one with default CampaignOptions. Targets
+  // Dynamic checks share the target's one campaign, so a check after
+  // RunCampaign() (or after an earlier check of the same keys) replays
+  // from warm snapshots without building new ones; whichever call comes
+  // first creates the campaign, with default CampaignOptions. Targets
   // loaded without a template or without a SUT driver surface (parse/init
   // functions) silently degrade to the static result — there is nothing to
   // replay against. Safe from any number of threads concurrently (on one
@@ -187,7 +191,10 @@ class Target {
   // Fleet checking: checks every config in `configs` against this target
   // in one pass. Per config this is exactly CheckConfig(text, name,
   // options.check) — same violations, same observed reactions, bit-
-  // identical at every options.num_threads — but suspects are
+  // identical at every options.num_threads — except for text that fails
+  // ValidateConfigText (a key=value line with no '=' or an empty key),
+  // which the batch rejects as kInvalidArgument where CheckConfig parses
+  // it leniently (src/api/batch_check.h, ConfigReport). Suspects are
   // deduplicated *across* configs by execution identity, so each unique
   // user mistake replays once and its Table-3 verdict fans out to every
   // config that contributed it (BatchSummary::unique_replays vs.
@@ -236,17 +243,21 @@ class Target {
                                        BatchObserver* observer = nullptr);
 
   // SPEX-INJ through the façade: generates misconfigurations from the
-  // inferred constraints (once, cached) and runs the campaign. The
-  // campaign object persists across calls with the same options, so
-  // repeated campaigns reuse prefix snapshots instead of rebuilding them;
-  // `observer` streams per-run results. Parallel campaigns share the
-  // session's worker pool; concurrent calls on one target run one after
-  // another, calls on different targets run concurrently.
-  CampaignSummary RunCampaign(CampaignOptions options = {},
-                              CampaignObserver* observer = nullptr);
+  // inferred constraints (once, cached) and runs them through the
+  // target's one campaign, which always has the default (paper) options.
+  // The campaign persists across calls at every width, so repeated
+  // campaigns — serial or parallel — reuse prefix snapshots instead of
+  // rebuilding them; `observer` streams per-run results. `num_threads`
+  // follows BatchOptions::num_threads (1 = serial, 0 = the session pool
+  // at its full width, N = N claimers); results are identical for every
+  // value. Concurrent calls on one target run one after another, calls on
+  // different targets run concurrently. To vary the scheduling knobs,
+  // drive an InjectionCampaign directly.
+  CampaignSummary RunCampaign(CampaignObserver* observer = nullptr, int num_threads = 1);
 
-  // Cache counters of the persistent campaign (zeros before the first
-  // RunCampaign) — lets embedders verify snapshot reuse across batches.
+  // Cache counters of the target's campaign (zeros until the first
+  // RunCampaign or dynamic check creates it) — lets embedders verify
+  // snapshot reuse across batches.
   CampaignCacheStats campaign_cache_stats();
 
   // Attaches a persistent cross-run verdict store (src/support/
@@ -269,20 +280,15 @@ class Target {
   friend class Session;
 
   Target(Session* session, TargetAnalysis analysis);
-  // Generates the batch on first use; caller holds campaign_mutex_.
-  const std::vector<Misconfiguration>& MisconfigsLocked();
-  // The persistent campaign (created with default options on first use);
-  // dynamic checks hold a shared_ptr so a concurrent RunCampaign that
-  // swaps the campaign (changed options) cannot pull it out from under a
-  // replay in flight.
-  std::shared_ptr<InjectionCampaign> EnsureCampaign();
+  // The target's campaign, created with default options on first use and
+  // never replaced, so the pointer stays valid for the Target's lifetime.
+  InjectionCampaign* EnsureCampaign();
   // True when the target can be driven dynamically: a non-empty template
   // plus a module that defines the SUT's parse and init functions.
   bool SupportsDynamicCheck() const;
-  // The verdict-store scope for this target under the current campaign
-  // options — every verdict-affecting input folded into one string.
-  // Caller holds campaign_mutex_.
-  std::string StoreScopeLocked() const;
+  // The verdict-store scope for this target — every verdict-affecting
+  // input folded into one string.
+  std::string StoreScope() const;
 
   Session* session_;
   TargetAnalysis analysis_;
@@ -291,8 +297,7 @@ class Target {
   std::mutex campaign_mutex_;  // Guards the members below.
   bool misconfigs_ready_ = false;
   std::vector<Misconfiguration> misconfigs_;
-  CampaignOptions campaign_options_;
-  std::shared_ptr<InjectionCampaign> campaign_;
+  std::unique_ptr<InjectionCampaign> campaign_;
   std::shared_ptr<VerdictStore> verdict_store_;
 };
 

@@ -1,8 +1,5 @@
 #include "src/corpus/pipeline.h"
 
-#include <algorithm>
-#include <optional>
-
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
 #include "src/support/thread_pool.h"
@@ -25,18 +22,12 @@ TargetAnalysis AnalyzeTarget(const TargetSpec& spec, const ApiRegistry& apis,
 
 std::vector<CorpusCampaignResult> RunCorpusCampaigns(
     const std::vector<std::string>& target_names, const ApiRegistry& apis,
-    CampaignOptions options, size_t num_workers, SpexOptions engine_options) {
+    CampaignOptions options, ThreadPool* pool, size_t workers, SpexOptions engine_options) {
   std::vector<CorpusCampaignResult> results(target_names.size());
   // Each claim owns one target end to end (analysis, generation, campaign)
   // and writes its pre-sized slot; the ApiRegistry is shared read-only.
   // Targets differ widely in cost, so an idle claimer takes the next one.
-  const size_t workers =
-      std::min(ThreadPool::ResolveThreadCount(num_workers), target_names.size());
-  std::optional<ThreadPool> pool;
-  if (workers > 1) {
-    pool.emplace(workers - 1);  // The calling thread claims too.
-  }
-  ForEachIndex(pool ? &*pool : nullptr, results.size(), workers, [&](size_t index) {
+  ForEachIndex(pool, results.size(), workers, [&](size_t index) {
     CorpusCampaignResult& slot = results[index];
     slot.target = target_names[index];
     DiagnosticEngine diags;

@@ -6,10 +6,10 @@
 // one SPEX-INJ campaign per target for the corpus-wide tables.
 //
 // The entry point for new code is spex::Session (src/api/session.h): it
-// owns the registry/diagnostics/worker-pool/string-pool lifetimes, the
-// user-facing ConfigChecker, and persistent campaigns whose snapshot cache
-// both repeated campaigns and dynamic checks reuse (Target::RunCampaign).
-// See docs/api.md for its contract.
+// owns the registry/diagnostics/worker-pool lifetimes, the user-facing
+// ConfigChecker, and one persistent campaign per target whose snapshot
+// cache repeated campaigns and dynamic checks reuse at every thread count
+// (Target::RunCampaign). See docs/api.md for its contract.
 #ifndef SPEX_CORPUS_PIPELINE_H_
 #define SPEX_CORPUS_PIPELINE_H_
 
@@ -47,18 +47,20 @@ struct CorpusCampaignResult {
   std::string diagnostics;
 };
 
-// Fans AnalyzeTarget + a fresh InjectionCampaign over a pool of its own,
-// one target (and one TargetAnalysis) per claimed index (ForEachIndex),
-// so corpus-wide tables regenerate in parallel. Results are written into
-// pre-sized slots: order matches `target_names` and every summary is
-// identical to a serial campaign over the generated misconfigurations.
-// `num_workers` follows the CampaignOptions::num_threads convention (0 =
-// hardware concurrency); `options` applies to each inner campaign and
-// defaults to serial, which is the right setting when the corpus itself
-// fans out.
+// Fans AnalyzeTarget + a fresh InjectionCampaign over `pool`, one target
+// (and one TargetAnalysis) per claimed index (ForEachIndex), so
+// corpus-wide tables regenerate in parallel. `pool` and `workers` follow
+// ForEachIndex: without a pool, or with `workers` <= 1, the targets run
+// one after another on the calling thread, which must not be a task of
+// `pool`. Results are written into pre-sized slots: order matches
+// `target_names` and every summary is identical to a serial campaign over
+// the generated misconfigurations. `options` applies to each inner
+// campaign; inner campaigns always run serially, so no pool task waits on
+// its own pool.
 std::vector<CorpusCampaignResult> RunCorpusCampaigns(
     const std::vector<std::string>& target_names, const ApiRegistry& apis,
-    CampaignOptions options = {}, size_t num_workers = 0, SpexOptions engine_options = {});
+    CampaignOptions options = {}, ThreadPool* pool = nullptr, size_t workers = 1,
+    SpexOptions engine_options = {});
 
 }  // namespace spex
 

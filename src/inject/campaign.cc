@@ -12,14 +12,6 @@
 
 namespace spex {
 
-bool CampaignOptions::SameBehavior(const CampaignOptions& other) const {
-  return stop_at_first_failure == other.stop_at_first_failure &&
-         sort_tests_by_cost == other.sort_tests_by_cost && num_threads == other.num_threads &&
-         use_parse_snapshot == other.use_parse_snapshot &&
-         worker_pool == other.worker_pool && interp.max_steps == other.interp.max_steps &&
-         interp.max_call_depth == other.interp.max_call_depth;
-}
-
 size_t CampaignSummary::CountCategory(ReactionCategory category) const {
   size_t count = 0;
   for (const InjectionResult& result : results) {
@@ -904,7 +896,8 @@ void InjectionCampaign::RefreshCacheFor(const ConfigFile& template_config) {
 
 CampaignSummary InjectionCampaign::RunAll(const ConfigFile& template_config,
                                           const std::vector<Misconfiguration>& configs,
-                                          CampaignObserver* observer) {
+                                          CampaignObserver* observer, ThreadPool* pool,
+                                          size_t workers) {
   // One RunAll at a time per campaign: the batch id and the template
   // refresh below are per-batch state. Other campaigns are unaffected.
   std::lock_guard<std::mutex> one_at_a_time(run_all_mutex_);
@@ -944,17 +937,7 @@ CampaignSummary InjectionCampaign::RunAll(const ConfigFile& template_config,
 
   // Claimed indices into pre-sized slots: result order — and therefore
   // every summary statistic — is identical for every worker count. This
-  // call waits only for its own claimers, on the shared pool or a local
-  // one (the calling thread is a claimer too).
-  const size_t workers = std::min(
-      ThreadPool::ResolveThreadCount(
-          options_.num_threads < 0 ? 1 : static_cast<size_t>(options_.num_threads)),
-      configs.size());
-  ThreadPool* pool = options_.worker_pool;
-  std::optional<ThreadPool> local_pool;
-  if (pool == nullptr && workers > 1) {
-    pool = &local_pool.emplace(workers - 1);
-  }
+  // call waits only for its own claimers (the calling thread is one).
   ForEachIndex(pool, configs.size(), workers, [&](size_t i) { ReplayIndex(pass, i); });
 
   CampaignSummary summary;

@@ -30,8 +30,10 @@
 // different template than the one the cache was built from. Cross-batch
 // safety matches within-batch safety: the per-run hazard check runs on
 // every delta replay, and the first delta replay of a key-set in each
-// batch is re-verified against a ground-truth full replay, so results stay
-// bit-identical to a full replay for every thread count.
+// batch (each RunAll) is re-verified against a ground-truth full replay,
+// so results stay bit-identical to a full replay for every thread count.
+// A thread count is a per-call argument, never campaign state: one
+// campaign and its cache serve serial and parallel batches alike.
 //
 // RunAll and ReplayExternal are one replay engine: both replay each
 // config through ReplayIndex, claimed through ForEachIndex, on contexts
@@ -143,29 +145,21 @@ struct CampaignSummary {
   int64_t total_tests_run = 0;
 };
 
+// What a campaign is for its whole life. Fan-out width is not among
+// these: it is a per-call argument of RunAll and ReplayExternal, so one
+// campaign (and its snapshot cache) serves every thread count.
 struct CampaignOptions {
+  // The paper's two test-scheduling optimizations. They change
+  // tests_run (and, for stop_at_first_failure, which failure a run
+  // reports), so a verdict store scopes its records by them.
   bool stop_at_first_failure = true;
   bool sort_tests_by_cost = true;
-  // Workers for RunAll: 1 = serial on the calling thread, 0 = hardware
-  // concurrency. Results are written into pre-sized slots, so ordering,
-  // categories and totals are identical for every thread count.
-  int num_threads = 1;
   // Replay each misconfiguration from a post-parse snapshot of the shared
   // template prefix instead of re-parsing the whole template per run.
   // Verified per delta key-set against full replay; disable to force the
   // ground-truth path everywhere.
   bool use_parse_snapshot = true;
-  // Externally owned worker pool (borrowed, may outnumber num_threads;
-  // spex::Session shares one pool across its targets). When null, each
-  // parallel RunAll runs on a pool of its own. Campaigns sharing a
-  // pool may run RunAll concurrently: each waits only for its own tasks.
-  // RunAll must not be called from a task of this pool (thread_pool.h).
-  ThreadPool* worker_pool = nullptr;
   InterpOptions interp;
-
-  // True when `other` can reuse a campaign constructed with *this (all
-  // behavior-affecting knobs equal).
-  bool SameBehavior(const CampaignOptions& other) const;
 };
 
 // Streaming per-run callbacks for RunAll — the embeddable-API complement
@@ -193,7 +187,7 @@ struct CampaignCacheStats {
   size_t snapshots_built = 0;   // Prefix snapshots constructed (~1 full replay each).
   size_t delta_replays = 0;     // Runs served by snapshot restore + delta parse.
   size_t full_replays = 0;      // Ground-truth replays (incl. verification runs).
-  size_t verifications = 0;     // First-use-per-batch ground-truth comparisons.
+  size_t verifications = 0;     // Ground-truth comparisons: one per key-set per RunAll batch.
   size_t store_hits = 0;        // Replays served from the persistent store.
   size_t store_misses = 0;      // Store consulted, no record: replayed live.
   size_t store_appends = 0;     // Fresh verdicts persisted to the store.
@@ -243,10 +237,16 @@ class InjectionCampaign {
   InjectionResult RunOne(const ConfigFile& template_config, const Misconfiguration& config);
   // Runs the whole batch. `observer`, when given, receives one serialized
   // OnRunComplete per misconfiguration as it finishes (completion order).
-  // Concurrent calls on one campaign run one after another.
+  // Concurrent calls on one campaign run one after another. Fan-out is
+  // ReplayExternal's: with a `pool` and `workers` > 1 the configs are
+  // claimed by up to `workers` threads, the calling one included (it must
+  // not be a task of `pool`); otherwise the batch runs serially on the
+  // calling thread. Results are written into pre-sized slots, so order,
+  // categories and totals are identical either way.
   CampaignSummary RunAll(const ConfigFile& template_config,
                          const std::vector<Misconfiguration>& configs,
-                         CampaignObserver* observer = nullptr);
+                         CampaignObserver* observer = nullptr, ThreadPool* pool = nullptr,
+                         size_t workers = 1);
 
   // Replays externally supplied misconfigurations — the suspect settings of
   // a *user's* config, not generator output — through the campaign's
@@ -258,6 +258,13 @@ class InjectionCampaign {
   // verification keep every verdict bit-identical to a full replay.
   // `use_parse_snapshot = false` forces ground truth for every run (the
   // verification path the dynamic-mode tests diff against).
+  //
+  // How often a key-set is verified: only RunAll starts a new batch, and
+  // a key-set's first delta replay in each batch is compared with a full
+  // replay. ReplayExternal never starts a batch, so in a process that
+  // never runs a campaign (spexcheck, spexcheckd) each key-set is verified
+  // once, on its first delta replay, and every later replay of it rests
+  // on the per-run hazard check alone.
   //
   // Thread-safety: ReplayExternal may be called from any number of threads
   // concurrently (each replay runs on its own leased context; the snapshot

@@ -13,8 +13,7 @@
 // Eviction vs. in-flight requests: Acquire hands out a shared_ptr. The
 // pool dropping its reference (eviction) therefore never destroys a
 // Session a request is still replaying on — the entry dies when the last
-// in-flight check returns its pointer. This is the same pinning idiom
-// Target::EnsureCampaign uses for campaign swaps, one level up.
+// in-flight check returns its pointer.
 //
 // Per-target replay budgets: with `replay_budget` > 0 each entry carries
 // a token bucket (capacity = budget, refill = budget tokens/second on the

@@ -110,4 +110,11 @@ void ForEachIndex(ThreadPool* pool, size_t count, size_t workers,
   group.Wait();
 }
 
+size_t ClaimerCount(int num_threads, const ThreadPool* pool) {
+  if (pool == nullptr || num_threads < 0) {
+    return 1;
+  }
+  return num_threads == 0 ? pool->size() : static_cast<size_t>(num_threads);
+}
+
 }  // namespace spex

@@ -83,6 +83,11 @@ class ThreadPool {
 void ForEachIndex(ThreadPool* pool, size_t count, size_t workers,
                   const std::function<void(size_t)>& fn);
 
+// Maps a user-facing `int num_threads` knob to ForEachIndex's `workers`:
+// 1 (or negative) = serial, 0 = the full width of `pool`, N = N claimers.
+// Without a pool every value means serial.
+size_t ClaimerCount(int num_threads, const ThreadPool* pool);
+
 }  // namespace spex
 
 #endif  // SPEX_SUPPORT_THREAD_POOL_H_

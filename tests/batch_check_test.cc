@@ -440,6 +440,36 @@ TEST(BatchCheckTest, ValidateConfigTextFlagsOnlyStructuralFailures) {
                   .ok());
 }
 
+// The one documented gap between a batch report and CheckConfig: in the
+// key=value dialect, a settings line with no '='. CheckConfig parses the
+// text leniently and checks what it finds; the batch rejects the config at
+// admission (ValidateConfigText) and reports no violations for it.
+TEST(BatchCheckTest, LineWithoutEqualsIsRejectedByTheBatchButCheckedByCheckConfig) {
+  Session session;
+  Target* target = session.LoadTarget("mysql");
+  ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+  const std::string text = "max_connections 5000\n";
+  CheckOptions dynamic;
+  dynamic.mode = CheckMode::kDynamic;
+
+  std::vector<Violation> single = target->CheckConfig(text, "my.cnf", dynamic);
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(single[0].category, ViolationCategory::kUnknownParam);
+  EXPECT_TRUE(single[0].reaction.has_value()) << "the lenient parse still replays the line";
+
+  BatchOptions options;
+  options.check = dynamic;
+  const std::vector<ConfigInput> fleet = {{"my.cnf", text}};
+  BatchSummary summary = target->CheckConfigBatch(fleet, options);
+  ASSERT_EQ(summary.reports.size(), 1u);
+  const ConfigReport& report = summary.reports[0];
+  EXPECT_EQ(report.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(report.status.message(), "line 1: settings line has no '='");
+  EXPECT_TRUE(report.violations.empty());
+  EXPECT_EQ(summary.configs_with_errors, 1u);
+  EXPECT_EQ(summary.total_violations, 0u);
+}
+
 TEST(BatchCheckTest, ExecutionKeySeparatesEveryReplayRelevantField) {
   Misconfiguration base;
   base.param = "worker_threads";

@@ -22,7 +22,6 @@ CampaignSummary RunFreshCampaign(const TargetAnalysis& analysis, CampaignOptions
 // The independent reference: serial ground-truth full replay.
 CampaignOptions FullReplaySerial() {
   CampaignOptions options;
-  options.num_threads = 1;
   options.use_parse_snapshot = false;
   return options;
 }
@@ -116,8 +115,9 @@ TEST(CorpusShardedTest, ShardedCampaignsMatchSerialRuns) {
   // AnalyzeTarget.
   const std::vector<std::string> names = {"vsftpd", "openldap", "squid"};
   static ApiRegistry apis = ApiRegistry::BuiltinC();
+  ThreadPool pool(2);
   std::vector<CorpusCampaignResult> sharded =
-      RunCorpusCampaigns(names, apis, CampaignOptions{}, /*num_workers=*/3);
+      RunCorpusCampaigns(names, apis, CampaignOptions{}, &pool, /*workers=*/3);
   ASSERT_EQ(sharded.size(), names.size());
   for (size_t i = 0; i < names.size(); ++i) {
     EXPECT_EQ(sharded[i].target, names[i]);

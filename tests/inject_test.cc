@@ -318,17 +318,15 @@ TEST(CampaignParallelTest, ParallelRunAllMatchesSerialOnSquid) {
   ConfigFile template_config =
       ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
 
-  CampaignOptions serial_options;
-  serial_options.num_threads = 1;
   InjectionCampaign serial(*analysis.module, analysis.bundle.sut,
-                           OsSimulator::StandardEnvironment(), serial_options);
+                           OsSimulator::StandardEnvironment());
   CampaignSummary serial_summary = serial.RunAll(template_config, configs);
 
-  CampaignOptions parallel_options;
-  parallel_options.num_threads = 4;
+  ThreadPool pool(3);
   InjectionCampaign parallel(*analysis.module, analysis.bundle.sut,
-                             OsSimulator::StandardEnvironment(), parallel_options);
-  CampaignSummary parallel_summary = parallel.RunAll(template_config, configs);
+                             OsSimulator::StandardEnvironment());
+  CampaignSummary parallel_summary =
+      parallel.RunAll(template_config, configs, nullptr, &pool, /*workers=*/4);
 
   ASSERT_EQ(parallel_summary.results.size(), serial_summary.results.size());
   for (size_t i = 0; i < serial_summary.results.size(); ++i) {
@@ -367,13 +365,13 @@ TEST(CampaignSnapshotTest, SnapshotReplayBitIdenticalToFullReplaySquid) {
   ConfigFile template_config =
       ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
 
-  auto run = [&](int threads, bool snapshot) {
+  ThreadPool pool(3);
+  auto run = [&](size_t threads, bool snapshot) {
     CampaignOptions options;
-    options.num_threads = threads;
     options.use_parse_snapshot = snapshot;
     InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
                                OsSimulator::StandardEnvironment(), options);
-    return campaign.RunAll(template_config, configs);
+    return campaign.RunAll(template_config, configs, nullptr, &pool, threads);
   };
 
   // Ground truth: serial, full replay for every run.

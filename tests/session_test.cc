@@ -269,7 +269,6 @@ void ExpectSameSummaries(const CampaignSummary& expected, const CampaignSummary&
 // `analysis`, sharing nothing with any Session.
 CampaignSummary FullReplayReference(const TargetAnalysis& analysis) {
   CampaignOptions ground_truth;
-  ground_truth.num_threads = 1;
   ground_truth.use_parse_snapshot = false;
   InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
                              OsSimulator::StandardEnvironment(), ground_truth);
@@ -288,12 +287,8 @@ TEST(SessionCampaignTest, FacadeCampaignBitIdenticalToFullReplay) {
   Session session;
   Target* target = session.LoadTarget("squid");
   ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
-  CampaignOptions serial;
-  serial.num_threads = 1;
-  CampaignOptions parallel;
-  parallel.num_threads = 4;
-  ExpectSameSummaries(reference, target->RunCampaign(serial), "facade serial");
-  ExpectSameSummaries(reference, target->RunCampaign(parallel), "facade 4 workers");
+  ExpectSameSummaries(reference, target->RunCampaign(), "facade serial");
+  ExpectSameSummaries(reference, target->RunCampaign(nullptr, 4), "facade 4 workers");
 }
 
 TEST(SessionCampaignTest, RepeatedCampaignReusesSnapshots) {
@@ -313,6 +308,37 @@ TEST(SessionCampaignTest, RepeatedCampaignReusesSnapshots) {
   EXPECT_EQ(after_second.snapshots_built, after_first.snapshots_built);
   EXPECT_GT(after_second.delta_replays, after_first.delta_replays);
   ExpectSameSummaries(first, second, "repeated campaign");
+}
+
+// A thread count is a per-call argument, not campaign state: serial,
+// parallel and serial again all run on the target's one campaign, so its
+// counters only ever grow and no run rebuilds a snapshot.
+TEST(SessionCampaignTest, WidthChangeKeepsTheCampaign) {
+  Session session;
+  Target* target = session.LoadTarget("squid");
+  ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
+
+  auto at_least = [](const CampaignCacheStats& now, const CampaignCacheStats& before,
+                     const char* label) {
+    EXPECT_GE(now.snapshots_built, before.snapshots_built) << label;
+    EXPECT_GE(now.delta_replays, before.delta_replays) << label;
+    EXPECT_GE(now.full_replays, before.full_replays) << label;
+    EXPECT_GE(now.verifications, before.verifications) << label;
+    EXPECT_GE(now.store_hits, before.store_hits) << label;
+    EXPECT_GE(now.store_misses, before.store_misses) << label;
+    EXPECT_GE(now.store_appends, before.store_appends) << label;
+  };
+  target->RunCampaign();
+  const CampaignCacheStats serial = target->campaign_cache_stats();
+  EXPECT_GT(serial.snapshots_built, 0u);
+  target->RunCampaign(nullptr, 2);
+  const CampaignCacheStats parallel = target->campaign_cache_stats();
+  at_least(parallel, serial, "serial -> 2 workers");
+  EXPECT_EQ(parallel.snapshots_built, serial.snapshots_built);
+  target->RunCampaign();
+  const CampaignCacheStats serial_again = target->campaign_cache_stats();
+  at_least(serial_again, parallel, "2 workers -> serial");
+  EXPECT_EQ(serial_again.snapshots_built, serial.snapshots_built);
 }
 
 TEST(SessionCampaignTest, ObserverStreamsEveryRun) {
@@ -338,9 +364,7 @@ TEST(SessionCampaignTest, ObserverStreamsEveryRun) {
   };
 
   Collector collector;
-  CampaignOptions options;
-  options.num_threads = 4;
-  CampaignSummary summary = target->RunCampaign(options, &collector);
+  CampaignSummary summary = target->RunCampaign(&collector, 4);
   EXPECT_EQ(collector.announced_total, summary.results.size());
   EXPECT_TRUE(collector.saw_end);
   EXPECT_EQ(collector.end_results, summary.results.size());
@@ -375,7 +399,7 @@ TEST(SessionCampaignTest, ObserverMayQueryTargetMidCampaign) {
   };
   Prober prober;
   prober.target = target;
-  CampaignSummary summary = target->RunCampaign({}, &prober);
+  CampaignSummary summary = target->RunCampaign(&prober);
   EXPECT_EQ(prober.probes, summary.results.size());
 }
 
@@ -915,9 +939,7 @@ TEST(SessionThreadedTest, ShardedBatchRunsWhileAnotherTargetsCampaignIsBlocked) 
   ASSERT_NE(batch_target, nullptr);
 
   BlockingObserver blocker;
-  CampaignOptions two_workers;
-  two_workers.num_threads = 2;
-  std::thread campaign([&] { campaign_target->RunCampaign(two_workers, &blocker); });
+  std::thread campaign([&] { campaign_target->RunCampaign(&blocker, 2); });
   blocker.AwaitEntered();
 
   const std::vector<ConfigInput> fleet = {
@@ -949,32 +971,27 @@ TEST(SessionThreadedTest, ShardedBatchRunsWhileAnotherTargetsCampaignIsBlocked) 
   }
 }
 
-// Concurrent campaigns on one target: the two with equal options share the
-// target's campaign and run one after another inside it; the third swaps
-// in a campaign with different options while they run. Every result is
-// bit-identical to a serial full replay.
+// Concurrent campaigns on one target, at two widths: all three share the
+// target's one campaign and run one after another inside it. Every result
+// is bit-identical to a serial full replay.
 TEST(SessionThreadedTest, ConcurrentCampaignsOnOneTargetMatchFullReplay) {
   Session session(SessionOptions{.campaign_threads = 4});
   Target* target = session.LoadTarget("vsftpd");
   ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
   const CampaignSummary reference = FullReplayReference(target->analysis());
 
-  CampaignOptions two_workers;
-  two_workers.num_threads = 2;
-  CampaignOptions four_workers;
-  four_workers.num_threads = 4;
   CampaignSummary first;
   CampaignSummary second;
-  CampaignSummary swapped;
-  std::thread a([&] { first = target->RunCampaign(two_workers); });
-  std::thread b([&] { second = target->RunCampaign(two_workers); });
-  std::thread c([&] { swapped = target->RunCampaign(four_workers); });
+  CampaignSummary wider;
+  std::thread a([&] { first = target->RunCampaign(nullptr, 2); });
+  std::thread b([&] { second = target->RunCampaign(nullptr, 2); });
+  std::thread c([&] { wider = target->RunCampaign(nullptr, 4); });
   a.join();
   b.join();
   c.join();
   ExpectSameSummaries(reference, first, "first concurrent campaign");
   ExpectSameSummaries(reference, second, "second concurrent campaign");
-  ExpectSameSummaries(reference, swapped, "campaign with swapped options");
+  ExpectSameSummaries(reference, wider, "concurrent campaign at 4 workers");
 }
 
 }  // namespace
