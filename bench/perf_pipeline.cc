@@ -7,6 +7,7 @@
 // trajectory is recorded per run. See ROADMAP.md "Benchmarking".
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -143,6 +144,62 @@ void BM_SnapshotRestore(benchmark::State& state) {
   state.counters["pool_bytes"] = static_cast<double>(pool.bytes);
 }
 BENCHMARK(BM_SnapshotRestore);
+
+// One squid full replay that runs out the step budget: with
+// redirect_children set to -1 the target spins until the 2M-step
+// InterpOptions::max_steps fires (the crash/hang row of
+// tests/testdata/replay_golden.tsv whose steps_used is 2000001). Driven
+// like the campaign's ground-truth path: every setting parsed in file
+// order, then init, then the tests shortest first, stopping at the first
+// failure. Times the interpreter's per-step cost; steps_used is a gate.
+void BM_HangReplay(benchmark::State& state) {
+  DiagnosticEngine diags;
+  ApiRegistry apis = ApiRegistry::BuiltinC();
+  TargetAnalysis analysis = AnalyzeTarget(FindTarget("squid"), apis, &diags);
+  const SutSpec& sut = analysis.bundle.sut;
+  ConfigFile applied = ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect);
+  applied.Set("redirect_children", "-1");
+  std::vector<TestCase> tests = sut.tests;
+  std::stable_sort(tests.begin(), tests.end(), [](const TestCase& a, const TestCase& b) {
+    return a.cost_hint < b.cost_hint;
+  });
+  const OsSimulator os_template = OsSimulator::StandardEnvironment();
+  OsSimulator os = os_template;
+  Interpreter interp(*analysis.module, &os);
+  CallOutcome::Status last = CallOutcome::Status::kOk;
+  for (auto _ : state) {
+    os.RestoreFrom(os_template);
+    interp.Reset();
+    auto failed = [&last](const CallOutcome& call, bool bad_return) {
+      last = call.status;
+      return call.status != CallOutcome::Status::kOk || bad_return;
+    };
+    bool stopped = false;
+    for (const ConfigEntry& entry : applied.entries()) {
+      if (entry.kind != ConfigEntry::Kind::kSetting) {
+        continue;
+      }
+      CallOutcome call =
+          interp.Call(sut.parse_function,
+                      {interp.InternedString(entry.key), interp.InternedString(entry.value)});
+      if (failed(call, call.return_value.AsInt() < 0)) {
+        stopped = true;
+        break;
+      }
+    }
+    if (!stopped) {
+      CallOutcome init = interp.Call(sut.init_function, {});
+      stopped = failed(init, init.return_value.AsInt() < 0);
+    }
+    for (size_t t = 0; !stopped && t < tests.size(); ++t) {
+      CallOutcome call = interp.Call(tests[t].function, {});
+      stopped = failed(call, call.return_value.AsInt() != tests[t].expected);
+    }
+  }
+  state.counters["steps_used"] = static_cast<double>(interp.steps_used());
+  state.counters["hang"] = last == CallOutcome::Status::kHang ? 1 : 0;
+}
+BENCHMARK(BM_HangReplay)->Unit(benchmark::kMillisecond);
 
 // Full-campaign fixture: squid constraints, generated misconfigurations
 // tiled to a >= 200-entry batch so thread scaling has enough work.

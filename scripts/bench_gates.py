@@ -36,6 +36,7 @@ GATES = [
     ("BM_RepeatedCampaign", "snapshots_built_warm", 0),
     ("BM_DynamicCheckWarm", "snapshots_built_warm", 0),
     ("BM_VersionMatrix/1", "unique_replays_unchanged", 0),
+    ("BM_HangReplay", "steps_used", 2000001),
 ]
 
 

@@ -18,6 +18,55 @@ const std::string& EmptyString() {
   return *kEmpty;
 }
 
+// Elements of one array laid out as cells up front; a larger array's
+// elements become overflow cells on first use.
+constexpr int64_t kMaxLaidOutCells = 1 << 16;
+
+RtValue Address(int64_t frame, size_t depth, uint32_t cell) {
+  RtValue addr;
+  addr.kind = RtValue::Kind::kAddr;
+  addr.cell = cell;
+  addr.i = static_cast<int64_t>(depth);
+  addr.frame = frame;
+  return addr;
+}
+
+bool IsCellAddress(const RtValue& value) {
+  return value.kind == RtValue::Kind::kAddr && value.cell != RtValue::kOutOfBounds;
+}
+
+// Does `a pred b` hold? (C semantics: every predicate but != is false on a
+// NaN operand.)
+template <typename T>
+bool Holds(IrCmpPred pred, T a, T b) {
+  switch (pred) {
+    case IrCmpPred::kEq:
+      return a == b;
+    case IrCmpPred::kNe:
+      return a != b;
+    case IrCmpPred::kLt:
+      return a < b;
+    case IrCmpPred::kLe:
+      return a <= b;
+    case IrCmpPred::kGt:
+      return a > b;
+    case IrCmpPred::kGe:
+      return a >= b;
+  }
+  return false;
+}
+
+// The type a step from a cell of walk type `walk` defaults from.
+const IrType* WalkStep(const IrType* walk, int64_t step) {
+  if (walk == nullptr || !walk->IsStruct()) {
+    return walk;  // Array steps keep the element type.
+  }
+  const auto& fields = walk->field_types();
+  return step >= 0 && static_cast<uint64_t>(step) < fields.size()
+             ? fields[static_cast<size_t>(step)]
+             : nullptr;
+}
+
 }  // namespace
 
 RtValue RtValue::Int(int64_t v) {
@@ -56,7 +105,10 @@ RtValue RtValue::PooledFnRef(const std::string* sp, Symbol sym) {
   return value;
 }
 
-const std::string& RtValue::str() const { return sp != nullptr ? *sp : EmptyString(); }
+const std::string& RtValue::str() const {
+  bool has_payload = (kind == Kind::kString || kind == Kind::kFnRef) && sp != nullptr;
+  return has_payload ? *sp : EmptyString();
+}
 
 bool RtValue::IsTruthy() const {
   switch (kind) {
@@ -121,7 +173,7 @@ std::string RtValue::ToDebugString() const {
 Interpreter::Interpreter(const Module& module, OsSimulator* os, InterpOptions options)
     : module_(module), os_(os), options_(options) {
   BuildModuleIndex();
-  BuildInitImage();
+  BuildGlobals();
   Reset();
 }
 
@@ -152,23 +204,21 @@ void Interpreter::BuildModuleIndex() {
   const auto& globals = module_.globals();
   globals_by_name_.reserve(globals.size());
   global_slot_.reserve(globals.size());
-  global_bounds_.reserve(globals.size());
   for (size_t i = 0; i < globals.size(); ++i) {
     const GlobalVariable* global = globals[i].get();
     globals_by_name_.emplace(global->name(), global);
     global_slot_.emplace(global, static_cast<int32_t>(i));
-    global_bounds_.push_back(global->is_array() ? global->array_size() : 0);
   }
   global_read_stamps_.assign(globals.size(), 0);
   global_write_stamps_.assign(globals.size(), 0);
 }
 
 // Lazily resolves one call instruction to a defined function or an
-// intrinsic id. Resolution is cached per instruction in call_sites_, so the
+// intrinsic id. Resolution is cached in the caller's decoded code, so the
 // name hash and the (one-time) table lookup are paid once per call site,
 // not once per executed call — and never for code that does not run, which
 // keeps interpreter startup free of a whole-module walk.
-Interpreter::CallSite Interpreter::ResolveCallSite(const Instruction* instr) {
+void Interpreter::ResolveCallSite(const Instruction* instr, CallSite* site) {
   static const IntrinsicTable* kIntrinsics = [] {
     auto* table = new IntrinsicTable{
         {"strcmp", uint8_t(IntrinsicId::kStrcmp)},
@@ -247,15 +297,14 @@ Interpreter::CallSite Interpreter::ResolveCallSite(const Instruction* instr) {
     return table;
   }();
 
-  CallSite site;
   const Function* callee = LookupFunction(instr->callee());
   if (callee != nullptr && !callee->IsDeclaration()) {
-    site.function = callee;
+    site->code = &CodeFor(*callee);
   } else {
     auto it = kIntrinsics->find(instr->callee());
-    site.intrinsic = it != kIntrinsics->end() ? IntrinsicId(it->second) : IntrinsicId::kNone;
+    site->intrinsic = it != kIntrinsics->end() ? IntrinsicId(it->second) : IntrinsicId::kNone;
   }
-  return call_sites_.emplace(instr, site).first->second;
+  site->resolved = true;
 }
 
 const Function* Interpreter::LookupFunction(const std::string& name) const {
@@ -273,25 +322,32 @@ int32_t Interpreter::GlobalSlotOf(const Value* root) const {
   return it != global_slot_.end() ? it->second : -1;
 }
 
+void Interpreter::AssignCells(Space* to, const Space& from) {
+  to->cells = from.cells;
+  if (!to->overflow.empty() || !from.overflow.empty()) {
+    to->overflow = from.overflow;
+    to->overflow_cells = from.overflow_cells;
+  }
+}
+
 void Interpreter::Reset() {
-  global_scalars_ = init_scalars_;
-  cells_ = init_cells_;
+  AssignCells(&globals_, init_globals_);
+  kept_.clear();
   std::fill(global_read_stamps_.begin(), global_read_stamps_.end(), 0);
   std::fill(global_write_stamps_.begin(), global_write_stamps_.end(), 0);
   logs_.clear();
-  active_frames_.clear();
+  depth_ = 0;
   steps_ = 0;
   next_frame_id_ = 0;
   os_ops_ = 0;
   stale_cell_ops_ = 0;
   access_stamp_ = 1;
-  call_depth_ = 0;
 }
 
 Interpreter::Snapshot Interpreter::TakeSnapshot() const {
   Snapshot snapshot;
-  snapshot.scalars_ = global_scalars_;
-  snapshot.cells_ = cells_;
+  AssignCells(&snapshot.globals_, globals_);
+  snapshot.kept_ = kept_;
   snapshot.read_stamps_ = global_read_stamps_;
   snapshot.write_stamps_ = global_write_stamps_;
   snapshot.logs_ = logs_;
@@ -304,8 +360,14 @@ Interpreter::Snapshot Interpreter::TakeSnapshot() const {
 }
 
 void Interpreter::RestoreSnapshot(const Snapshot& snapshot) {
-  global_scalars_ = snapshot.scalars_;
-  cells_ = snapshot.cells_;
+  AssignCells(&globals_, snapshot.globals_);
+  if (!kept_.empty() || !snapshot.kept_.empty()) {
+    kept_ = snapshot.kept_;
+    // Layouts are per interpreter, and the snapshot may come from another.
+    for (auto& [id, space] : kept_) {
+      space.layout = &CodeFor(*space.fn).frame;
+    }
+  }
   global_read_stamps_ = snapshot.read_stamps_;
   global_write_stamps_ = snapshot.write_stamps_;
   logs_ = snapshot.logs_;
@@ -314,8 +376,7 @@ void Interpreter::RestoreSnapshot(const Snapshot& snapshot) {
   os_ops_ = snapshot.os_ops_;
   stale_cell_ops_ = snapshot.stale_cell_ops_;
   access_stamp_ = snapshot.access_stamp_;
-  active_frames_.clear();
-  call_depth_ = 0;
+  depth_ = 0;
 }
 
 RtValue Interpreter::DefaultValueFor(const IrType* type) const {
@@ -333,130 +394,396 @@ RtValue Interpreter::DefaultValueFor(const IrType* type) const {
   }
 }
 
-void Interpreter::BuildInitImage() {
-  init_scalars_.reserve(module_.globals().size());
-  for (const auto& global : module_.globals()) {
-    init_scalars_.push_back(DefaultValueFor(global->value_type()));
-    const GlobalInit& init = global->init();
+// ---------------------------------------------------------------------------
+// Layout.
 
-    auto leaf_value = [this](const GlobalInit& leaf) -> RtValue {
-      switch (leaf.kind) {
-        case GlobalInit::Kind::kInt:
-          return RtValue::Int(leaf.int_value);
-        case GlobalInit::Kind::kFloat:
-          return RtValue::Float(leaf.float_value);
-        case GlobalInit::Kind::kString: {
-          Symbol sym = pool_.Intern(leaf.string_value);
-          return RtValue::PooledStr(pool_.StablePtr(sym), sym);
-        }
-        case GlobalInit::Kind::kNull:
-          return RtValue::Null();
-        case GlobalInit::Kind::kGlobalRef: {
-          // Address of another global, or a function reference.
-          const GlobalVariable* target = LookupGlobal(leaf.string_value);
-          if (target != nullptr) {
-            RtValue addr;
-            addr.kind = RtValue::Kind::kAddr;
-            addr.frame = -1;
-            addr.root = target;
-            return addr;
+const Interpreter::FieldLayout* Interpreter::StructLayout(const IrType* type) {
+  if (type == nullptr || !type->IsStruct()) {
+    return nullptr;
+  }
+  auto it = struct_layouts_.find(type);
+  if (it != struct_layouts_.end()) {
+    return &it->second;
+  }
+  if (std::find(structs_in_progress_.begin(), structs_in_progress_.end(), type) !=
+      structs_in_progress_.end()) {
+    return nullptr;  // A struct nested in itself: the inner one is one cell.
+  }
+  structs_in_progress_.push_back(type);
+  FieldLayout layout;
+  for (const IrType* field : type->field_types()) {
+    const FieldLayout* nested = StructLayout(field);
+    layout.offsets.push_back(layout.cells);
+    layout.nested.push_back(nested);
+    layout.cells += nested != nullptr ? nested->cells : 1;
+  }
+  structs_in_progress_.pop_back();
+  return &struct_layouts_.emplace(type, std::move(layout)).first->second;
+}
+
+// Appends one value's cells: the value itself, then (for a struct) its
+// fields' cells in order.
+void Interpreter::LayOutNode(Layout* layout, const IrType* walk, const FieldLayout* fields,
+                             int32_t owner) {
+  layout->image.push_back(DefaultValueFor(walk));
+  layout->shape.push_back(Shape{walk, 0, 0, fields});
+  if (owner >= 0) {
+    layout->owner.push_back(owner);
+  }
+  if (fields == nullptr) {
+    return;
+  }
+  for (size_t k = 0; k < fields->nested.size(); ++k) {
+    LayOutNode(layout, WalkStep(walk, static_cast<int64_t>(k)), fields->nested[k], owner);
+  }
+}
+
+// Appends the cells of a global or alloca of `type`; `bound` > 0 makes it
+// an array of that many elements.
+void Interpreter::LayOutRoot(Layout* layout, const IrType* type, int64_t bound,
+                             int32_t owner) {
+  const FieldLayout* fields = StructLayout(type);
+  if (bound <= 0) {
+    LayOutNode(layout, type, fields, owner);
+    return;
+  }
+  const uint32_t stride = fields != nullptr ? fields->cells : 1;
+  const bool laid_out = bound <= kMaxLaidOutCells / stride;
+  layout->image.push_back(DefaultValueFor(type));
+  layout->shape.push_back(Shape{type, bound, laid_out ? stride : 0, nullptr});
+  if (owner >= 0) {
+    layout->owner.push_back(owner);
+  }
+  if (!laid_out) {
+    return;
+  }
+  for (int64_t k = 0; k < bound; ++k) {
+    LayOutNode(layout, WalkStep(type, k), fields, owner);
+  }
+}
+
+RtValue Interpreter::ConstantValue(const Value* value) {
+  switch (value->value_kind()) {
+    case ValueKind::kConstantInt:
+      return RtValue::Int(value->constant_int());
+    case ValueKind::kConstantFloat:
+      return RtValue::Float(value->constant_float());
+    case ValueKind::kConstantString:
+      return InternedString(value->constant_string());
+    case ValueKind::kConstantNull:
+      return RtValue::Null();
+    case ValueKind::kGlobal:
+      return Address(-1, 0, global_layout_.root[static_cast<size_t>(GlobalSlotOf(value))]);
+    case ValueKind::kArgument:
+    case ValueKind::kInstruction:
+      break;
+  }
+  return RtValue::Int(0);
+}
+
+// Decodes `fn` and lays out its frame. Every operand becomes a register:
+// arguments and instructions by value id, constants and globals in
+// registers after those, filled from FunctionCode::regs at every call.
+// Each block becomes its ops up to its first terminator (the instructions
+// after one never run), or a kFallOff op when it has none.
+const Interpreter::FunctionCode& Interpreter::CodeFor(const Function& fn) {
+  static_assert(static_cast<int>(OpCode::kUnreachable) ==
+                static_cast<int>(InstrKind::kUnreachable));
+  auto [it, inserted] = code_.try_emplace(&fn);
+  FunctionCode& code = it->second;
+  if (!inserted) {
+    return code;
+  }
+  code.fn = &fn;
+  code.result = DefaultValueFor(fn.return_type());
+  code.regs.assign(fn.value_id_count(), RtValue());
+  code.frame.root.assign(fn.value_id_count(), 0);
+  std::unordered_map<const Value*, uint32_t> constants;
+  auto reg = [&](const Value* value) -> uint32_t {
+    if (value->value_kind() == ValueKind::kArgument ||
+        value->value_kind() == ValueKind::kInstruction) {
+      return value->id();
+    }
+    auto [slot, fresh] = constants.try_emplace(value, static_cast<uint32_t>(code.regs.size()));
+    if (fresh) {
+      code.regs.push_back(ConstantValue(value));
+    }
+    return slot->second;
+  };
+  std::vector<uint32_t> block_op(fn.blocks().size());  // Block index -> its first op.
+  uint32_t op_count = 0;
+  for (const auto& block : fn.blocks()) {
+    block_op[block->index()] = op_count;
+    bool terminated = false;
+    for (const auto& instr : block->instructions()) {
+      ++op_count;
+      if (instr->IsTerminator()) {
+        terminated = true;
+        break;
+      }
+    }
+    op_count += terminated ? 0 : 1;
+  }
+  code.ops.reserve(op_count);
+  constants.reserve(op_count);
+  for (const auto& block : fn.blocks()) {
+    bool terminated = false;
+    for (const auto& instr_ptr : block->instructions()) {
+      const Instruction* instr = instr_ptr.get();
+      Op op;
+      op.code = static_cast<OpCode>(instr->instr_kind());
+      op.dest = instr->id();
+      op.instr = instr;
+      switch (instr->instr_kind()) {
+        case InstrKind::kAlloca:
+          code.frame.root[instr->id()] = static_cast<uint32_t>(code.frame.image.size());
+          op.a = code.frame.root[instr->id()];
+          LayOutRoot(&code.frame, instr->allocated_type(), instr->alloca_array_size(), -1);
+          break;
+        case InstrKind::kLoad:
+          op.a = reg(instr->operand(0));
+          break;
+        case InstrKind::kStore:
+        case InstrKind::kIndexAddr:
+          op.a = reg(instr->operand(0));
+          op.b = reg(instr->operand(1));
+          break;
+        case InstrKind::kBinOp:
+          op.sub = static_cast<uint8_t>(instr->bin_op());
+          op.a = reg(instr->operand(0));
+          op.b = reg(instr->operand(1));
+          break;
+        case InstrKind::kCmp:
+          op.sub = static_cast<uint8_t>(instr->cmp_pred());
+          op.a = reg(instr->operand(0));
+          op.b = reg(instr->operand(1));
+          break;
+        case InstrKind::kCast: {
+          op.a = reg(instr->operand(0));
+          const IrType* to = instr->type();
+          CastTo cast = CastTo::kSame;
+          if (to->kind() == IrTypeKind::kFloat) {
+            cast = CastTo::kFloat;
+          } else if (to->IsBool()) {
+            cast = CastTo::kBool;
+          } else if (to->IsInteger()) {
+            // Integer truncation — this is where 9000000000 silently
+            // becomes an overflowed 32-bit value (paper Figure 5(a)).
+            cast = to->bit_width() == 8    ? CastTo::kInt8
+                   : to->bit_width() == 16 ? CastTo::kInt16
+                   : to->bit_width() == 32 ? CastTo::kInt32
+                                           : CastTo::kInt64;
           }
-          Symbol sym = pool_.Intern(leaf.string_value);
-          return RtValue::PooledFnRef(pool_.StablePtr(sym), sym);
+          op.sub = static_cast<uint8_t>(cast);
+          break;
         }
-        default:
-          return RtValue::Int(0);
+        case InstrKind::kCall:
+          op.a = static_cast<uint32_t>(code.operands.size());
+          op.b = static_cast<uint32_t>(instr->operand_count());
+          for (const Value* operand : instr->operands()) {
+            code.operands.push_back(reg(operand));
+          }
+          op.next = static_cast<uint32_t>(code.sites.size());
+          code.sites.emplace_back();
+          break;
+        case InstrKind::kFieldAddr:
+          op.a = reg(instr->operand(0));
+          op.b = static_cast<uint32_t>(instr->field_index());
+          break;
+        case InstrKind::kBr:
+          op.next = block_op[instr->successors()[0]->index()];
+          break;
+        case InstrKind::kCondBr:
+          op.a = reg(instr->operand(0));
+          op.next = block_op[instr->successors()[0]->index()];
+          op.alt = block_op[instr->successors()[1]->index()];
+          break;
+        case InstrKind::kSwitch:
+          op.a = static_cast<uint32_t>(code.operands.size());
+          op.b = static_cast<uint32_t>(instr->successors().size());
+          op.next = reg(instr->operand(0));
+          for (const BasicBlock* target : instr->successors()) {
+            code.operands.push_back(block_op[target->index()]);
+          }
+          break;
+        case InstrKind::kRet:
+          op.sub = instr->operand_count() == 1 ? 1 : 0;
+          op.a = op.sub != 0 ? reg(instr->operand(0)) : 0;
+          break;
+        case InstrKind::kUnreachable:
+          break;
+      }
+      code.ops.push_back(op);
+      if (instr->IsTerminator()) {
+        terminated = true;
+        break;
+      }
+    }
+    if (!terminated) {
+      code.ops.push_back(Op{});
+    }
+  }
+  return code;
+}
+
+void Interpreter::BuildGlobals() {
+  const auto& globals = module_.globals();
+  for (size_t slot = 0; slot < globals.size(); ++slot) {
+    const GlobalVariable* global = globals[slot].get();
+    global_layout_.root.push_back(static_cast<uint32_t>(global_layout_.image.size()));
+    LayOutRoot(&global_layout_, global->value_type(),
+               global->is_array() ? global->array_size() : 0, static_cast<int32_t>(slot));
+  }
+  init_globals_.layout = &global_layout_;
+  init_globals_.cells = global_layout_.image;
+  globals_.layout = &global_layout_;
+
+  auto leaf_value = [this](const GlobalInit& leaf) -> RtValue {
+    switch (leaf.kind) {
+      case GlobalInit::Kind::kInt:
+        return RtValue::Int(leaf.int_value);
+      case GlobalInit::Kind::kFloat:
+        return RtValue::Float(leaf.float_value);
+      case GlobalInit::Kind::kString:
+        return InternedString(leaf.string_value);
+      case GlobalInit::Kind::kNull:
+        return RtValue::Null();
+      case GlobalInit::Kind::kGlobalRef: {
+        // Address of another global, or a function reference.
+        const GlobalVariable* target = LookupGlobal(leaf.string_value);
+        if (target != nullptr) {
+          return Address(-1, 0, global_layout_.root[static_cast<size_t>(GlobalSlotOf(target))]);
+        }
+        Symbol sym = pool_.Intern(leaf.string_value);
+        return RtValue::PooledFnRef(pool_.StablePtr(sym), sym);
+      }
+      default:
+        return RtValue::Int(0);
+    }
+  };
+  // Initializer leaves sit at steps from the root, like the addresses the
+  // program builds to reach them; a leaf past an array's bound can never
+  // be read, so it is dropped. Advance() steps through globals_, so the
+  // image is built there and swapped into init_globals_.
+  std::swap(globals_, init_globals_);
+  for (size_t slot = 0; slot < globals.size(); ++slot) {
+    const GlobalVariable* global = globals[slot].get();
+    const GlobalInit& init = global->init();
+    RtValue root = Address(-1, 0, global_layout_.root[slot]);
+    auto store_leaf = [&](std::initializer_list<int64_t> steps, const GlobalInit& leaf) {
+      RtValue addr = root;
+      for (int64_t step : steps) {
+        addr = Advance(addr, step);
+      }
+      if (addr.cell != RtValue::kOutOfBounds) {
+        globals_.cells[addr.cell] = leaf_value(leaf);
       }
     };
-    auto store_leaf = [this, &global, &leaf_value](std::vector<int64_t> path,
-                                                   const GlobalInit& leaf) {
-      CellKey key;
-      key.frame = -1;
-      key.root = global.get();
-      key.path = std::move(path);
-      init_cells_[std::move(key)] = leaf_value(leaf);
-    };
-
     if (init.kind == GlobalInit::Kind::kNone) {
-      continue;  // Scalar slot already holds the type default.
+      continue;  // The root already holds the type default.
     }
     if (init.kind != GlobalInit::Kind::kList) {
-      init_scalars_.back() = leaf_value(init);
+      globals_.cells[root.cell] = leaf_value(init);
       continue;
     }
     // Array and/or struct initializer.
     const IrType* type = global->value_type();
     for (size_t i = 0; i < init.elements.size(); ++i) {
       const GlobalInit& element = init.elements[i];
+      const auto row = static_cast<int64_t>(i);
       if (element.kind == GlobalInit::Kind::kList) {
         // Struct row (possibly inside an array).
         for (size_t j = 0; j < element.elements.size(); ++j) {
-          store_leaf({static_cast<int64_t>(i), static_cast<int64_t>(j)},
-                     element.elements[j]);
+          store_leaf({row, static_cast<int64_t>(j)}, element.elements[j]);
         }
-      } else if (global->is_array()) {
-        store_leaf({static_cast<int64_t>(i)}, element);
-      } else if (type->IsStruct()) {
-        // Struct initializer without nesting: field i.
-        store_leaf({static_cast<int64_t>(i)}, element);
+      } else if (global->is_array() || type->IsStruct()) {
+        // Array element, or field i of a struct initializer without nesting.
+        store_leaf({row}, element);
       }
     }
   }
+  std::swap(globals_, init_globals_);
 }
 
 // ---------------------------------------------------------------------------
 // Memory.
 
-void Interpreter::CheckBounds(const Value* root, int32_t slot,
-                              const std::vector<int64_t>& path, const Instruction* at) const {
-  if (path.empty()) {
-    return;
+Interpreter::Frame* Interpreter::LiveFrame(const RtValue& addr) const {
+  auto depth = static_cast<uint64_t>(addr.i);
+  if (depth < depth_ && stack_[depth]->space.id == addr.frame) {
+    return stack_[depth].get();
   }
-  // A root without a global slot is a local: its alloca instruction
-  // carries the static bound.
-  int64_t bound = 0;
-  if (slot >= 0) {
-    bound = global_bounds_[static_cast<size_t>(slot)];
-  } else if (root->value_kind() == ValueKind::kInstruction) {
-    bound = static_cast<const Instruction*>(root)->alloca_array_size();
-  }
-  if (bound <= 0) {
-    return;
-  }
-  int64_t index = path.front();
-  if (index < 0 || index >= bound) {
-    throw TrapError("Segmentation fault (array index " + std::to_string(index) +
-                    " out of bounds 0.." + std::to_string(bound - 1) + " at " +
-                    (at != nullptr ? at->loc().ToString() : "<unknown>") + ")");
-  }
+  return nullptr;
 }
 
-RtValue Interpreter::DefaultCellValue(const Value* root,
-                                      const std::vector<int64_t>& path) const {
-  const IrType* type = nullptr;
-  if (root->value_kind() == ValueKind::kGlobal) {
-    type = static_cast<const GlobalVariable*>(root)->value_type();
-  } else if (root->value_kind() == ValueKind::kInstruction) {
-    type = static_cast<const Instruction*>(root)->allocated_type();
+Interpreter::Space& Interpreter::FrameSpace(const RtValue& addr, bool access) {
+  if (Frame* frame = LiveFrame(addr)) {
+    return frame->space;
   }
-  for (size_t i = 0; i < path.size() && type != nullptr; ++i) {
-    if (type->IsStruct()) {
-      size_t field = static_cast<size_t>(path[i]);
-      type = field < type->field_types().size() ? type->field_types()[field] : nullptr;
+  auto it = kept_.find(addr.frame);
+  if (it == kept_.end()) {
+    throw TrapError("Segmentation fault (dangling pointer)");
+  }
+  if (access) {
+    ++stale_cell_ops_;  // Escaped &local from a completed call.
+  }
+  return it->second;
+}
+
+int32_t Interpreter::GlobalOwner(uint32_t cell) const {
+  return cell < global_layout_.owner.size()
+             ? global_layout_.owner[cell]
+             : globals_.overflow_cells[cell - global_layout_.owner.size()].owner;
+}
+
+void Interpreter::ThrowOutOfBounds(const RtValue& addr, const Instruction* at) const {
+  throw TrapError("Segmentation fault (array index " + std::to_string(addr.i) +
+                  " out of bounds 0.." + std::to_string(addr.frame - 1) + " at " +
+                  (at != nullptr ? at->loc().ToString() : "<unknown>") + ")");
+}
+
+RtValue Interpreter::Advance(RtValue addr, int64_t step) {
+  if (addr.cell == RtValue::kOutOfBounds) {
+    return addr;  // Only the first step is bounds-checked, and it failed.
+  }
+  Space& space = addr.frame == -1 ? globals_ : FrameSpace(addr, /*access=*/false);
+  const Layout& layout = *space.layout;
+  const IrType* walk = nullptr;
+  int32_t owner = -1;
+  if (addr.cell < layout.shape.size()) {
+    const Shape& shape = layout.shape[addr.cell];
+    if (shape.bound > 0) {
+      if (step < 0 || step >= shape.bound) {
+        addr.cell = RtValue::kOutOfBounds;
+        addr.i = step;
+        addr.frame = shape.bound;
+        return addr;
+      }
+      if (shape.stride > 0) {
+        addr.cell += 1 + static_cast<uint32_t>(step) * shape.stride;
+        return addr;
+      }
+    } else if (shape.fields != nullptr && step >= 0 &&
+               static_cast<uint64_t>(step) < shape.fields->offsets.size()) {
+      addr.cell += shape.fields->offsets[static_cast<size_t>(step)];
+      return addr;
     }
-    // Array steps keep the element type (arrays are typed by their element).
+    walk = shape.walk;
+    owner = layout.owner.empty() ? -1 : layout.owner[addr.cell];
+  } else {
+    const OverflowCell& parent = space.overflow_cells[addr.cell - layout.shape.size()];
+    walk = parent.walk;
+    owner = parent.owner;
   }
-  return DefaultValueFor(type);
-}
-
-void Interpreter::NoteFrameCellAccess(int64_t frame) {
-  if (!active_frames_.empty() && active_frames_.back() == frame) {
-    return;  // Own frame: the overwhelmingly common case.
+  auto [it, inserted] = space.overflow.try_emplace(OverflowStep{addr.cell, step},
+                                                   static_cast<uint32_t>(space.cells.size()));
+  if (inserted) {
+    const IrType* child = WalkStep(walk, step);
+    space.cells.push_back(DefaultValueFor(child));
+    space.overflow_cells.push_back(OverflowCell{child, owner});
   }
-  if (std::find(active_frames_.begin(), active_frames_.end(), frame) != active_frames_.end()) {
-    return;  // A live caller's frame (address passed down the call chain).
-  }
-  ++stale_cell_ops_;  // Escaped &local from a completed call.
+  addr.cell = it->second;
+  return addr;
 }
 
 RtValue Interpreter::LoadCell(const RtValue& addr, const Instruction* at) {
@@ -466,53 +793,56 @@ RtValue Interpreter::LoadCell(const RtValue& addr, const Instruction* at) {
   if (addr.kind != RtValue::Kind::kAddr) {
     throw TrapError("Segmentation fault (load through non-pointer value)");
   }
-  int32_t slot = addr.frame == -1 ? GlobalSlotOf(addr.root) : -1;
-  CheckBounds(addr.root, slot, addr.path, at);
-  if (addr.frame != -1) {
-    NoteFrameCellAccess(addr.frame);
+  if (addr.cell == RtValue::kOutOfBounds) {
+    ThrowOutOfBounds(addr, at);
   }
-  if (slot >= 0) {
-    global_read_stamps_[static_cast<size_t>(slot)] = access_stamp_;
-    if (addr.path.empty()) {
-      return global_scalars_[static_cast<size_t>(slot)];
-    }
+  if (addr.frame == -1) {
+    global_read_stamps_[static_cast<size_t>(GlobalOwner(addr.cell))] = access_stamp_;
+    return globals_.cells[addr.cell];
   }
-  CellKey key;
-  key.frame = addr.frame;
-  key.root = addr.root;
-  key.path = addr.path;
-  auto it = cells_.find(key);
-  if (it != cells_.end()) {
-    return it->second;
-  }
-  // Untouched cell: default by leaf type when derivable.
-  return DefaultCellValue(addr.root, addr.path);
+  return FrameSpace(addr, /*access=*/true).cells[addr.cell];
 }
 
-void Interpreter::StoreCell(const RtValue& addr, RtValue value, const Instruction* at) {
+void Interpreter::StoreCell(const RtValue& addr, const RtValue& value, const Instruction* at) {
   if (addr.kind == RtValue::Kind::kNull) {
     throw TrapError("Segmentation fault (null pointer write)");
   }
   if (addr.kind != RtValue::Kind::kAddr) {
     throw TrapError("Segmentation fault (store through non-pointer value)");
   }
-  int32_t slot = addr.frame == -1 ? GlobalSlotOf(addr.root) : -1;
-  CheckBounds(addr.root, slot, addr.path, at);
-  if (addr.frame != -1) {
-    NoteFrameCellAccess(addr.frame);
+  if (addr.cell == RtValue::kOutOfBounds) {
+    ThrowOutOfBounds(addr, at);
   }
-  if (slot >= 0) {
-    global_write_stamps_[static_cast<size_t>(slot)] = access_stamp_;
-    if (addr.path.empty()) {
-      global_scalars_[static_cast<size_t>(slot)] = std::move(value);
-      return;
-    }
+  Space* space = &globals_;
+  if (addr.frame == -1) {
+    global_write_stamps_[static_cast<size_t>(GlobalOwner(addr.cell))] = access_stamp_;
+  } else {
+    space = &FrameSpace(addr, /*access=*/true);
   }
-  CellKey key;
-  key.frame = addr.frame;
-  key.root = addr.root;
-  key.path = addr.path;
-  cells_[std::move(key)] = std::move(value);
+  if (IsCellAddress(value) && value.frame != -1) {
+    NoteAddressStored(*space, value);
+  }
+  space->cells[addr.cell] = value;
+}
+
+// A frame's cells are released when it returns, unless an address of it
+// may be read afterwards. That is the case once the address is stored
+// anywhere that outlives the frame: a global, a shallower frame, or a
+// frame that has already returned. A deeper live frame that receives it
+// only matters if that frame's own cells are kept (see PopFrame).
+void Interpreter::NoteAddressStored(Space& dest, const RtValue& value) {
+  if (dest.id == value.frame) {
+    return;
+  }
+  Frame* owner = LiveFrame(value);
+  if (owner == nullptr) {
+    return;  // Its frame already returned: kept, or unreachable.
+  }
+  if (dest.live && dest.id > value.frame) {
+    dest.holds_outer = true;
+    return;
+  }
+  owner->space.escaped = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -541,7 +871,13 @@ CallOutcome Interpreter::Call(const std::string& function, std::vector<RtValue> 
     return outcome;
   }
   try {
-    outcome.return_value = RunFunction(*fn, std::move(args));
+    Frame& frame = PushFrame(CodeFor(*fn));
+    const auto& params = fn->arguments();
+    for (size_t i = 0; i < params.size(); ++i) {
+      frame.regs[params[i]->id()] =
+          i < args.size() ? args[i] : DefaultValueFor(params[i]->type());
+    }
+    outcome.return_value = RunFrame(frame);
     outcome.status = CallOutcome::Status::kOk;
   } catch (const ExitRequest& exit_request) {
     outcome.status = CallOutcome::Status::kExit;
@@ -559,364 +895,310 @@ CallOutcome Interpreter::Call(const std::string& function, std::vector<RtValue> 
                               ? "request deadline exceeded mid-execution"
                               : "request cancelled mid-execution";
   }
-  // Trap/exit/hang unwinding skips RunFunction's frame pops.
-  active_frames_.clear();
-  call_depth_ = 0;
+  // Trap/exit/hang unwinding skips RunFrame's pops.
+  while (depth_ > 0) {
+    PopFrame();
+  }
   return outcome;
 }
 
-RtValue Interpreter::Eval(Frame& frame, const Value* value) {
-  switch (value->value_kind()) {
-    case ValueKind::kConstantInt:
-      return RtValue::Int(value->constant_int());
-    case ValueKind::kConstantFloat:
-      return RtValue::Float(value->constant_float());
-    case ValueKind::kConstantString: {
-      auto it = const_strings_.find(value);
-      if (it != const_strings_.end()) {
-        return it->second;
-      }
-      // Slow path for constants not discovered by the module walk.
-      return const_strings_.emplace(value, InternedString(value->constant_string()))
-          .first->second;
-    }
-    case ValueKind::kConstantNull:
-      return RtValue::Null();
-    case ValueKind::kGlobal: {
-      RtValue addr;
-      addr.kind = RtValue::Kind::kAddr;
-      addr.frame = -1;
-      addr.root = value;
-      return addr;
-    }
-    case ValueKind::kArgument:
-    case ValueKind::kInstruction: {
-      uint32_t id = value->id();
-      return id < frame.regs.size() ? frame.regs[id] : RtValue::Int(0);
-    }
-  }
-  return RtValue::Int(0);
-}
-
-RtValue Interpreter::RunFunction(const Function& fn, std::vector<RtValue> args) {
-  if (++call_depth_ > options_.max_call_depth) {
-    --call_depth_;
+Interpreter::Frame& Interpreter::PushFrame(const FunctionCode& code) {
+  if (depth_ >= static_cast<size_t>(std::max(options_.max_call_depth, 0))) {
     throw TrapError("Segmentation fault (stack overflow)");
   }
-  Frame frame;
-  frame.fn = &fn;
-  frame.id = next_frame_id_++;
-  active_frames_.push_back(frame.id);
-  if (!frame_pool_.empty()) {
-    frame.regs = std::move(frame_pool_.back());
-    frame_pool_.pop_back();
+  if (depth_ == stack_.size()) {
+    stack_.push_back(std::make_unique<Frame>());
   }
-  frame.regs.assign(fn.value_id_count(), RtValue());
-  for (size_t i = 0; i < fn.arguments().size(); ++i) {
-    frame.regs[fn.arguments()[i]->id()] =
-        i < args.size() ? std::move(args[i]) : DefaultValueFor(fn.arguments()[i]->type());
+  Frame& frame = *stack_[depth_++];
+  frame.code = &code;
+  frame.regs.assign(code.regs.begin(), code.regs.end());
+  Space& space = frame.space;
+  space.id = next_frame_id_++;
+  space.fn = code.fn;
+  space.layout = &code.frame;
+  space.cells.assign(code.frame.image.begin(), code.frame.image.end());
+  if (!space.overflow.empty()) {
+    space.overflow.clear();
+    space.overflow_cells.clear();
   }
-
-  const BasicBlock* block = fn.entry();
-  RtValue result = DefaultValueFor(fn.return_type());
-  while (block != nullptr) {
-    const BasicBlock* next = nullptr;
-    for (const auto& instr_ptr : block->instructions()) {
-      const Instruction* instr = instr_ptr.get();
-      Step();
-      switch (instr->instr_kind()) {
-        case InstrKind::kAlloca: {
-          RtValue addr;
-          addr.kind = RtValue::Kind::kAddr;
-          addr.frame = frame.id;
-          addr.root = instr;
-          frame.regs[instr->id()] = addr;
-          break;
-        }
-        case InstrKind::kLoad:
-          frame.regs[instr->id()] = LoadCell(Eval(frame, instr->operand(0)), instr);
-          break;
-        case InstrKind::kStore:
-          StoreCell(Eval(frame, instr->operand(1)), Eval(frame, instr->operand(0)), instr);
-          break;
-        case InstrKind::kBinOp: {
-          RtValue lhs = Eval(frame, instr->operand(0));
-          RtValue rhs = Eval(frame, instr->operand(1));
-          if (lhs.kind == RtValue::Kind::kFloat || rhs.kind == RtValue::Kind::kFloat) {
-            double a = lhs.AsFloat();
-            double b = rhs.AsFloat();
-            double out = 0;
-            switch (instr->bin_op()) {
-              case IrBinOp::kAdd:
-                out = a + b;
-                break;
-              case IrBinOp::kSub:
-                out = a - b;
-                break;
-              case IrBinOp::kMul:
-                out = a * b;
-                break;
-              case IrBinOp::kDiv:
-                if (b == 0) {
-                  throw TrapError("Floating point exception (division by zero)");
-                }
-                out = a / b;
-                break;
-              default:
-                out = 0;
-                break;
-            }
-            frame.regs[instr->id()] = RtValue::Float(out);
-            break;
-          }
-          int64_t a = lhs.AsInt();
-          int64_t b = rhs.AsInt();
-          // MiniC integers wrap in two's complement: + - * << run on uint64_t,
-          // where overflow is defined (signed overflow is undefined in C++).
-          const uint64_t ua = static_cast<uint64_t>(a);
-          const uint64_t ub = static_cast<uint64_t>(b);
-          const bool shift_out = b < 0 || b >= 64;
-          int64_t out = 0;
-          switch (instr->bin_op()) {
-            case IrBinOp::kAdd:
-              out = static_cast<int64_t>(ua + ub);
-              break;
-            case IrBinOp::kSub:
-              out = static_cast<int64_t>(ua - ub);
-              break;
-            case IrBinOp::kMul:
-              out = static_cast<int64_t>(ua * ub);
-              break;
-            case IrBinOp::kDiv:
-            case IrBinOp::kRem:
-              if (b == 0) {
-                throw TrapError("Floating point exception (integer division by zero)");
-              }
-              if (b == -1 && a == std::numeric_limits<int64_t>::min()) {
-                // Unrepresentable quotient: the target crashes, not the checker.
-                throw TrapError("Floating point exception (integer division overflow)");
-              }
-              out = instr->bin_op() == IrBinOp::kDiv ? a / b : a % b;
-              break;
-            case IrBinOp::kShl:
-              out = shift_out ? 0 : static_cast<int64_t>(ua << b);
-              break;
-            case IrBinOp::kShr:
-              out = shift_out ? 0 : a >> b;
-              break;
-            case IrBinOp::kAnd:
-              out = a & b;
-              break;
-            case IrBinOp::kOr:
-              out = a | b;
-              break;
-            case IrBinOp::kXor:
-              out = a ^ b;
-              break;
-          }
-          frame.regs[instr->id()] = RtValue::Int(out);
-          break;
-        }
-        case InstrKind::kCmp: {
-          RtValue lhs = Eval(frame, instr->operand(0));
-          RtValue rhs = Eval(frame, instr->operand(1));
-          bool result_bool = false;
-          bool string_side = lhs.kind == RtValue::Kind::kString ||
-                             rhs.kind == RtValue::Kind::kString ||
-                             lhs.kind == RtValue::Kind::kNull ||
-                             rhs.kind == RtValue::Kind::kNull;
-          if (string_side) {
-            bool lhs_null = lhs.kind == RtValue::Kind::kNull;
-            bool rhs_null = rhs.kind == RtValue::Kind::kNull;
-            int order;
-            if (lhs_null || rhs_null) {
-              order = (lhs_null && rhs_null) ? 0 : (lhs_null ? -1 : 1);
-            } else if (lhs.sp == rhs.sp) {
-              order = 0;  // Same pooled payload.
-            } else {
-              order = CompareStrings(lhs.str(), rhs.str());
-            }
-            switch (instr->cmp_pred()) {
-              case IrCmpPred::kEq:
-                result_bool = order == 0;
-                break;
-              case IrCmpPred::kNe:
-                result_bool = order != 0;
-                break;
-              case IrCmpPred::kLt:
-                result_bool = order < 0;
-                break;
-              case IrCmpPred::kLe:
-                result_bool = order <= 0;
-                break;
-              case IrCmpPred::kGt:
-                result_bool = order > 0;
-                break;
-              case IrCmpPred::kGe:
-                result_bool = order >= 0;
-                break;
-            }
-          } else if (lhs.kind == RtValue::Kind::kFloat || rhs.kind == RtValue::Kind::kFloat) {
-            double a = lhs.AsFloat();
-            double b = rhs.AsFloat();
-            switch (instr->cmp_pred()) {
-              case IrCmpPred::kEq:
-                result_bool = a == b;
-                break;
-              case IrCmpPred::kNe:
-                result_bool = a != b;
-                break;
-              case IrCmpPred::kLt:
-                result_bool = a < b;
-                break;
-              case IrCmpPred::kLe:
-                result_bool = a <= b;
-                break;
-              case IrCmpPred::kGt:
-                result_bool = a > b;
-                break;
-              case IrCmpPred::kGe:
-                result_bool = a >= b;
-                break;
-            }
-          } else {
-            int64_t a = lhs.AsInt();
-            int64_t b = rhs.AsInt();
-            switch (instr->cmp_pred()) {
-              case IrCmpPred::kEq:
-                result_bool = a == b;
-                break;
-              case IrCmpPred::kNe:
-                result_bool = a != b;
-                break;
-              case IrCmpPred::kLt:
-                result_bool = a < b;
-                break;
-              case IrCmpPred::kLe:
-                result_bool = a <= b;
-                break;
-              case IrCmpPred::kGt:
-                result_bool = a > b;
-                break;
-              case IrCmpPred::kGe:
-                result_bool = a >= b;
-                break;
-            }
-          }
-          frame.regs[instr->id()] = RtValue::Int(result_bool ? 1 : 0);
-          break;
-        }
-        case InstrKind::kCast: {
-          RtValue operand = Eval(frame, instr->operand(0));
-          const IrType* to = instr->type();
-          if (to->kind() == IrTypeKind::kFloat) {
-            frame.regs[instr->id()] = RtValue::Float(operand.AsFloat());
-          } else if (to->IsBool()) {
-            frame.regs[instr->id()] = RtValue::Int(operand.IsTruthy() ? 1 : 0);
-          } else if (to->IsInteger()) {
-            int64_t v = operand.AsInt();
-            // Integer truncation — this is where 9000000000 silently becomes
-            // an overflowed 32-bit value (paper Figure 5(a)).
-            switch (to->bit_width()) {
-              case 8:
-                v = static_cast<int8_t>(v);
-                break;
-              case 16:
-                v = static_cast<int16_t>(v);
-                break;
-              case 32:
-                v = static_cast<int32_t>(v);
-                break;
-              default:
-                break;
-            }
-            frame.regs[instr->id()] = RtValue::Int(v);
-          } else {
-            frame.regs[instr->id()] = operand;
-          }
-          break;
-        }
-        case InstrKind::kCall:
-          frame.regs[instr->id()] = ExecCall(frame, instr);
-          break;
-        case InstrKind::kFieldAddr: {
-          RtValue base = Eval(frame, instr->operand(0));
-          if (base.kind == RtValue::Kind::kNull) {
-            throw TrapError("Segmentation fault (null pointer field access)");
-          }
-          if (base.kind != RtValue::Kind::kAddr) {
-            throw TrapError("Segmentation fault (field access on non-pointer)");
-          }
-          base.path.push_back(instr->field_index());
-          frame.regs[instr->id()] = base;
-          break;
-        }
-        case InstrKind::kIndexAddr: {
-          RtValue base = Eval(frame, instr->operand(0));
-          if (base.kind == RtValue::Kind::kNull) {
-            throw TrapError("Segmentation fault (null pointer indexing)");
-          }
-          if (base.kind != RtValue::Kind::kAddr) {
-            throw TrapError("Segmentation fault (indexing a non-pointer)");
-          }
-          RtValue index = Eval(frame, instr->operand(1));
-          base.path.push_back(index.AsInt());
-          frame.regs[instr->id()] = base;
-          break;
-        }
-        case InstrKind::kBr:
-          next = instr->successors()[0];
-          break;
-        case InstrKind::kCondBr: {
-          RtValue condition = Eval(frame, instr->operand(0));
-          next = condition.IsTruthy() ? instr->successors()[0] : instr->successors()[1];
-          break;
-        }
-        case InstrKind::kSwitch: {
-          RtValue subject = Eval(frame, instr->operand(0));
-          next = instr->successors()[0];  // default
-          for (size_t i = 0; i < instr->switch_values().size(); ++i) {
-            if (instr->switch_values()[i] == subject.AsInt()) {
-              next = instr->successors()[i + 1];
-              break;
-            }
-          }
-          break;
-        }
-        case InstrKind::kRet: {
-          --call_depth_;
-          RtValue ret = instr->operand_count() == 1 ? Eval(frame, instr->operand(0)) : result;
-          frame_pool_.push_back(std::move(frame.regs));
-          active_frames_.pop_back();
-          return ret;
-        }
-        case InstrKind::kUnreachable:
-          throw TrapError("Segmentation fault (unreachable code executed)");
-      }
-      if (next != nullptr) {
-        break;
-      }
-    }
-    block = next;
-  }
-  --call_depth_;
-  frame_pool_.push_back(std::move(frame.regs));
-  active_frames_.pop_back();
-  return result;
+  space.live = true;
+  space.escaped = false;
+  space.holds_outer = false;
+  return frame;
 }
 
-RtValue Interpreter::ExecCall(Frame& frame, const Instruction* instr) {
-  std::vector<RtValue> args;
-  args.reserve(instr->operand_count());
-  for (size_t i = 0; i < instr->operand_count(); ++i) {
-    args.push_back(Eval(frame, instr->operand(i)));
+void Interpreter::PopFrame() {
+  Space& space = stack_[--depth_]->space;
+  space.live = false;
+  if (!space.escaped) {
+    return;  // Nothing can reach its cells any more: the next call reuses them.
   }
-  auto it = call_sites_.find(instr);
-  const CallSite site = it != call_sites_.end() ? it->second : ResolveCallSite(instr);
-  if (site.function != nullptr) {
-    return RunFunction(*site.function, std::move(args));
+  if (space.holds_outer) {
+    // Its kept cells may hold addresses of any frame below it.
+    for (size_t d = 0; d < depth_; ++d) {
+      stack_[d]->space.escaped = true;
+    }
   }
-  return Intrinsic(site.intrinsic, instr->callee(), args, instr);
+  kept_.emplace(space.id, std::move(space));
+  space = Space();
+}
+
+RtValue Interpreter::RunFrame(Frame& frame) {
+  const FunctionCode& code = *frame.code;
+  // The frame's register file is never resized while it runs: callees get
+  // their own pooled frames.
+  RtValue* regs = frame.regs.data();
+  const Op* pc = code.ops.data();
+  for (;;) {
+    const Op& op = *pc++;
+    if (op.code == OpCode::kFallOff) {
+      PopFrame();
+      return code.result;
+    }
+    Step();
+    switch (op.code) {
+      case OpCode::kAlloca:
+        regs[op.dest] = Address(frame.space.id, depth_ - 1, op.a);
+        break;
+      case OpCode::kLoad: {
+        const RtValue& addr = regs[op.a];
+        if (addr.kind == RtValue::Kind::kAddr && addr.frame == frame.space.id &&
+            addr.cell != RtValue::kOutOfBounds) {
+          regs[op.dest] = frame.space.cells[addr.cell];  // Own frame: the common case.
+        } else {
+          regs[op.dest] = LoadCell(addr, op.instr);
+        }
+        break;
+      }
+      case OpCode::kStore: {
+        const RtValue& addr = regs[op.b];
+        const RtValue& value = regs[op.a];
+        if (addr.kind == RtValue::Kind::kAddr && addr.frame == frame.space.id &&
+            addr.cell != RtValue::kOutOfBounds && value.kind != RtValue::Kind::kAddr) {
+          frame.space.cells[addr.cell] = value;  // Own frame, nothing to escape.
+        } else {
+          StoreCell(addr, value, op.instr);
+        }
+        break;
+      }
+      case OpCode::kBinOp: {
+        const RtValue& lhs = regs[op.a];
+        const RtValue& rhs = regs[op.b];
+        if (lhs.kind == RtValue::Kind::kFloat || rhs.kind == RtValue::Kind::kFloat) {
+          double a = lhs.AsFloat();
+          double b = rhs.AsFloat();
+          double out = 0;
+          switch (static_cast<IrBinOp>(op.sub)) {
+            case IrBinOp::kAdd:
+              out = a + b;
+              break;
+            case IrBinOp::kSub:
+              out = a - b;
+              break;
+            case IrBinOp::kMul:
+              out = a * b;
+              break;
+            case IrBinOp::kDiv:
+              if (b == 0) {
+                throw TrapError("Floating point exception (division by zero)");
+              }
+              out = a / b;
+              break;
+            default:
+              out = 0;
+              break;
+          }
+          regs[op.dest] = RtValue::Float(out);
+          break;
+        }
+        int64_t a = lhs.AsInt();
+        int64_t b = rhs.AsInt();
+        // MiniC integers wrap in two's complement: + - * << run on uint64_t,
+        // where overflow is defined (signed overflow is undefined in C++).
+        const uint64_t ua = static_cast<uint64_t>(a);
+        const uint64_t ub = static_cast<uint64_t>(b);
+        const bool shift_out = b < 0 || b >= 64;
+        int64_t out = 0;
+        switch (static_cast<IrBinOp>(op.sub)) {
+          case IrBinOp::kAdd:
+            out = static_cast<int64_t>(ua + ub);
+            break;
+          case IrBinOp::kSub:
+            out = static_cast<int64_t>(ua - ub);
+            break;
+          case IrBinOp::kMul:
+            out = static_cast<int64_t>(ua * ub);
+            break;
+          case IrBinOp::kDiv:
+          case IrBinOp::kRem:
+            if (b == 0) {
+              throw TrapError("Floating point exception (integer division by zero)");
+            }
+            if (b == -1 && a == std::numeric_limits<int64_t>::min()) {
+              // Unrepresentable quotient: the target crashes, not the checker.
+              throw TrapError("Floating point exception (integer division overflow)");
+            }
+            out = static_cast<IrBinOp>(op.sub) == IrBinOp::kDiv ? a / b : a % b;
+            break;
+          case IrBinOp::kShl:
+            out = shift_out ? 0 : static_cast<int64_t>(ua << b);
+            break;
+          case IrBinOp::kShr:
+            out = shift_out ? 0 : a >> b;
+            break;
+          case IrBinOp::kAnd:
+            out = a & b;
+            break;
+          case IrBinOp::kOr:
+            out = a | b;
+            break;
+          case IrBinOp::kXor:
+            out = a ^ b;
+            break;
+        }
+        regs[op.dest] = RtValue::Int(out);
+        break;
+      }
+      case OpCode::kCmp: {
+        const RtValue& lhs = regs[op.a];
+        const RtValue& rhs = regs[op.b];
+        const auto pred = static_cast<IrCmpPred>(op.sub);
+        bool holds = false;
+        bool string_side = lhs.kind == RtValue::Kind::kString ||
+                           rhs.kind == RtValue::Kind::kString ||
+                           lhs.kind == RtValue::Kind::kNull ||
+                           rhs.kind == RtValue::Kind::kNull;
+        if (string_side) {
+          bool lhs_null = lhs.kind == RtValue::Kind::kNull;
+          bool rhs_null = rhs.kind == RtValue::Kind::kNull;
+          int order;
+          if (lhs_null || rhs_null) {
+            order = (lhs_null && rhs_null) ? 0 : (lhs_null ? -1 : 1);
+          } else if (lhs.kind == RtValue::Kind::kString &&
+                     rhs.kind == RtValue::Kind::kString && lhs.sp == rhs.sp) {
+            order = 0;  // Same pooled payload.
+          } else {
+            order = CompareStrings(lhs.str(), rhs.str());
+          }
+          holds = Holds(pred, order, 0);
+        } else if (lhs.kind == RtValue::Kind::kFloat || rhs.kind == RtValue::Kind::kFloat) {
+          holds = Holds(pred, lhs.AsFloat(), rhs.AsFloat());
+        } else {
+          holds = Holds(pred, lhs.AsInt(), rhs.AsInt());
+        }
+        regs[op.dest] = RtValue::Int(holds ? 1 : 0);
+        break;
+      }
+      case OpCode::kCast: {
+        const RtValue& operand = regs[op.a];
+        switch (static_cast<CastTo>(op.sub)) {
+          case CastTo::kFloat:
+            regs[op.dest] = RtValue::Float(operand.AsFloat());
+            break;
+          case CastTo::kBool:
+            regs[op.dest] = RtValue::Int(operand.IsTruthy() ? 1 : 0);
+            break;
+          case CastTo::kInt8:
+            regs[op.dest] = RtValue::Int(static_cast<int8_t>(operand.AsInt()));
+            break;
+          case CastTo::kInt16:
+            regs[op.dest] = RtValue::Int(static_cast<int16_t>(operand.AsInt()));
+            break;
+          case CastTo::kInt32:
+            regs[op.dest] = RtValue::Int(static_cast<int32_t>(operand.AsInt()));
+            break;
+          case CastTo::kInt64:
+            regs[op.dest] = RtValue::Int(operand.AsInt());
+            break;
+          case CastTo::kSame:
+            regs[op.dest] = operand;
+            break;
+        }
+        break;
+      }
+      case OpCode::kCall:
+        regs[op.dest] = ExecCall(frame, op);
+        break;
+      case OpCode::kFieldAddr: {
+        const RtValue& base = regs[op.a];
+        if (base.kind == RtValue::Kind::kNull) {
+          throw TrapError("Segmentation fault (null pointer field access)");
+        }
+        if (base.kind != RtValue::Kind::kAddr) {
+          throw TrapError("Segmentation fault (field access on non-pointer)");
+        }
+        regs[op.dest] = Advance(base, op.b);
+        break;
+      }
+      case OpCode::kIndexAddr: {
+        const RtValue& base = regs[op.a];
+        if (base.kind == RtValue::Kind::kNull) {
+          throw TrapError("Segmentation fault (null pointer indexing)");
+        }
+        if (base.kind != RtValue::Kind::kAddr) {
+          throw TrapError("Segmentation fault (indexing a non-pointer)");
+        }
+        regs[op.dest] = Advance(base, regs[op.b].AsInt());
+        break;
+      }
+      case OpCode::kBr:
+        pc = code.ops.data() + op.next;
+        break;
+      case OpCode::kCondBr:
+        pc = code.ops.data() + (regs[op.a].IsTruthy() ? op.next : op.alt);
+        break;
+      case OpCode::kSwitch: {
+        const int64_t subject = regs[op.next].AsInt();
+        const std::vector<int64_t>& values = op.instr->switch_values();
+        const uint32_t* targets = code.operands.data() + op.a;
+        pc = code.ops.data() + targets[0];  // default
+        for (size_t i = 0; i < values.size(); ++i) {
+          if (values[i] == subject) {
+            pc = code.ops.data() + targets[i + 1];
+            break;
+          }
+        }
+        break;
+      }
+      case OpCode::kRet: {
+        const RtValue ret = op.sub != 0 ? regs[op.a] : code.result;
+        if (IsCellAddress(ret) && ret.frame == frame.space.id) {
+          frame.space.escaped = true;  // &local returned to the caller.
+        }
+        PopFrame();
+        return ret;
+      }
+      case OpCode::kUnreachable:
+        throw TrapError("Segmentation fault (unreachable code executed)");
+      case OpCode::kFallOff:
+        break;
+    }
+  }
+}
+
+RtValue Interpreter::ExecCall(Frame& frame, const Op& op) {
+  CallSite& site = frame.code->sites[op.next];
+  if (!site.resolved) {
+    ResolveCallSite(op.instr, &site);
+  }
+  const uint32_t* operands = frame.code->operands.data() + op.a;
+  if (site.code != nullptr) {
+    // Arguments go straight into the callee's registers; the caller's
+    // frame stays put, since frames are pooled behind stable pointers.
+    Frame& callee = PushFrame(*site.code);
+    const auto& params = site.code->fn->arguments();
+    for (size_t i = 0; i < params.size(); ++i) {
+      callee.regs[params[i]->id()] =
+          i < op.b ? frame.regs[operands[i]] : DefaultValueFor(params[i]->type());
+    }
+    return RunFrame(callee);
+  }
+  std::vector<RtValue>& args = frame.call_args;
+  args.assign(op.b, RtValue());
+  for (size_t i = 0; i < op.b; ++i) {
+    args[i] = frame.regs[operands[i]];
+  }
+  return Intrinsic(site.intrinsic, op.instr->callee(), args, op.instr);
 }
 
 // ---------------------------------------------------------------------------
@@ -975,12 +1257,14 @@ int64_t ParsePrefixInt(const std::string& text) {
     negative = text[i] == '-';
     ++i;
   }
-  int64_t value = 0;
+  // Accumulates modulo 2^64: an overlong number wraps instead of running
+  // signed-overflow UB in the checker.
+  uint64_t value = 0;
   while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i])) != 0) {
-    value = value * 10 + (text[i] - '0');
+    value = value * 10 + static_cast<uint64_t>(text[i] - '0');
     ++i;
   }
-  return negative ? -value : value;
+  return static_cast<int64_t>(negative ? 0 - value : value);
 }
 
 }  // namespace
@@ -1203,40 +1487,20 @@ RtValue Interpreter::Intrinsic(IntrinsicId id, const std::string& name,
 
     // --- Time. Virtual sleeping burns steps so that absurd durations are
     // detected as hangs (100 steps per simulated second).
-    case IntrinsicId::kSleep: {
-      int64_t seconds = std::max<int64_t>(0, arg_int(0));
-      os_->AdvanceClock(seconds);
-      steps_ += std::min<int64_t>(seconds, 1'000'000) * 100;
-      if (steps_ > options_.max_steps) {
-        throw HangError();
-      }
-      // A simulated sleep can jump the step counter across many poll
-      // intervals at once — poll the deadline here so "sleep(600)" in a
-      // parse handler cannot dodge cancellation until the next real step.
-      if (cancel_ != nullptr && cancel_->ShouldCancel()) {
-        throw CancelError();
-      }
-      return RtValue::Int(0);
-    }
-    case IntrinsicId::kUsleep: {
-      int64_t usec = std::max<int64_t>(0, arg_int(0));
-      os_->AdvanceClock(usec / 1'000'000);
-      steps_ += std::min<int64_t>(usec / 10'000, 100'000'000);
-      if (steps_ > options_.max_steps) {
-        throw HangError();
-      }
-      // A simulated sleep can jump the step counter across many poll
-      // intervals at once — poll the deadline here so "sleep(600)" in a
-      // parse handler cannot dodge cancellation until the next real step.
-      if (cancel_ != nullptr && cancel_->ShouldCancel()) {
-        throw CancelError();
-      }
-      return RtValue::Int(0);
-    }
+    case IntrinsicId::kSleep:
+    case IntrinsicId::kUsleep:
     case IntrinsicId::kPollWait: {
-      int64_t msec = std::max<int64_t>(0, arg_int(0));
-      os_->AdvanceClock(msec / 1000);
-      steps_ += std::min<int64_t>(msec / 10, 100'000'000);
+      int64_t amount = std::max<int64_t>(0, arg_int(0));
+      if (id == IntrinsicId::kSleep) {
+        os_->AdvanceClock(amount);
+        steps_ += std::min<int64_t>(amount, 1'000'000) * 100;
+      } else if (id == IntrinsicId::kUsleep) {
+        os_->AdvanceClock(amount / 1'000'000);
+        steps_ += std::min<int64_t>(amount / 10'000, 100'000'000);
+      } else {
+        os_->AdvanceClock(amount / 1000);
+        steps_ += std::min<int64_t>(amount / 10, 100'000'000);
+      }
       if (steps_ > options_.max_steps) {
         throw HangError();
       }
@@ -1295,8 +1559,13 @@ RtValue Interpreter::Intrinsic(IntrinsicId id, const std::string& name,
         throw TrapError("Segmentation fault (call through dangling handler '" + args[0].str() +
                         "')");
       }
-      std::vector<RtValue> handler_args(args.begin() + 1, args.end());
-      return RunFunction(*handler, std::move(handler_args));
+      Frame& callee = PushFrame(CodeFor(*handler));
+      const auto& params = handler->arguments();
+      for (size_t i = 0; i < params.size(); ++i) {
+        callee.regs[params[i]->id()] =
+            i + 1 < args.size() ? args[i + 1] : DefaultValueFor(params[i]->type());
+      }
+      return RunFrame(callee);
     }
 
     case IntrinsicId::kNone:
@@ -1310,7 +1579,7 @@ std::optional<RtValue> Interpreter::ReadGlobal(const std::string& name) const {
   if (global == nullptr) {
     return std::nullopt;
   }
-  return global_scalars_[static_cast<size_t>(GlobalSlotOf(global))];
+  return globals_.cells[global_layout_.root[static_cast<size_t>(GlobalSlotOf(global))]];
 }
 
 void Interpreter::WriteGlobal(const std::string& name, RtValue value) {
@@ -1318,7 +1587,7 @@ void Interpreter::WriteGlobal(const std::string& name, RtValue value) {
   if (global == nullptr) {
     return;
   }
-  global_scalars_[static_cast<size_t>(GlobalSlotOf(global))] = std::move(value);
+  globals_.cells[global_layout_.root[static_cast<size_t>(GlobalSlotOf(global))]] = value;
 }
 
 bool Interpreter::GlobalWasRead(const std::string& name) const {

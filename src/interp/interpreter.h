@@ -8,24 +8,32 @@
 // budget (runaway loops are hangs), exit codes, captured logs, final global
 // values, and a record of which globals were ever read.
 //
-// Storage layout is optimized for campaign throughput: per-frame registers
-// are dense slots indexed by the per-function Value id, scalar globals live
-// in a flat slot table built once per module, and array/field cells use
-// hashed (not tree) lookup. String payloads are interned in a per-instance
-// StringPool, so an RtValue is pointer-sized state and register moves,
-// Reset() copies and snapshot restores never allocate. Call instructions
-// are resolved once (defined function or intrinsic enum) instead of
-// string-compared per call. The post-InitGlobals() image is cached so
-// Reset() restores by copy, and TakeSnapshot()/RestoreSnapshot() extend the
-// same trick to arbitrary execution points — an injection campaign replays
-// the shared template-parse prefix thousands of times.
+// A hang is only seen after the whole step budget has run, so executing an
+// instruction never touches the heap:
+// - An RtValue is a trivially copyable 24-byte tagged union. Strings are
+//   interned in a per-instance StringPool; an address is a (frame, cell)
+//   pair.
+// - Every global and every alloca is laid out once per Interpreter from its
+//   IrType: one cell per scalar, struct field and array element, with field
+//   offsets, element strides and array bounds. FieldAddr/IndexAddr are
+//   integer arithmetic and a bounds check is a compare. A step the layout
+//   does not cover (pointer indexing past an element, a field step on a
+//   scalar) reaches an overflow cell, interned per frame on first use.
+// - Cells live in flat vectors: one for the globals, one per frame. A
+//   frame's cells and registers are pooled by call depth and reused, unless
+//   the frame's address escaped, in which case its cells outlive the call.
+//   Reset(), TakeSnapshot() and RestoreSnapshot() are vector copies.
+// - Call instructions are resolved once (defined function or intrinsic
+//   enum), and arguments are evaluated straight into the callee's registers.
 #ifndef SPEX_INTERP_INTERPRETER_H_
 #define SPEX_INTERP_INTERPRETER_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -38,26 +46,33 @@
 namespace spex {
 
 // A runtime value: integer, float, string (possibly null), address, or a
-// function reference (config-table handler slots). String payloads are
-// interned: `sp` points into the stable storage of the pool owned by the
-// Interpreter that produced the value (see Interpreter::InternedString), so
-// copying an RtValue never copies characters. A string RtValue is valid for
-// as long as that Interpreter lives.
+// function reference (config-table handler slots). Trivially copyable, so
+// register moves and cell copies are plain memory copies.
+// - kString / kFnRef: `sp` points into the stable storage of the pool owned
+//   by the Interpreter that produced the value (see
+//   Interpreter::InternedString), so a string RtValue is valid for as long
+//   as that Interpreter lives. `sym` is the pool's symbol id.
+// - kAddr: `cell` indexes the cells of the owning frame, or of the globals
+//   when `frame` is -1. `i` is the owning frame's call depth, a lookup hint.
+//   An address whose first step left an array's bounds keeps the bad index
+//   in `i` and the bound in `frame` instead; loading or storing through it
+//   traps.
 struct RtValue {
-  enum class Kind { kInt, kFloat, kString, kNull, kAddr, kFnRef };
+  enum class Kind : uint8_t { kInt, kFloat, kString, kNull, kAddr, kFnRef };
   Kind kind = Kind::kInt;
-  int64_t i = 0;
-  double f = 0;
+  union {
+    Symbol sym = kInvalidSymbol;  // kString / kFnRef.
+    uint32_t cell;                // kAddr.
+  };
+  union {
+    int64_t i = 0;  // kInt; kAddr: owner's call depth, or the bad index.
+    double f;       // kFloat.
+    const std::string* sp;  // kString / kFnRef.
+  };
+  int64_t frame = -1;  // kAddr: owning frame id (-1 = globals), or the bound.
 
-  // kString / kFnRef payload: stable pooled pointer plus the pool's symbol
-  // id (diagnostics; equality of syms is only meaningful within one pool).
-  const std::string* sp = nullptr;
-  Symbol sym = kInvalidSymbol;
-
-  // kAddr payload: frame -1 = global storage.
-  int64_t frame = -1;
-  const Value* root = nullptr;
-  std::vector<int64_t> path;
+  // `cell` of an address whose first step left its array's bounds.
+  static constexpr uint32_t kOutOfBounds = 0xFFFFFFFFu;
 
   static RtValue Int(int64_t v);
   static RtValue Float(double v);
@@ -66,7 +81,7 @@ struct RtValue {
   static RtValue PooledStr(const std::string* sp, Symbol sym);
   static RtValue PooledFnRef(const std::string* sp, Symbol sym);
 
-  // String payload; empty string when no payload is attached.
+  // String payload; empty string when the value carries none.
   const std::string& str() const;
 
   bool IsTruthy() const;
@@ -74,6 +89,8 @@ struct RtValue {
   double AsFloat() const;
   std::string ToDebugString() const;
 };
+static_assert(std::is_trivially_copyable_v<RtValue>);
+static_assert(sizeof(RtValue) <= 24);
 
 struct InterpOptions {
   // Instruction budget; exceeding it classifies the run as a hang.
@@ -102,27 +119,62 @@ struct CallOutcome {
 
 class Interpreter {
  private:
-  // Identity of a non-scalar cell (array element / struct field / alloca).
-  struct CellKey {
-    int64_t frame = -1;
-    const Value* root = nullptr;
-    std::vector<int64_t> path;
-
-    bool operator==(const CellKey& other) const {
-      return frame == other.frame && root == other.root && path == other.path;
+  // Which cells one step from a cell reaches, and what the cell defaults to.
+  struct FieldLayout;
+  struct Shape {
+    // Type an untouched cell's value defaults from. It is found by walking
+    // the steps from the root as field indices into struct types (array
+    // steps keep the type), so a struct-array row's fields default like the
+    // struct's field at the row's index. Overflow cells extend the walk.
+    const IrType* walk = nullptr;
+    int64_t bound = 0;     // > 0: an array root, whose first step is bounds-checked.
+    uint32_t stride = 0;   // Array root: cells per element; 0 = elements are overflow cells.
+    const FieldLayout* fields = nullptr;  // Struct node: its field cells.
+  };
+  // Cells of one struct value: itself, then each field's cells in order.
+  struct FieldLayout {
+    uint32_t cells = 1;
+    std::vector<uint32_t> offsets;             // Field -> offset from the struct's cell.
+    std::vector<const FieldLayout*> nested;    // Field -> its own layout (null = one cell).
+  };
+  // The cells of the globals, or of one function's frame, laid out once.
+  struct Layout {
+    std::vector<RtValue> image;    // Initial value of every cell.
+    std::vector<Shape> shape;      // Per cell.
+    std::vector<int32_t> owner;    // Globals: cell -> global slot (access stamps).
+    std::vector<uint32_t> root;    // Globals: slot -> cell. Frames: alloca id -> cell.
+  };
+  // A cell reached by a step its parent's layout does not cover, interned
+  // by (parent cell, step) the first time an address takes that step.
+  struct OverflowStep {
+    uint32_t cell = 0;
+    int64_t step = 0;
+    bool operator==(const OverflowStep& other) const {
+      return cell == other.cell && step == other.step;
     }
   };
-  struct CellKeyHash {
-    size_t operator()(const CellKey& key) const {
-      size_t h = std::hash<const void*>()(key.root);
-      h = HashCombine(h, std::hash<int64_t>()(key.frame));
-      for (int64_t step : key.path) {
-        h = HashCombine(h, std::hash<int64_t>()(step));
-      }
-      return h;
+  struct OverflowStepHash {
+    size_t operator()(const OverflowStep& key) const {
+      return HashCombine(std::hash<uint32_t>()(key.cell), std::hash<int64_t>()(key.step));
     }
   };
-  using CellMap = std::unordered_map<CellKey, RtValue, CellKeyHash>;
+  struct OverflowCell {
+    const IrType* walk = nullptr;
+    int32_t owner = -1;
+  };
+  // The cells of the globals or of one frame: the layout's cells, then
+  // overflow cells.
+  struct Space {
+    int64_t id = -1;  // Frame id; -1 = globals.
+    const Function* fn = nullptr;
+    const Layout* layout = nullptr;
+    std::vector<RtValue> cells;
+    std::unordered_map<OverflowStep, uint32_t, OverflowStepHash> overflow;
+    std::vector<OverflowCell> overflow_cells;  // Cell - layout size -> its walk and owner.
+    bool live = false;         // On the call stack.
+    bool escaped = false;      // Its address may outlive the call: keep the cells.
+    bool holds_outer = false;  // Holds an address of a shallower live frame.
+  };
 
  public:
   Interpreter(const Module& module, OsSimulator* os, InterpOptions options = {});
@@ -150,8 +202,8 @@ class Interpreter {
 
    private:
     friend class Interpreter;
-    std::vector<RtValue> scalars_;
-    CellMap cells_;
+    Space globals_;
+    std::unordered_map<int64_t, Space> kept_;  // Escaped frames that have returned.
     std::vector<int32_t> read_stamps_;
     std::vector<int32_t> write_stamps_;
     std::vector<std::string> logs_;
@@ -206,24 +258,29 @@ class Interpreter {
   int64_t os_ops() const { return os_ops_; }
   // Cell accesses through an address whose owning frame is no longer on
   // the call stack — i.e. through an escaped &local. These cells persist
-  // in cell storage across Call()s but are not covered by the per-global
-  // stamps, so the campaign treats stale traffic on both sides of a
-  // reordering as a conflict.
+  // across Call()s but are not covered by the per-global stamps, so the
+  // campaign treats stale traffic on both sides of a reordering as a
+  // conflict.
   int64_t stale_cell_ops() const { return stale_cell_ops_; }
   size_t log_count() const { return logs_.size(); }
 
  private:
+  // One call-stack entry, pooled by depth: its buffers keep their capacity
+  // from call to call.
+  struct FunctionCode;
   struct Frame {
-    const Function* fn = nullptr;
-    int64_t id = 0;
-    // Dense register file indexed by Value::id() (arguments and
-    // instructions share the function's id space).
+    const FunctionCode* code = nullptr;
+    // Register file: one register per Value::id() (arguments and
+    // instructions share the function's id space), then the function's
+    // constant operands (see FunctionCode::regs).
     std::vector<RtValue> regs;
+    std::vector<RtValue> call_args;  // Arguments of the intrinsic being called.
+    Space space;
   };
 
-  // Enum dispatch for the simulated C-library/OS surface; call sites are
-  // resolved to an IntrinsicId once in BuildModuleIndex instead of walking
-  // a string-compare chain per call.
+  // Enum dispatch for the simulated C-library/OS surface; a call site is
+  // resolved to an IntrinsicId on its first execution instead of walking a
+  // string-compare chain per call.
   enum class IntrinsicId : uint8_t {
     kNone,  // Unresolved external: trap.
     kStrcmp,
@@ -281,8 +338,58 @@ class Interpreter {
 
   // Resolved call target: a defined function, or an intrinsic id.
   struct CallSite {
-    const Function* function = nullptr;
+    bool resolved = false;
+    const FunctionCode* code = nullptr;
     IntrinsicId intrinsic = IntrinsicId::kNone;
+  };
+
+  // A function decoded for execution on its first call: one Op per
+  // instruction, with every operand a register index. OpCode lists
+  // InstrKind's values in InstrKind's order.
+  enum class OpCode : uint8_t {
+    kAlloca,
+    kLoad,
+    kStore,
+    kBinOp,
+    kCmp,
+    kCast,
+    kCall,
+    kFieldAddr,
+    kIndexAddr,
+    kBr,
+    kCondBr,
+    kSwitch,
+    kRet,
+    kUnreachable,
+    kFallOff,  // End of a block without a terminator: not a step; returns.
+  };
+  // What a cast converts to.
+  enum class CastTo : uint8_t { kFloat, kBool, kInt8, kInt16, kInt32, kInt64, kSame };
+  struct Op {
+    OpCode code = OpCode::kFallOff;
+    uint8_t sub = 0;    // kBinOp: IrBinOp. kCmp: IrCmpPred. kCast: CastTo. kRet: has a value.
+    uint32_t dest = 0;  // Register written: the instruction's value id.
+    // Operand registers. kStore: value, address. kAlloca: a = root cell.
+    // kFieldAddr: b = field index. kCall/kSwitch: a = first entry in
+    // FunctionCode::operands (call argument registers; switch target ops),
+    // b = how many.
+    uint32_t a = 0;
+    uint32_t b = 0;
+    // kBr/kCondBr: op of the (true) successor. kCall: call site.
+    // kSwitch: the subject's register.
+    uint32_t next = 0;
+    uint32_t alt = 0;   // kCondBr: op of the false successor.
+    const Instruction* instr = nullptr;
+  };
+  struct FunctionCode {
+    const Function* fn = nullptr;
+    Layout frame;  // The frame's cells: root = alloca id -> cell.
+    // Initial register file: value ids (Int 0), then constant operands.
+    std::vector<RtValue> regs;
+    std::vector<Op> ops;
+    std::vector<uint32_t> operands;
+    mutable std::vector<CallSite> sites;  // Resolved on first execution.
+    RtValue result;  // Returned when control falls off the end.
   };
 
   class TrapError {
@@ -311,32 +418,48 @@ class Interpreter {
   static constexpr int64_t kCancelPollInterval = 1024;
 
   void BuildModuleIndex();
-  void BuildInitImage();
+  void BuildGlobals();
   RtValue DefaultValueFor(const IrType* type) const;
+
+  // --- Layout building (see the header comment).
+  const FieldLayout* StructLayout(const IrType* type);
+  void LayOutNode(Layout* layout, const IrType* walk, const FieldLayout* fields, int32_t owner);
+  void LayOutRoot(Layout* layout, const IrType* type, int64_t bound, int32_t owner);
+  const FunctionCode& CodeFor(const Function& fn);
+  RtValue ConstantValue(const Value* value);
 
   const Function* LookupFunction(const std::string& name) const;
   const GlobalVariable* LookupGlobal(const std::string& name) const;
-  // Resolves (and caches) the target of a call instruction on first
-  // execution; see call_sites_.
-  CallSite ResolveCallSite(const Instruction* instr);
+  // Resolves a call instruction's target on its first execution, so
+  // decoding a function never decodes its callees.
+  void ResolveCallSite(const Instruction* instr, CallSite* site);
   // Dense slot of a global root, or -1 if the root is not a global.
   int32_t GlobalSlotOf(const Value* root) const;
 
-  RtValue RunFunction(const Function& fn, std::vector<RtValue> args);
-  RtValue Eval(Frame& frame, const Value* value);
-  RtValue ExecCall(Frame& frame, const Instruction* instr);
+  // Pushes a frame for `fn` (stack-overflow trap past max_call_depth);
+  // the caller then fills the argument registers and runs it.
+  Frame& PushFrame(const FunctionCode& code);
+  void PopFrame();
+  RtValue RunFrame(Frame& frame);
+  RtValue ExecCall(Frame& frame, const Op& op);
   RtValue Intrinsic(IntrinsicId id, const std::string& name, std::vector<RtValue>& args,
                     const Instruction* instr);
 
+  // The address one step (an index or a field number) past `addr`.
+  RtValue Advance(RtValue addr, int64_t step);
   RtValue LoadCell(const RtValue& addr, const Instruction* at);
-  void StoreCell(const RtValue& addr, RtValue value, const Instruction* at);
-  // Bumps stale_cell_ops_ when `frame` is not on the live call chain.
-  void NoteFrameCellAccess(int64_t frame);
-  // Bounds check for array roots; throws TrapError on violation.
-  void CheckBounds(const Value* root, int32_t slot, const std::vector<int64_t>& path,
-                   const Instruction* at) const;
-  // Default value of an untouched cell, derived from the leaf type.
-  RtValue DefaultCellValue(const Value* root, const std::vector<int64_t>& path) const;
+  void StoreCell(const RtValue& addr, const RtValue& value, const Instruction* at);
+  // The space owning a frame address: a live frame, or an escaped one that
+  // returned (counted in stale_cell_ops_ when `access`). Traps when the
+  // frame's cells are gone, which only an address kept across Reset() can
+  // reach.
+  Space& FrameSpace(const RtValue& addr, bool access);
+  Frame* LiveFrame(const RtValue& addr) const;
+  int32_t GlobalOwner(uint32_t cell) const;
+  [[noreturn]] void ThrowOutOfBounds(const RtValue& addr, const Instruction* at) const;
+  // Escape bookkeeping for an address value stored into `dest`.
+  void NoteAddressStored(Space& dest, const RtValue& value);
+  static void AssignCells(Space* to, const Space& from);
 
   void Step();
   void AppendLog(std::string level, const std::string& message);
@@ -358,39 +481,32 @@ class Interpreter {
   std::unordered_map<std::string, const Function*> functions_by_name_;
   std::unordered_map<std::string, const GlobalVariable*> globals_by_name_;
   std::unordered_map<const Value*, int32_t> global_slot_;
-  std::vector<int64_t> global_bounds_;  // Slot -> element count (0 = scalar).
-  // Constant-string operands interned per Value on first evaluation
-  // (module constants are deduplicated, so this converges to one entry per
-  // distinct literal actually executed).
-  std::unordered_map<const Value*, RtValue> const_strings_;
-  // Call instruction -> resolved target, filled lazily by ResolveCallSite
-  // so construction stays free of a whole-module walk.
-  std::unordered_map<const Instruction*, CallSite> call_sites_;
 
-  // --- Cached InitGlobals() image; Reset() restores by copy.
-  std::vector<RtValue> init_scalars_;
-  CellMap init_cells_;
+  // --- Layouts: the globals' at construction, a function's (with its
+  // code) on its first call. Struct layouts are shared by all of them.
+  std::unordered_map<const IrType*, FieldLayout> struct_layouts_;
+  std::vector<const IrType*> structs_in_progress_;  // Cuts a struct that contains itself.
+  Layout global_layout_;
+  std::unordered_map<const Function*, FunctionCode> code_;
+  Space init_globals_;  // The globals after their initializers; Reset() copies it.
 
   // --- Mutable run state.
-  std::vector<RtValue> global_scalars_;  // Slot -> scalar (path-empty) value.
+  Space globals_;
   // Slot -> stamp of the last load/store through that global root since
   // Reset() (0 = untouched); GlobalWasRead() is stamp != 0.
   std::vector<int32_t> global_read_stamps_;
   std::vector<int32_t> global_write_stamps_;
-  CellMap cells_;                        // Non-scalar globals + alloca cells.
   std::vector<std::string> logs_;
-  // Recycled register files; RunFunction pops/pushes to avoid a fresh
-  // allocation per call.
-  std::vector<std::vector<RtValue>> frame_pool_;
-  // Frame ids of the live call chain, innermost last; cell accesses whose
-  // frame is absent are escaped-local traffic (see stale_cell_ops()).
-  std::vector<int64_t> active_frames_;
+  // The call stack, pooled: stack_[0..depth_) are live, the rest keep
+  // their buffers for the next call at that depth.
+  std::vector<std::unique_ptr<Frame>> stack_;
+  size_t depth_ = 0;
+  std::unordered_map<int64_t, Space> kept_;  // Escaped frames that have returned.
   int64_t steps_ = 0;
   int64_t next_frame_id_ = 0;
   int64_t os_ops_ = 0;  // Intrinsic calls that consulted the simulated OS.
   int64_t stale_cell_ops_ = 0;
   int32_t access_stamp_ = 1;
-  int call_depth_ = 0;
 };
 
 }  // namespace spex
