@@ -147,7 +147,7 @@ BENCHMARK(BM_SnapshotRestore);
 
 // One squid full replay that runs out the step budget: with
 // redirect_children set to -1 the target spins until the 2M-step
-// InterpOptions::max_steps fires (the crash/hang row of
+// Interpreter::kMaxSteps budget fires (the crash/hang row of
 // tests/testdata/replay_golden.tsv whose steps_used is 2000001). Driven
 // like the campaign's ground-truth path: every setting parsed in file
 // order, then init, then the tests shortest first, stopping at the first

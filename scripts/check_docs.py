@@ -13,11 +13,16 @@ Three checks over every tracked .md file:
  3. Every fenced code block must carry a language tag (```cpp, ```sh,
     ```text, ...) so renderers highlight instead of guessing.
 
-One check ties docs/api.md to the code:
+Two checks tie the docs to the code:
 
  4. Every backticked counter name in the `CampaignCacheStats` table of
     docs/api.md must be a field of `struct CampaignCacheStats` in
     src/inject/campaign.h.
+ 5. Every backticked `Type::member` (a trailing `(...)` or ` = ...` is
+    ignored) must name a struct, class or enum declared under src/, and
+    the member must appear inside that type's braces. Top-level notes
+    (every .md at the repo root but README.md: change records, roadmap,
+    paper notes) are exempt: they name what the code was or will be.
 
 Run from anywhere:
 
@@ -44,6 +49,14 @@ INLINE_LINK_IN_HEADING_RE = re.compile(r"\[([^\]]*)\]\([^)]*\)")
 BACKTICKED_RE = re.compile(r"`([^`]+)`")
 # A data member declaration: `size_t name = 0;` / `type name;`.
 FIELD_RE = re.compile(r"^\s*[\w:<>]+\s+(\w+)\s*(?:=[^;]*)?;")
+# `Type::member`, possibly followed by a call's arguments or a value.
+QUALIFIED_RE = re.compile(r"^([A-Z]\w*)::(\w+)\b")
+# The head of a type definition, opening its line: `struct A {`,
+# `class A final : B {`, `enum class A : int {`, `struct Outer::A {`.
+# Group 1 is the name.
+TYPE_HEAD_RE = re.compile(
+    r"^[ \t]*(?:template\s*<[^>]*>\s*)?(?:struct|class|enum(?:\s+class)?)\s+(?:\w+::)*(\w+)\b"
+    r"[^;{}()\n]*\{", re.M)
 
 
 def markdown_files():
@@ -145,6 +158,48 @@ def check_cache_stats_table(problems):
                 )
 
 
+def type_bodies():
+    """Name -> list of brace-delimited bodies of every struct, class and
+    enum definition under src/ (comments and strings are not stripped; a
+    brace inside one would only shorten a body, never lengthen it)."""
+    bodies = {}
+    for dirpath, _, filenames in os.walk(os.path.join(REPO_ROOT, "src")):
+        for name in filenames:
+            if not name.endswith((".h", ".cc")):
+                continue
+            with open(os.path.join(dirpath, name), encoding="utf-8") as handle:
+                text = handle.read()
+            for head in TYPE_HEAD_RE.finditer(text):
+                depth, end = 1, head.end()
+                while depth and end < len(text):
+                    depth += {"{": 1, "}": -1}.get(text[end], 0)
+                    end += 1
+                bodies.setdefault(head.group(1), []).append(text[head.end():end - 1])
+    return bodies
+
+
+def check_qualified_members(scanned, problems):
+    """Check 5: every documented `Type::member` names a member of a src/ type."""
+    bodies = type_bodies()
+    for path, (_, prose) in scanned.items():
+        rel = os.path.relpath(path, REPO_ROOT)
+        if os.sep not in rel and rel != "README.md":
+            continue
+        for lineno, line in prose:
+            for text in BACKTICKED_RE.findall(line):
+                match = QUALIFIED_RE.match(text)
+                if match is None:
+                    continue
+                type_name, member = match.groups()
+                if type_name not in bodies:
+                    problems.append(f"{rel}:{lineno}: `{text}`: no struct, class or enum "
+                                    f"{type_name} under src/")
+                elif not any(re.search(r"\b" + member + r"\b", body)
+                             for body in bodies[type_name]):
+                    problems.append(f"{rel}:{lineno}: `{text}`: {type_name} has no member "
+                                    f"{member}")
+
+
 def main():
     problems = []
     files = sorted(markdown_files())
@@ -174,13 +229,15 @@ def main():
                             f"(no heading slugs to #{fragment})"
                         )
     check_cache_stats_table(problems)
+    check_qualified_members(scanned, problems)
 
     if problems:
         print("check_docs: documentation problems:", file=sys.stderr)
         for entry in problems:
             print(f"  {entry}", file=sys.stderr)
         return 1
-    print(f"check_docs: {len(files)} markdown files OK (links, anchors, code fences, counters)")
+    print(f"check_docs: {len(files)} markdown files OK "
+          "(links, anchors, code fences, counters, Type::member)")
     return 0
 
 

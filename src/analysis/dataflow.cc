@@ -170,8 +170,7 @@ namespace {
 
 class Propagation {
  public:
-  Propagation(const AnalysisContext& context, size_t max_steps)
-      : context_(context), max_steps_(max_steps) {}
+  explicit Propagation(const AnalysisContext& context) : context_(context) {}
 
   ParamDataflow Run(const DataflowSeeds& seeds) {
     for (const Value* seed : seeds.values) {
@@ -181,7 +180,7 @@ class Propagation {
       TaintLoc(loc, nullptr);
     }
     size_t steps = 0;
-    while (!work_.empty() && steps < max_steps_) {
+    while (!work_.empty() && steps < DataflowEngine::kMaxSteps) {
       ++steps;
       auto [value, ctx] = work_.front();
       work_.pop_front();
@@ -387,7 +386,6 @@ class Propagation {
   }
 
   const AnalysisContext& context_;
-  size_t max_steps_;
   ParamDataflow result_;
   std::deque<std::pair<const Value*, Ctx>> work_;
   std::set<std::pair<const Value*, Ctx>> visited_;
@@ -403,7 +401,7 @@ class Propagation {
 }  // namespace
 
 ParamDataflow DataflowEngine::Analyze(const DataflowSeeds& seeds) const {
-  Propagation propagation(context_, max_steps_);
+  Propagation propagation(context_);
   return propagation.Run(seeds);
 }
 

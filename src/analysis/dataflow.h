@@ -133,15 +133,15 @@ struct DataflowSeeds {
 
 class DataflowEngine {
  public:
-  // `max_steps` bounds the worklist as a defense against pathological code.
-  explicit DataflowEngine(const AnalysisContext& context, size_t max_steps = 200000)
-      : context_(context), max_steps_(max_steps) {}
+  // Bounds the worklist as a defense against pathological code.
+  static constexpr size_t kMaxSteps = 200000;
+
+  explicit DataflowEngine(const AnalysisContext& context) : context_(context) {}
 
   ParamDataflow Analyze(const DataflowSeeds& seeds) const;
 
  private:
   const AnalysisContext& context_;
-  size_t max_steps_;
 };
 
 }  // namespace spex

@@ -130,8 +130,8 @@ namespace {
 // share anything but the (read-only) source.
 class SetResolver {
  public:
-  SetResolver(ConfigSetSource& source, ConfigDialect dialect, const ConfigSetOptions& options)
-      : source_(source), dialect_(dialect), options_(options) {}
+  SetResolver(ConfigSetSource& source, ConfigDialect dialect)
+      : source_(source), dialect_(dialect) {}
 
   ResolvedConfigSet Run(const std::string& root_name) {
     out_.name = root_name;
@@ -177,7 +177,7 @@ class SetResolver {
     if (expansion_stopped_) {
       return;
     }
-    if (depth > options_.max_include_depth) {
+    if (depth > kMaxIncludeDepth) {
       AddError(ConfigSetError::Kind::kDepthExceeded, from_file, from_line, name);
       return;
     }
@@ -185,7 +185,7 @@ class SetResolver {
       AddError(ConfigSetError::Kind::kIncludeCycle, from_file, from_line, name);
       return;
     }
-    if (out_.files_resolved >= options_.max_files) {
+    if (out_.files_resolved >= kMaxIncludeFiles) {
       // Include-bomb guard: one record, then stop expanding entirely —
       // a bomb would otherwise flood the error list too.
       AddError(ConfigSetError::Kind::kTooManyFiles, from_file, from_line, name);
@@ -233,7 +233,6 @@ class SetResolver {
 
   ConfigSetSource& source_;
   ConfigDialect dialect_;
-  ConfigSetOptions options_;
   ResolvedConfigSet out_;
   std::unordered_map<std::string, size_t> key_index_;
   std::unordered_set<std::string> stack_;
@@ -243,15 +242,14 @@ class SetResolver {
 }  // namespace
 
 ResolvedConfigSet ResolveConfigSet(const std::string& root_name, ConfigSetSource& source,
-                                   ConfigDialect dialect, const ConfigSetOptions& options) {
-  return SetResolver(source, dialect, options).Run(root_name);
+                                   ConfigDialect dialect) {
+  return SetResolver(source, dialect).Run(root_name);
 }
 
-ResolvedConfigSet ResolveConfigSet(std::span<const ConfigInput> files, ConfigDialect dialect,
-                                   const ConfigSetOptions& options) {
+ResolvedConfigSet ResolveConfigSet(std::span<const ConfigInput> files, ConfigDialect dialect) {
   MemoryConfigSetSource source(files);
   std::string root = files.empty() ? std::string("<empty>") : files.front().name;
-  return ResolveConfigSet(root, source, dialect, options);
+  return ResolveConfigSet(root, source, dialect);
 }
 
 namespace {

@@ -67,8 +67,8 @@ struct ConfigSetError {
   enum class Kind {
     kMissingInclude,  // Named file/dir not loadable (or empty operand).
     kIncludeCycle,    // Target is already on the expansion stack.
-    kDepthExceeded,   // Include chain deeper than max_include_depth.
-    kTooManyFiles,    // Expansion hit max_files (include bomb guard).
+    kDepthExceeded,   // Include chain deeper than kMaxIncludeDepth.
+    kTooManyFiles,    // Expansion hit kMaxIncludeFiles (include bomb guard).
   };
   Kind kind = Kind::kMissingInclude;
   std::string file;
@@ -96,11 +96,10 @@ struct SettingProvenance {
   std::vector<SettingOrigin> shadowed;
 };
 
-// Containment limits for one resolution. Freely copyable.
-struct ConfigSetOptions {
-  size_t max_include_depth = 16;
-  size_t max_files = 256;
-};
+// Containment limits for one resolution: the deepest include chain
+// followed, and the most files one root may expand to.
+inline constexpr size_t kMaxIncludeDepth = 16;
+inline constexpr size_t kMaxIncludeFiles = 256;
 
 // The flattened result of resolving one root file.
 struct ResolvedConfigSet {
@@ -152,11 +151,10 @@ struct ConfigSetInput {
 // Resolves `root_name` through `source`. Never throws, never crashes on
 // hostile input: every fault is an error record on the result.
 ResolvedConfigSet ResolveConfigSet(const std::string& root_name, ConfigSetSource& source,
-                                   ConfigDialect dialect, const ConfigSetOptions& options = {});
+                                   ConfigDialect dialect);
 
 // Convenience: resolve files[0] against an in-memory source of `files`.
-ResolvedConfigSet ResolveConfigSet(std::span<const ConfigInput> files, ConfigDialect dialect,
-                                   const ConfigSetOptions& options = {});
+ResolvedConfigSet ResolveConfigSet(std::span<const ConfigInput> files, ConfigDialect dialect);
 
 // Detects the include-directive spelling of a parsed entry in either
 // dialect (`include "x"`, `include x`, `include = x`; same for

@@ -166,14 +166,15 @@ std::string Target::StoreScope() const {
     AppendScopeField(&scope, param);
     AppendScopeField(&scope, storage);
   }
-  // The target's campaign always runs the default (paper) options; their
-  // verdict knobs stay in the scope so stores written before keep working.
+  // The target's campaign always runs the default (paper) options; they
+  // and the interpreter's budgets stay in the scope, in the order they
+  // always had, so stores written before keep working.
   const CampaignOptions campaign;
   scope += campaign.stop_at_first_failure ? '1' : '0';
   scope += campaign.sort_tests_by_cost ? '1' : '0';
-  scope += std::to_string(campaign.interp.max_steps);
+  scope += std::to_string(Interpreter::kMaxSteps);
   scope += ',';
-  scope += std::to_string(campaign.interp.max_call_depth);
+  scope += std::to_string(Interpreter::kMaxCallDepth);
   return scope;
 }
 
@@ -231,14 +232,13 @@ BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
 
 BatchSummary Target::CheckConfigSet(std::span<const ConfigSetInput> sets,
                                     const BatchOptions& options, BatchObserver* observer,
-                                    std::vector<ResolvedConfigSet>* resolutions,
-                                    const ConfigSetOptions& set_options) {
+                                    std::vector<ResolvedConfigSet>* resolutions) {
   std::vector<ResolvedConfigSet> local;
   std::vector<ResolvedConfigSet>& resolved = resolutions != nullptr ? *resolutions : local;
   resolved.clear();
   resolved.reserve(sets.size());
   for (const ConfigSetInput& set : sets) {
-    ResolvedConfigSet resolution = ResolveConfigSet(set.files, dialect(), set_options);
+    ResolvedConfigSet resolution = ResolveConfigSet(set.files, dialect());
     if (!set.name.empty()) {
       resolution.name = set.name;
     }

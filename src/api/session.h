@@ -220,9 +220,10 @@ class Target {
   // violations, verdicts and counters, at every options.num_threads),
   // except that each violation's file/line point at the *winning*
   // assignment's origin and `override_note` records what it shadowed.
-  // Resolution faults (missing includes, cycles, depth/file caps) are
-  // contained per set: they land on the set's ResolvedConfigSet (written
-  // to `resolutions` when non-null, batch order) and checking continues
+  // Resolution faults (missing includes, cycles, the kMaxIncludeDepth and
+  // kMaxIncludeFiles caps) are contained per set: they land on the set's
+  // ResolvedConfigSet (written to `resolutions` when non-null, batch
+  // order) and checking continues
   // with the partial effective config; only a set whose root cannot be
   // loaded carries kInvalidArgument in its report. `observer` streams
   // per-set reports on the calling thread in batch order — after the
@@ -231,8 +232,7 @@ class Target {
   BatchSummary CheckConfigSet(std::span<const ConfigSetInput> sets,
                               const BatchOptions& options = {},
                               BatchObserver* observer = nullptr,
-                              std::vector<ResolvedConfigSet>* resolutions = nullptr,
-                              const ConfigSetOptions& set_options = {});
+                              std::vector<ResolvedConfigSet>* resolutions = nullptr);
 
   // As CheckConfigSet, but over sets the caller already resolved (e.g.
   // spexcheck's --include-roots, which resolves against the filesystem
@@ -265,7 +265,8 @@ class Target {
   // replaying and append fresh verdicts after, so a re-check of an
   // unchanged fleet replays only never-before-seen executions. The store
   // is scoped by a fingerprint of everything that could change a verdict
-  // — target source, annotations, SUT spec, template, campaign knobs — so
+  // — target source, annotations, SUT spec, template, the paper's two
+  // scheduling knobs and the interpreter's step and call-depth budgets — so
   // an edited target lands in a fresh scope and re-checks cold; stale
   // verdicts are structurally unreachable. Pass nullptr to detach.
   // Thread-safe; takes effect for checks that start after the call.

@@ -304,7 +304,7 @@ bool InjectionCampaign::LogsPinpoint(const std::vector<std::string>& logs,
 
 bool InjectionCampaign::BaselinePasses(const ConfigFile& template_config) {
   OsSimulator os = os_template_;
-  Interpreter interp(module_, &os, options_.interp);
+  Interpreter interp(module_, &os);
   RunOutcome outcome = Execute(interp, template_config);
   return outcome.phase == RunOutcome::Phase::kDone;
 }
@@ -312,7 +312,7 @@ bool InjectionCampaign::BaselinePasses(const ConfigFile& template_config) {
 InjectionResult InjectionCampaign::RunOne(const ConfigFile& template_config,
                                           const Misconfiguration& config) {
   OsSimulator os = os_template_;
-  Interpreter interp(module_, &os, options_.interp);
+  Interpreter interp(module_, &os);
   // Single-shot: a prefix snapshot would cost exactly what it saves, so
   // RunOne always takes the ground-truth full-replay path.
   return RunOneWith(interp, os, nullptr, template_config, config);
@@ -472,7 +472,7 @@ std::optional<InjectionResult> InjectionCampaign::TryDeltaReplay(
     // a per-global access map for the hazard check below.
     //
     // The request token is deliberately NOT attached here: the prefix is
-    // template-only work — vendor-trusted input, bounded by max_steps, and
+    // template-only work — vendor-trusted input, bounded by kMaxSteps, and
     // shared by every later request of this key-set. Cancelling a build
     // mid-way would publish a half-parsed snapshot (or waste the build for
     // everyone because one caller was impatient); letting it finish keeps
@@ -649,7 +649,7 @@ InjectionResult InjectionCampaign::RunOneWith(Interpreter& interp, OsSimulator& 
     applied.Set(key, value);
   }
 
-  if (keyset != nullptr && options_.use_parse_snapshot) {
+  if (keyset != nullptr) {
     auto replayed = TryDeltaReplay(interp, os, *keyset, template_config, applied, config,
                                    DeltaKeys(config), cancel);
     if (replayed.has_value()) {
@@ -662,8 +662,7 @@ InjectionResult InjectionCampaign::RunOneWith(Interpreter& interp, OsSimulator& 
 InjectionCampaign::ProbeLease::ProbeLease(InjectionCampaign* campaign) : campaign_(campaign) {
   std::lock_guard<std::mutex> lock(campaign_->probe_mutex_);
   if (campaign_->probe_contexts_.empty()) {
-    context_ = std::make_unique<WorkerContext>(campaign_->module_, campaign_->os_template_,
-                                               campaign_->options_.interp);
+    context_ = std::make_unique<WorkerContext>(campaign_->module_, campaign_->os_template_);
   } else {
     context_ = std::move(campaign_->probe_contexts_.back());
     campaign_->probe_contexts_.pop_back();
@@ -809,43 +808,27 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
   // A user-config check is worth the snapshot path even for a key-set seen
   // once: the campaign persists, so the entry pays for itself on the next
   // check of the same keys (an embedded checker sees the same handful of
-  // misconfigured settings over and over). Unlike RunAll's RefreshCacheFor,
-  // an external replay never *clears* the cache — another caller may be
-  // mid-replay holding a cache entry — it only adopts the fingerprint when
-  // the cache is untouched, and falls back to ground truth on a mismatch.
-  // The fingerprint is recomputed per call on purpose: a cheaper
-  // pointer-identity fast path would silently validate a *different*
-  // template whose stack slot reused a previous one's address, and the
-  // serialization is not measurable next to even a warm check's replay
-  // (BM_DynamicCheckWarm is unchanged with or without it).
-  if (use_parse_snapshot && options_.use_parse_snapshot) {
-    std::string fingerprint = template_config.Serialize();
-    bool snapshot_ok = false;
-    {
-      std::lock_guard<std::mutex> lock(cache_.mutex);
-      if (cache_.template_fingerprint.empty() && cache_.entries.empty()) {
-        cache_.template_fingerprint = std::move(fingerprint);
-        snapshot_ok = true;
-      } else {
-        snapshot_ok = cache_.template_fingerprint == fingerprint;
-      }
-    }
-    if (snapshot_ok) {
-      pass.PlanAllKeysets();
-    }
+  // misconfigured settings over and over). The template is serialized
+  // once per call, on purpose: a cheaper pointer-identity fast path would
+  // silently validate a *different* template whose stack slot reused a
+  // previous one's address, and the serialization is not measurable next
+  // to even a warm check's replay (BM_DynamicCheckWarm is unchanged with
+  // or without it). The same string is the cache check and the store scope.
+  const std::string fingerprint = template_config.Serialize();
+  if (use_parse_snapshot && CacheServes(fingerprint)) {
+    pass.PlanAllKeysets();
   }
 
   // Snapshot the attached store (the pair may be swapped concurrently).
   // The scope fingerprint folds the template serialization into the
   // caller-provided scope, so a template edit lands in a fresh, empty
   // scope — cached verdicts can never outlive the template they were
-  // observed against. ResolveScope is per-call on purpose, mirroring the
-  // snapshot-cache fingerprint recomputation above.
+  // observed against.
   {
     std::lock_guard<std::mutex> lock(store_mutex_);
     pass.store = store_;
     if (pass.store != nullptr) {
-      pass.scope_id = pass.store->ResolveScope(store_scope_ + '\0' + template_config.Serialize());
+      pass.scope_id = pass.store->ResolveScope(store_scope_ + '\0' + fingerprint);
     }
   }
   if (pass.store != nullptr) {
@@ -885,21 +868,20 @@ std::vector<InjectionResult> InjectionCampaign::ReplayExternal(
   return std::move(pass.results);
 }
 
-void InjectionCampaign::RefreshCacheFor(const ConfigFile& template_config) {
-  std::string fingerprint = template_config.Serialize();
+bool InjectionCampaign::CacheServes(const std::string& fingerprint) {
   std::lock_guard<std::mutex> lock(cache_.mutex);
-  if (cache_.template_fingerprint != fingerprint) {
-    cache_.entries.clear();
-    cache_.template_fingerprint = std::move(fingerprint);
+  if (!cache_.template_fingerprint.has_value()) {
+    cache_.template_fingerprint = fingerprint;
   }
+  return *cache_.template_fingerprint == fingerprint;
 }
 
 CampaignSummary InjectionCampaign::RunAll(const ConfigFile& template_config,
                                           const std::vector<Misconfiguration>& configs,
                                           CampaignObserver* observer, ThreadPool* pool,
                                           size_t workers) {
-  // One RunAll at a time per campaign: the batch id and the template
-  // refresh below are per-batch state. Other campaigns are unaffected.
+  // One RunAll at a time per campaign: the batch id is per-batch state.
+  // Other campaigns are unaffected.
   std::lock_guard<std::mutex> one_at_a_time(run_all_mutex_);
   batch_id_.fetch_add(1, std::memory_order_relaxed);
   ReplayPass pass(template_config, configs);
@@ -907,8 +889,7 @@ CampaignSummary InjectionCampaign::RunAll(const ConfigFile& template_config,
   // Per-batch key-set plan. Building a snapshot costs about one full
   // replay, so a key-set is worth the snapshot path only when this batch
   // revisits it — or when an earlier batch already paid for the entry.
-  if (options_.use_parse_snapshot) {
-    RefreshCacheFor(template_config);
+  if (CacheServes(template_config.Serialize())) {
     pass.PlanAllKeysets();
     std::unordered_map<std::string_view, size_t> keyset_counts;
     keyset_counts.reserve(configs.size());

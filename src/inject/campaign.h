@@ -26,8 +26,10 @@
 // cached prefixes. Lifetime story: each snapshot holds pointers into the
 // interned-string pool of the context that built it, so the contexts live
 // as long as the campaign itself (they are only destroyed with the cache
-// that points into them). The cache is invalidated when a RunAll sees a
-// different template than the one the cache was built from. Cross-batch
+// that points into them). The cache belongs to one template: the first
+// RunAll or ReplayExternal that takes the snapshot path adopts its
+// template, and the cache is never cleared — a later call with a
+// different template replays every config by ground truth. Cross-batch
 // safety matches within-batch safety: the per-run hazard check runs on
 // every delta replay, and the first delta replay of a key-set in each
 // batch (each RunAll) is re-verified against a ground-truth full replay,
@@ -41,7 +43,8 @@
 // adds the verdict store. Thread-safety: one campaign serves one RunAll
 // at a time (concurrent calls queue on the campaign's own lock, nothing
 // wider), and ReplayExternal may run from any number of threads,
-// concurrently with each other and with RunAll.
+// concurrently with each other and with RunAll, whatever template each
+// call passes.
 #ifndef SPEX_INJECT_CAMPAIGN_H_
 #define SPEX_INJECT_CAMPAIGN_H_
 
@@ -154,12 +157,6 @@ struct CampaignOptions {
   // reports), so a verdict store scopes its records by them.
   bool stop_at_first_failure = true;
   bool sort_tests_by_cost = true;
-  // Replay each misconfiguration from a post-parse snapshot of the shared
-  // template prefix instead of re-parsing the whole template per run.
-  // Verified per delta key-set against full replay; disable to force the
-  // ground-truth path everywhere.
-  bool use_parse_snapshot = true;
-  InterpOptions interp;
 };
 
 // Streaming per-run callbacks for RunAll — the embeddable-API complement
@@ -257,7 +254,8 @@ class InjectionCampaign {
   // full-replay path, and the per-run hazard check plus first-use
   // verification keep every verdict bit-identical to a full replay.
   // `use_parse_snapshot = false` forces ground truth for every run (the
-  // verification path the dynamic-mode tests diff against).
+  // reference the snapshot-path tests diff against); the snapshot path is
+  // also skipped when the cache belongs to another template.
   //
   // How often a key-set is verified: only RunAll starts a new batch, and
   // a key-set's first delta replay in each batch is compared with a full
@@ -268,13 +266,11 @@ class InjectionCampaign {
   //
   // Thread-safety: ReplayExternal may be called from any number of threads
   // concurrently (each replay runs on its own leased context; the snapshot
-  // cache is internally synchronized), and concurrently with RunAll —
-  // provided every concurrent caller uses the same template. A template
-  // change clears the cache and must be externally quiesced (spex::Target
-  // guarantees this: its template is fixed at load time). With a `pool`
-  // and `workers` > 1 the configs are claimed by up to `workers` threads,
-  // the calling one included (it must not be a task of `pool`); otherwise
-  // the call runs on the calling thread. Results are identical either way.
+  // cache is internally synchronized), and concurrently with RunAll, with
+  // any template: nothing ever clears the cache. With a `pool` and
+  // `workers` > 1 the configs are claimed by up to `workers` threads, the
+  // calling one included (it must not be a task of `pool`); otherwise the
+  // call runs on the calling thread. Results are identical either way.
   //
   // `limits` (see ReplayLimits) bounds each replay: the token is checked
   // before every replay and polled inside the interpreter, so a
@@ -351,12 +347,13 @@ class InjectionCampaign {
   };
   // Campaign-lifetime snapshot cache (snapshots hold pointers into the
   // builder worker's string pool; the worker contexts are campaign members
-  // too, so the pointers stay valid for the cache's whole life). Cleared
-  // when RunAll sees a template different from the cached one.
+  // too, so the pointers stay valid for the cache's whole life). Never
+  // cleared: it serves the first template a snapshot-path call adopted.
   struct SnapshotCache {
     std::mutex mutex;
     std::unordered_map<std::string, std::unique_ptr<SnapshotEntry>> entries;
-    std::string template_fingerprint;  // Serialized template the entries were built from.
+    // Serialized template the entries are built from; unset until adopted.
+    std::optional<std::string> template_fingerprint;
   };
   // One leased execution context; persists across calls so the string
   // pool backing published snapshots stays alive and later calls skip
@@ -364,9 +361,8 @@ class InjectionCampaign {
   struct WorkerContext {
     OsSimulator os;
     Interpreter interp;
-    WorkerContext(const Module& module, const OsSimulator& os_template,
-                  const InterpOptions& options)
-        : os(os_template), interp(module, &os, options) {}
+    WorkerContext(const Module& module, const OsSimulator& os_template)
+        : os(os_template), interp(module, &os) {}
   };
 
   // Resets `interp` / `os` to the template state, runs one misconfiguration
@@ -375,7 +371,7 @@ class InjectionCampaign {
   // key-sets worth snapshotting). `cancel` (null = unlimited) is polled by the
   // interpreter while *this run's* phases execute — never during prefix
   // snapshot builds, which are template-only work shared across requests
-  // and already bounded by max_steps. Thread-safe: only touches the
+  // and already bounded by Interpreter::kMaxSteps. Thread-safe: only touches the
   // interpreter and simulator owned by the calling worker, plus the
   // state-gated shared snapshot cache.
   InjectionResult RunOneWith(Interpreter& interp, OsSimulator& os,
@@ -420,9 +416,10 @@ class InjectionCampaign {
   // Looks config `i` up in the pass's verdict store; true when the stored
   // verdict was written to its slot and no replay is needed.
   bool ServeFromStore(ReplayPass& pass, size_t i) const;
-  // Clears cache entries when `template_config` differs from the cached
-  // fingerprint, and stamps the new fingerprint.
-  void RefreshCacheFor(const ConfigFile& template_config);
+  // The one template rule: true when the snapshot cache serves the
+  // template serialized as `fingerprint`, adopting it if the cache has
+  // none yet.
+  bool CacheServes(const std::string& fingerprint);
 
   // Checked-out context for one replay; returns itself to the campaign's
   // free list on destruction. Contexts are campaign members because a

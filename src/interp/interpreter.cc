@@ -170,8 +170,7 @@ std::string RtValue::ToDebugString() const {
 // ---------------------------------------------------------------------------
 // Construction and global initialization.
 
-Interpreter::Interpreter(const Module& module, OsSimulator* os, InterpOptions options)
-    : module_(module), os_(os), options_(options) {
+Interpreter::Interpreter(const Module& module, OsSimulator* os) : module_(module), os_(os) {
   BuildModuleIndex();
   BuildGlobals();
   Reset();
@@ -405,11 +404,6 @@ const Interpreter::FieldLayout* Interpreter::StructLayout(const IrType* type) {
   if (it != struct_layouts_.end()) {
     return &it->second;
   }
-  if (std::find(structs_in_progress_.begin(), structs_in_progress_.end(), type) !=
-      structs_in_progress_.end()) {
-    return nullptr;  // A struct nested in itself: the inner one is one cell.
-  }
-  structs_in_progress_.push_back(type);
   FieldLayout layout;
   for (const IrType* field : type->field_types()) {
     const FieldLayout* nested = StructLayout(field);
@@ -417,7 +411,6 @@ const Interpreter::FieldLayout* Interpreter::StructLayout(const IrType* type) {
     layout.nested.push_back(nested);
     layout.cells += nested != nullptr ? nested->cells : 1;
   }
-  structs_in_progress_.pop_back();
   return &struct_layouts_.emplace(type, std::move(layout)).first->second;
 }
 
@@ -849,7 +842,7 @@ void Interpreter::NoteAddressStored(Space& dest, const RtValue& value) {
 // Execution.
 
 void Interpreter::Step() {
-  if (++steps_ > options_.max_steps) {
+  if (++steps_ > kMaxSteps) {
     throw HangError();
   }
   // The deadline check rides the step-budget path: same counter, same
@@ -903,7 +896,7 @@ CallOutcome Interpreter::Call(const std::string& function, std::vector<RtValue> 
 }
 
 Interpreter::Frame& Interpreter::PushFrame(const FunctionCode& code) {
-  if (depth_ >= static_cast<size_t>(std::max(options_.max_call_depth, 0))) {
+  if (depth_ >= kMaxCallDepth) {
     throw TrapError("Segmentation fault (stack overflow)");
   }
   if (depth_ == stack_.size()) {
@@ -1501,7 +1494,7 @@ RtValue Interpreter::Intrinsic(IntrinsicId id, const std::string& name,
         os_->AdvanceClock(amount / 1000);
         steps_ += std::min<int64_t>(amount / 10, 100'000'000);
       }
-      if (steps_ > options_.max_steps) {
+      if (steps_ > kMaxSteps) {
         throw HangError();
       }
       // A simulated sleep can jump the step counter across many poll

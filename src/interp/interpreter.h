@@ -92,13 +92,6 @@ struct RtValue {
 static_assert(std::is_trivially_copyable_v<RtValue>);
 static_assert(sizeof(RtValue) <= 24);
 
-struct InterpOptions {
-  // Instruction budget; exceeding it classifies the run as a hang.
-  int64_t max_steps = 2'000'000;
-  // Call-depth budget; exceeding it is a stack-overflow trap.
-  int max_call_depth = 200;
-};
-
 struct CallOutcome {
   enum class Status {
     kOk,         // Returned normally.
@@ -177,7 +170,12 @@ class Interpreter {
   };
 
  public:
-  Interpreter(const Module& module, OsSimulator* os, InterpOptions options = {});
+  // Instruction budget; exceeding it classifies the run as a hang.
+  static constexpr int64_t kMaxSteps = 2'000'000;
+  // Call-depth budget; exceeding it is a stack-overflow trap.
+  static constexpr size_t kMaxCallDepth = 200;
+
+  Interpreter(const Module& module, OsSimulator* os);
 
   // Re-initializes global storage from the cached initializer image, clears
   // logs, read-tracking and the step counter. Does not reset the OS.
@@ -436,7 +434,7 @@ class Interpreter {
   // Dense slot of a global root, or -1 if the root is not a global.
   int32_t GlobalSlotOf(const Value* root) const;
 
-  // Pushes a frame for `fn` (stack-overflow trap past max_call_depth);
+  // Pushes a frame for `fn` (stack-overflow trap past kMaxCallDepth);
   // the caller then fills the argument registers and runs it.
   Frame& PushFrame(const FunctionCode& code);
   void PopFrame();
@@ -468,7 +466,6 @@ class Interpreter {
 
   const Module& module_;
   OsSimulator* os_;
-  InterpOptions options_;
   const CancelToken* cancel_ = nullptr;  // Borrowed; see set_cancel_token.
 
   // --- Per-instance interned-string pool. Append-only with stable
@@ -485,7 +482,6 @@ class Interpreter {
   // --- Layouts: the globals' at construction, a function's (with its
   // code) on its first call. Struct layouts are shared by all of them.
   std::unordered_map<const IrType*, FieldLayout> struct_layouts_;
-  std::vector<const IrType*> structs_in_progress_;  // Cuts a struct that contains itself.
   Layout global_layout_;
   std::unordered_map<const Function*, FunctionCode> code_;
   Space init_globals_;  // The globals after their initializers; Reset() copies it.

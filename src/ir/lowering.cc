@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <map>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -43,6 +44,27 @@ const std::unordered_map<std::string, BuiltinReturn>& BuiltinReturns() {
       {"invoke_handler2", BuiltinReturn::kInt32},
   };
   return *kTable;
+}
+
+// True when struct `held` is struct `outer` or holds it by value, at any
+// depth. `seen` keeps a cycle that does not pass through `outer` finite.
+bool HoldsByValue(const std::map<std::string, const StructDecl*>& decls,
+                  const std::string& held, const std::string& outer,
+                  std::set<std::string>* seen) {
+  if (held == outer) {
+    return true;
+  }
+  auto it = decls.find(held);
+  if (it == decls.end() || !seen->insert(held).second) {
+    return false;
+  }
+  for (const StructField& field : it->second->fields) {
+    if (field.type.kind == AstTypeKind::kStruct &&
+        HoldsByValue(decls, field.type.struct_name, outer, seen)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 class LoweringContext {
@@ -135,14 +157,25 @@ const IrType* LoweringContext::ConvertType(const AstType& ast_type) {
 
 void LoweringContext::LowerStructs() {
   // Two passes so structs can reference each other through pointers.
+  std::map<std::string, const StructDecl*> decls;
   for (const auto& decl : unit_.structs) {
     module_->types().StructType(decl->name);
+    decls.emplace(decl->name, decl.get());
   }
   for (const auto& decl : unit_.structs) {
     std::vector<const IrType*> field_types;
     std::vector<std::string> field_names;
     for (const StructField& field : decl->fields) {
-      field_types.push_back(ConvertType(field.type));
+      const IrType* type = ConvertType(field.type);
+      std::set<std::string> seen;
+      if (field.type.kind == AstTypeKind::kStruct &&
+          HoldsByValue(decls, field.type.struct_name, decl->name, &seen)) {
+        // No finite layout. Lowered as a pointer, the module's types stay finite.
+        diags_->Error(field.loc, "struct '" + decl->name + "' contains itself by value (field '" +
+                                     field.name + "')");
+        type = module_->types().PointerTo(type);
+      }
+      field_types.push_back(type);
       field_names.push_back(field.name);
     }
     module_->types().DefineStructBody(decl->name, std::move(field_types),

@@ -11,11 +11,11 @@
 // error Status, and every other version still loads — the caller decides
 // whether a partial matrix is worth having.
 //
-// Verdict-store scoping is automatic. Each version is its own Target, and
-// a Target's store scope fingerprint folds its source, annotations, SUT
-// spec and template (src/api/session.cc, StoreScopeLocked) — so attaching
-// one shared VerdictStore to every version gives each version its own
-// scope for free. Re-checking a matrix after one version bump replays
+// Verdict-store scoping is automatic. Each version is its own Target: its
+// store scope (Target::StoreScope in src/api/session.cc) folds its source,
+// annotations and SUT spec, and its campaign folds the template in per
+// call — so attaching one shared VerdictStore to every version gives each
+// version its own scope for free. Re-checking a matrix after one version bump replays
 // only the bumped version's column; every other column is served from
 // disk. O(diff) across the whole matrix, not per fleet.
 #ifndef SPEX_MATRIX_VERSION_SET_H_

@@ -468,7 +468,6 @@ void CheckServer::AdoptReturnedConns() {
       continue;
     }
     conn->idle = true;
-    gauge_idle_keepalive_.fetch_add(1, std::memory_order_relaxed);
     epoll_event event{};
     event.events = EPOLLIN;
     event.data.fd = conn->fd;
@@ -476,6 +475,10 @@ void CheckServer::AdoptReturnedConns() {
     Conn* raw = conn.get();
     conns_[conn->fd] = std::move(conn);
     ArmConnDeadline(raw, options_.keepalive_idle_timeout);
+    // Published only once the idle deadline is armed: a stats() reader
+    // that sees the connection idle (acquire) knows the clock reading the
+    // deadline was taken from, so time it advances afterwards counts.
+    gauge_idle_keepalive_.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -847,7 +850,7 @@ ServerStats CheckServer::stats() const {
   snapshot.partial_reads = stat_partial_reads_.load(std::memory_order_relaxed);
   snapshot.client_aborts = stat_client_aborts_.load(std::memory_order_relaxed);
   snapshot.open_connections = gauge_open_connections_.load(std::memory_order_relaxed);
-  snapshot.idle_keepalive = gauge_idle_keepalive_.load(std::memory_order_relaxed);
+  snapshot.idle_keepalive = gauge_idle_keepalive_.load(std::memory_order_acquire);
   return snapshot;
 }
 

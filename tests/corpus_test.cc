@@ -11,19 +11,27 @@ namespace spex {
 namespace {
 
 // A fresh campaign over the target's generated misconfigurations.
-CampaignSummary RunFreshCampaign(const TargetAnalysis& analysis, CampaignOptions options = {}) {
+CampaignSummary RunFreshCampaign(const TargetAnalysis& analysis) {
   InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
-                             OsSimulator::StandardEnvironment(), options);
+                             OsSimulator::StandardEnvironment());
   return campaign.RunAll(
       ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect),
       MisconfigGenerator().Generate(analysis.constraints));
 }
 
-// The independent reference: serial ground-truth full replay.
-CampaignOptions FullReplaySerial() {
-  CampaignOptions options;
-  options.use_parse_snapshot = false;
-  return options;
+// The independent reference: the same batch, serial, every config by
+// ground-truth full replay.
+CampaignSummary RunFullReplaySerial(const TargetAnalysis& analysis) {
+  InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
+                             OsSimulator::StandardEnvironment());
+  CampaignSummary summary;
+  summary.results = campaign.ReplayExternal(
+      ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect),
+      MisconfigGenerator().Generate(analysis.constraints), /*use_parse_snapshot=*/false);
+  for (const InjectionResult& result : summary.results) {
+    summary.total_tests_run += result.tests_run;
+  }
+  return summary;
 }
 
 class CorpusTargetTest : public ::testing::TestWithParam<std::string> {
@@ -92,7 +100,7 @@ TEST_P(CorpusTargetTest, CampaignFindsVulnerabilitiesDeterministically) {
   // The default snapshot-replay path must be indistinguishable from the
   // ground-truth full replay on every corpus target.
   CampaignSummary first = RunFreshCampaign(analysis);
-  CampaignSummary second = RunFreshCampaign(analysis, FullReplaySerial());
+  CampaignSummary second = RunFullReplaySerial(analysis);
   EXPECT_EQ(first.TotalVulnerabilities(), second.TotalVulnerabilities());
   EXPECT_GT(first.TotalVulnerabilities(), 0u) << "every system has some vulnerability";
   ASSERT_EQ(first.results.size(), second.results.size());
@@ -124,7 +132,7 @@ TEST(CorpusShardedTest, ShardedCampaignsMatchSerialRuns) {
     EXPECT_TRUE(sharded[i].diagnostics.empty()) << sharded[i].diagnostics;
     DiagnosticEngine diags;
     TargetAnalysis serial_analysis = AnalyzeTarget(FindTarget(names[i]), apis, &diags);
-    CampaignSummary serial = RunFreshCampaign(serial_analysis, FullReplaySerial());
+    CampaignSummary serial = RunFullReplaySerial(serial_analysis);
     const CampaignSummary& parallel = sharded[i].summary;
     ASSERT_EQ(parallel.results.size(), serial.results.size()) << names[i];
     for (size_t j = 0; j < serial.results.size(); ++j) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "src/core/engine.h"
 #include "src/corpus/pipeline.h"
 #include "src/ir/lowering.h"
@@ -306,6 +309,35 @@ void ExpectSameSummaries(const CampaignSummary& expected, const CampaignSummary&
   EXPECT_EQ(actual.total_tests_run, expected.total_tests_run) << label;
 }
 
+CampaignSummary Summarize(std::vector<InjectionResult> results) {
+  CampaignSummary summary;
+  summary.results = std::move(results);
+  for (const InjectionResult& result : summary.results) {
+    summary.total_tests_run += result.tests_run;
+  }
+  return summary;
+}
+
+// Ground truth: every config by full replay, in batch order — ReplayExternal
+// with the snapshot path off runs the same FullReplay a campaign falls back to.
+CampaignSummary FullReplaySummary(InjectionCampaign& campaign, const ConfigFile& template_config,
+                                  const std::vector<Misconfiguration>& configs,
+                                  ThreadPool* pool = nullptr, size_t workers = 1) {
+  return Summarize(campaign.ReplayExternal(template_config, configs,
+                                           /*use_parse_snapshot=*/false, {}, nullptr, pool,
+                                           workers));
+}
+
+// Ground truth one config at a time: RunOne never touches the snapshot cache.
+CampaignSummary RunOneSummary(InjectionCampaign& campaign, const ConfigFile& template_config,
+                              const std::vector<Misconfiguration>& configs) {
+  std::vector<InjectionResult> results;
+  for (const Misconfiguration& config : configs) {
+    results.push_back(campaign.RunOne(template_config, config));
+  }
+  return Summarize(std::move(results));
+}
+
 TEST(CampaignParallelTest, ParallelRunAllMatchesSerialOnSquid) {
   DiagnosticEngine diags;
   ApiRegistry apis = ApiRegistry::BuiltinC();
@@ -367,11 +399,10 @@ TEST(CampaignSnapshotTest, SnapshotReplayBitIdenticalToFullReplaySquid) {
 
   ThreadPool pool(3);
   auto run = [&](size_t threads, bool snapshot) {
-    CampaignOptions options;
-    options.use_parse_snapshot = snapshot;
     InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
-                               OsSimulator::StandardEnvironment(), options);
-    return campaign.RunAll(template_config, configs, nullptr, &pool, threads);
+                               OsSimulator::StandardEnvironment());
+    return snapshot ? campaign.RunAll(template_config, configs, nullptr, &pool, threads)
+                    : FullReplaySummary(campaign, template_config, configs, &pool, threads);
   };
 
   // Ground truth: serial, full replay for every run.
@@ -410,16 +441,12 @@ TEST(CampaignSnapshotTest, RejectedDeltaParseFallsBackToFullReplay) {
   std::vector<Misconfiguration> configs = {Inject("not_a_number", std::nullopt),
                                            Inject("9G", std::nullopt), Inject("6", 6)};
 
-  CampaignOptions snapshot_on;
-  snapshot_on.use_parse_snapshot = true;
   InjectionCampaign with_snapshot(*target.module, target.sut,
-                                  OsSimulator::StandardEnvironment(), snapshot_on);
-  CampaignOptions snapshot_off;
-  snapshot_off.use_parse_snapshot = false;
+                                  OsSimulator::StandardEnvironment());
   InjectionCampaign without_snapshot(*target.module, target.sut,
-                                     OsSimulator::StandardEnvironment(), snapshot_off);
+                                     OsSimulator::StandardEnvironment());
 
-  CampaignSummary truth = without_snapshot.RunAll(config, configs);
+  CampaignSummary truth = FullReplaySummary(without_snapshot, config, configs);
   CampaignSummary replayed = with_snapshot.RunAll(config, configs);
   ExpectSameSummaries(truth, replayed, "rejected delta");
   // The rejection itself is pinpointed by the handler's log_error.
@@ -462,16 +489,12 @@ TEST(CampaignSnapshotTest, OrderSensitiveParseHandlerFallsBackToFullReplay) {
     configs.push_back(inject);
   }
 
-  CampaignOptions snapshot_on;
-  snapshot_on.use_parse_snapshot = true;
   InjectionCampaign with_snapshot(*target.module, target.sut,
-                                  OsSimulator::StandardEnvironment(), snapshot_on);
-  CampaignOptions snapshot_off;
-  snapshot_off.use_parse_snapshot = false;
+                                  OsSimulator::StandardEnvironment());
   InjectionCampaign without_snapshot(*target.module, target.sut,
-                                     OsSimulator::StandardEnvironment(), snapshot_off);
+                                     OsSimulator::StandardEnvironment());
 
-  CampaignSummary truth = without_snapshot.RunAll(config, configs);
+  CampaignSummary truth = FullReplaySummary(without_snapshot, config, configs);
   CampaignSummary replayed = with_snapshot.RunAll(config, configs);
   ExpectSameSummaries(truth, replayed, "order-sensitive keyset");
   // In-order ground truth: a=9 then b=2 makes test_b see 11, a functional
@@ -518,11 +541,9 @@ TEST(CampaignSnapshotTest, ValueDependentOrderSensitivityFallsBack) {
     configs.push_back(inject);
   }
 
-  CampaignOptions snapshot_off;
-  snapshot_off.use_parse_snapshot = false;
   InjectionCampaign without_snapshot(*target.module, target.sut,
-                                     OsSimulator::StandardEnvironment(), snapshot_off);
-  CampaignSummary truth = without_snapshot.RunAll(config, configs);
+                                     OsSimulator::StandardEnvironment());
+  CampaignSummary truth = FullReplaySummary(without_snapshot, config, configs);
   InjectionCampaign with_snapshot(*target.module, target.sut,
                                   OsSimulator::StandardEnvironment());
   ExpectSameSummaries(truth, with_snapshot.RunAll(config, configs), "value-dependent order");
@@ -532,6 +553,124 @@ TEST(CampaignSnapshotTest, ValueDependentOrderSensitivityFallsBack) {
   EXPECT_EQ(truth.results[1].category, ReactionCategory::kFunctionalFailure);
   EXPECT_NE(truth.results[1].detail.find("got 1,"), std::string::npos)
       << truth.results[1].detail;
+}
+
+// --- The one template rule: the snapshot cache serves the first template
+// a snapshot-path call adopts; any other template replays by ground truth.
+
+// Two templates that differ in `workers`, which test_workers observes, so
+// a B run served from an A snapshot would classify differently.
+constexpr const char* kTwoTemplateSource = R"(
+  int threads = 4;
+  int workers = 2;
+  int slots[8];
+  int handle_config_line(char *key, char *value) {
+    if (!strcasecmp(key, "threads")) { threads = atoi(value); return 0; }
+    if (!strcasecmp(key, "workers")) { workers = atoi(value); return 0; }
+    return 0;
+  }
+  int server_init() {
+    int i;
+    for (i = 0; i < threads; i++) { slots[i] = workers; }
+    return 0;
+  }
+  int test_workers() { return slots[0]; }
+)";
+
+struct TwoTemplates {
+  MicroTarget target{kTwoTemplateSource};
+  ConfigFile a = ConfigFile::Parse("threads = 4\nworkers = 2\n", ConfigDialect::kKeyEqualsValue);
+  ConfigFile b = ConfigFile::Parse("threads = 4\nworkers = 3\n", ConfigDialect::kKeyEqualsValue);
+  std::vector<Misconfiguration> configs;
+
+  TwoTemplates() {
+    target.sut.tests.push_back({"workers", "test_workers", 2, 1});
+    target.sut.param_storage["threads"] = "threads";
+    // One delta key-set, revisited: RunAll takes the snapshot path. 9
+    // overflows slots[8] during init.
+    for (int threads = 1; threads <= 9; ++threads) {
+      configs.push_back(Inject(std::to_string(threads), threads));
+    }
+  }
+
+  InjectionCampaign NewCampaign() const {
+    return InjectionCampaign(*target.module, target.sut, OsSimulator::StandardEnvironment());
+  }
+};
+
+TEST(CampaignSnapshotTest, CacheKeepsTheFirstTemplateItAdopts) {
+  TwoTemplates fixture;
+  InjectionCampaign reference = fixture.NewCampaign();
+  CampaignSummary truth_a = RunOneSummary(reference, fixture.a, fixture.configs);
+  CampaignSummary truth_b = RunOneSummary(reference, fixture.b, fixture.configs);
+  ASSERT_EQ(truth_a.results[0].category, ReactionCategory::kNoIssue);
+  ASSERT_EQ(truth_b.results[0].category, ReactionCategory::kFunctionalFailure);
+
+  InjectionCampaign campaign = fixture.NewCampaign();
+  ExpectSameSummaries(truth_a, campaign.RunAll(fixture.a, fixture.configs), "adopt A");
+  const CampaignCacheStats adopted = campaign.cache_stats();
+  ASSERT_GT(adopted.snapshots_built, 0u);
+  ASSERT_GT(adopted.delta_replays, 0u);
+
+  // B is not the cache's template: every B run is a ground-truth replay.
+  ExpectSameSummaries(truth_b, campaign.RunAll(fixture.b, fixture.configs), "RunAll B");
+  ExpectSameSummaries(truth_b, Summarize(campaign.ReplayExternal(fixture.b, fixture.configs)),
+                      "ReplayExternal B");
+  CampaignCacheStats after_b = campaign.cache_stats();
+  EXPECT_EQ(after_b.snapshots_built, adopted.snapshots_built);
+  EXPECT_EQ(after_b.delta_replays, adopted.delta_replays);
+  EXPECT_EQ(after_b.full_replays, adopted.full_replays + 2 * fixture.configs.size());
+
+  // B cleared nothing: a later A batch still restores A's snapshots.
+  ExpectSameSummaries(truth_a, campaign.RunAll(fixture.a, fixture.configs), "A again");
+  CampaignCacheStats after_a = campaign.cache_stats();
+  EXPECT_EQ(after_a.snapshots_built, adopted.snapshots_built);
+  EXPECT_GT(after_a.delta_replays, after_b.delta_replays);
+}
+
+TEST(CampaignSnapshotTest, OtherTemplateRunAllMayOverlapExternalReplays) {
+  // Replays of the adopted template A hold cache entries while a RunAll
+  // over template B runs on the same campaign: legal, because nothing
+  // clears the cache. Every result must still be its template's ground
+  // truth (and the run clean under TSan).
+  TwoTemplates fixture;
+  InjectionCampaign reference = fixture.NewCampaign();
+  CampaignSummary truth_a = RunOneSummary(reference, fixture.a, fixture.configs);
+  CampaignSummary truth_b = RunOneSummary(reference, fixture.b, fixture.configs);
+
+  InjectionCampaign campaign = fixture.NewCampaign();
+  ExpectSameSummaries(truth_a, Summarize(campaign.ReplayExternal(fixture.a, fixture.configs)),
+                      "adopt A");
+  // Each replayer keeps going until every B batch is done, so the two
+  // overlap for the whole of them.
+  constexpr int kBatches = 20;
+  std::atomic<bool> batches_done{false};
+  std::vector<std::vector<std::vector<InjectionResult>>> external(4);
+  std::vector<std::thread> replayers;
+  for (auto& replayed : external) {
+    replayers.emplace_back([&] {
+      while (replayed.size() < 3 || !batches_done.load()) {
+        replayed.push_back(campaign.ReplayExternal(fixture.a, fixture.configs));
+      }
+    });
+  }
+  std::vector<CampaignSummary> batches;
+  for (int round = 0; round < kBatches; ++round) {
+    batches.push_back(campaign.RunAll(fixture.b, fixture.configs));
+  }
+  batches_done = true;
+  for (std::thread& replayer : replayers) {
+    replayer.join();
+  }
+  for (const CampaignSummary& batch : batches) {
+    ExpectSameSummaries(truth_b, batch, "RunAll B");
+  }
+  for (auto& replayed : external) {
+    for (std::vector<InjectionResult>& results : replayed) {
+      ExpectSameSummaries(truth_a, Summarize(std::move(results)), "ReplayExternal A");
+    }
+  }
+  EXPECT_GT(campaign.cache_stats().delta_replays, 0u);
 }
 
 }  // namespace

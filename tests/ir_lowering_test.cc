@@ -266,6 +266,55 @@ TEST(LoweringTest, AllBlocksTerminated) {
   }
 }
 
+// Lowers `source`, which must parse cleanly, and returns the lowering's
+// diagnostics.
+DiagnosticEngine LoweringDiagnostics(std::string_view source) {
+  DiagnosticEngine diags;
+  auto unit = ParseSource(source, "test.c", &diags);
+  EXPECT_FALSE(diags.HasErrors()) << diags.Render();
+  LowerToIr(*unit, &diags);
+  return diags;
+}
+
+TEST(LoweringTest, StructContainingItselfByValueIsAnError) {
+  DiagnosticEngine diags = LoweringDiagnostics(R"(
+    struct node { int x; struct node inner; };
+    struct node g;
+    int nest() { g.x = 1; return g.x; }
+  )");
+  EXPECT_EQ(diags.error_count(), 1u) << diags.Render();
+  EXPECT_NE(diags.Render().find("struct 'node' contains itself by value (field 'inner')"),
+            std::string::npos)
+      << diags.Render();
+}
+
+TEST(LoweringTest, StructsHoldingEachOtherByValueAreAnError) {
+  DiagnosticEngine diags = LoweringDiagnostics(R"(
+    struct a { int x; struct b held; };
+    struct b { int y; struct a back; };
+    struct c { struct a outside; };
+    struct c g;
+  )");
+  // One error per field on the cycle; `c` only holds a struct that is on it.
+  EXPECT_EQ(diags.error_count(), 2u) << diags.Render();
+  EXPECT_NE(diags.Render().find("struct 'a' contains itself by value (field 'held')"),
+            std::string::npos)
+      << diags.Render();
+  EXPECT_NE(diags.Render().find("struct 'b' contains itself by value (field 'back')"),
+            std::string::npos)
+      << diags.Render();
+}
+
+TEST(LoweringTest, StructPointingToItselfLowers) {
+  auto module = Lower(R"(
+    struct node { int x; struct node *next; };
+    struct node g;
+    int f() { g.next = &g; return g.next->x; }
+  )");
+  ASSERT_NE(module, nullptr);
+  EXPECT_NE(module->FindFunction("f"), nullptr);
+}
+
 TEST(LoweringTest, ModulePrintIsStable) {
   auto module = Lower("int x = 1; int f() { return x; }");
   std::string printed = module->Print();

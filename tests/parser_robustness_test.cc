@@ -66,7 +66,7 @@ TEST(ParserRobustnessTest, EightDeepNestingResolvesAndTooDeepIsContained) {
   EXPECT_EQ(set.files_resolved, 9u);
   EXPECT_EQ(set.effective.Get("depth8"), "8");
 
-  // A chain deeper than max_include_depth stops with one error record and
+  // A chain deeper than kMaxIncludeDepth stops with one error record and
   // keeps everything above the cut.
   files.clear();
   for (int i = 0; i <= 20; ++i) {
@@ -84,22 +84,21 @@ TEST(ParserRobustnessTest, EightDeepNestingResolvesAndTooDeepIsContained) {
 }
 
 TEST(ParserRobustnessTest, IncludeBombStopsAtTheFileCapWithOneRecord) {
-  // A wide fan-out behind a small cap: expansion must stop, not flood.
+  // A fan-out wider than the file cap: expansion must stop, not flood.
+  const size_t leaves = kMaxIncludeFiles + 64;
   std::vector<ConfigInput> files;
   std::string root_text;
-  for (int i = 0; i < 64; ++i) {
+  for (size_t i = 0; i < leaves; ++i) {
     root_text += "include leaf" + std::to_string(i) + ".conf\n";
   }
   files.push_back(ConfigInput{"root.conf", root_text});
-  for (int i = 0; i < 64; ++i) {
+  for (size_t i = 0; i < leaves; ++i) {
     files.push_back(
         ConfigInput{"leaf" + std::to_string(i) + ".conf", "k" + std::to_string(i) + " = 1\n"});
   }
-  ConfigSetOptions options;
-  options.max_files = 8;
-  ResolvedConfigSet set = ResolveConfigSet(files, ConfigDialect::kKeyEqualsValue, options);
+  ResolvedConfigSet set = ResolveConfigSet(files, ConfigDialect::kKeyEqualsValue);
   ASSERT_TRUE(set.resolved());
-  EXPECT_EQ(set.files_resolved, 8u);
+  EXPECT_EQ(set.files_resolved, kMaxIncludeFiles);
   EXPECT_EQ(CountErrors(set, ConfigSetError::Kind::kTooManyFiles), 1u);
   EXPECT_EQ(set.errors.size(), 1u);  // One record, not one per stopped leaf.
 }

@@ -7,10 +7,11 @@
 //
 //   target  index  param  category  pinpointed  tests_run  steps_used  digest
 //
-// `category`, `pinpointed` and `tests_run` come from a full-replay campaign
-// (use_parse_snapshot = false). `steps_used` is the interpreter step count
-// of the same run, re-driven here through the public Interpreter API: every
-// setting parsed in file order, then init, then the tests shortest first,
+// `category`, `pinpointed` and `tests_run` come from a campaign's
+// ground-truth full replay (ReplayExternal with use_parse_snapshot =
+// false). `steps_used` is the interpreter step count of the same run,
+// re-driven here through the public Interpreter API: every setting parsed
+// in file order, then init, then the tests shortest first,
 // stopping at the first failure. `digest` is Fnv1a64, in hex, over the
 // result's detail and each log line, every piece followed by '\n'.
 //
@@ -109,11 +110,10 @@ TargetRows GoldenRows(const TargetSpec& spec, const ApiRegistry& apis) {
   const std::vector<Misconfiguration> configs =
       MisconfigGenerator().Generate(analysis.constraints);
 
-  CampaignOptions ground_truth;
-  ground_truth.use_parse_snapshot = false;
   const OsSimulator os_template = OsSimulator::StandardEnvironment();
-  InjectionCampaign campaign(*analysis.module, bundle.sut, os_template, ground_truth);
-  const CampaignSummary summary = campaign.RunAll(template_config, configs);
+  InjectionCampaign campaign(*analysis.module, bundle.sut, os_template);
+  const std::vector<InjectionResult> results =
+      campaign.ReplayExternal(template_config, configs, /*use_parse_snapshot=*/false);
 
   std::vector<TestCase> tests = bundle.sut.tests;
   std::stable_sort(tests.begin(), tests.end(), [](const TestCase& a, const TestCase& b) {
@@ -121,8 +121,8 @@ TargetRows GoldenRows(const TargetSpec& spec, const ApiRegistry& apis) {
   });
   OsSimulator os = os_template;
   Interpreter interp(*analysis.module, &os);
-  for (size_t i = 0; i < summary.results.size(); ++i) {
-    const InjectionResult& result = summary.results[i];
+  for (size_t i = 0; i < results.size(); ++i) {
+    const InjectionResult& result = results[i];
     ConfigFile applied = template_config;
     applied.Set(result.config.param, result.config.value);
     for (const auto& [key, value] : result.config.extra_settings) {

@@ -268,13 +268,16 @@ void ExpectSameSummaries(const CampaignSummary& expected, const CampaignSummary&
 // ground-truth full replay on a campaign driven directly over
 // `analysis`, sharing nothing with any Session.
 CampaignSummary FullReplayReference(const TargetAnalysis& analysis) {
-  CampaignOptions ground_truth;
-  ground_truth.use_parse_snapshot = false;
   InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
-                             OsSimulator::StandardEnvironment(), ground_truth);
-  return campaign.RunAll(
+                             OsSimulator::StandardEnvironment());
+  CampaignSummary summary;
+  summary.results = campaign.ReplayExternal(
       ConfigFile::Parse(analysis.bundle.template_config, analysis.bundle.dialect),
-      MisconfigGenerator().Generate(analysis.constraints));
+      MisconfigGenerator().Generate(analysis.constraints), /*use_parse_snapshot=*/false);
+  for (const InjectionResult& result : summary.results) {
+    summary.total_tests_run += result.tests_run;
+  }
+  return summary;
 }
 
 TEST(SessionCampaignTest, FacadeCampaignBitIdenticalToFullReplay) {
