@@ -17,7 +17,8 @@ double BatchSummary::DedupRatio() const {
 
 Status ValidateConfigText(std::string_view text, ConfigDialect dialect) {
   uint32_t line_number = 0;
-  for (const std::string& raw_line : SplitString(text, '\n')) {
+  std::string_view raw_line;
+  for (LineCursor lines(text); lines.Next(&raw_line);) {
     ++line_number;
     std::string_view line = TrimWhitespace(raw_line);
     if (line.empty() || line[0] == '#' || line[0] == ';') {
@@ -115,15 +116,18 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
                                               &replay_stats, pool, requested_workers);
   }
 
-  // --- Phase 4 (driver thread, batch order): fan each unique verdict out
-  // to the configs that contributed it, attach reactions, stream the
-  // report. Serial on purpose: observer callbacks are ordered and the
-  // fan-out is copies, not execution.
+  // --- Phase 4a (claimed): build every config's report in place — fan
+  // each unique verdict out to the configs that contributed it, attach
+  // reactions, settle the deadline status. Pure per-slot work over
+  // read-only phase 2/3 results. Each slot's parsed config and suspects
+  // are freed here, on the claimers, rather than by the driver when
+  // `state` goes out of scope.
   BatchSummary summary;
   summary.configs_checked = count;
-  summary.reports.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
+  summary.reports.resize(count);
+  ForEachIndex(pool, count, requested_workers, [&](size_t i) {
     PerConfig& slot = state[i];
+    ConfigReport& report = summary.reports[i];
     if (!slot.suspects.empty()) {
       std::vector<InjectionResult> results;
       results.reserve(slot.suspects.size());
@@ -136,9 +140,6 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
         }
       }
       AttachReactions(slot.suspects, results, slot.parsed, configs[i].name, &slot.violations);
-      for (const InjectionResult& result : results) {
-        ++summary.reactions_by_category[static_cast<size_t>(result.category)];
-      }
       if (timed_out > 0) {
         // The config's static findings and in-budget verdicts stand; the
         // status says the dynamic picture is incomplete and why.
@@ -147,8 +148,6 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
             " suspect replays exceeded the request budget");
       }
     }
-
-    ConfigReport report;
     report.index = i;
     report.name = configs[i].name;
     report.suspects = slot.suspects.size();
@@ -159,7 +158,18 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
       }
     }
     report.violations = std::move(slot.violations);
+    slot.parsed = ConfigFile();
+    slot.suspects = {};
+  });
 
+  // --- Phase 4b (driver thread, batch order): fold the counters and
+  // stream each report. Serial on purpose: observer callbacks are ordered.
+  for (size_t i = 0; i < count; ++i) {
+    const ConfigReport& report = summary.reports[i];
+    for (size_t unique_idx : state[i].unique_index) {
+      // A fanned-out verdict keeps its unique execution's category.
+      ++summary.reactions_by_category[static_cast<size_t>(unique_results[unique_idx].category)];
+    }
     summary.total_suspects += report.suspects;
     summary.total_violations += report.violations.size();
     if (!report.violations.empty()) {
@@ -174,7 +184,6 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
     if (observer != nullptr) {
       observer->OnConfigChecked(i, report);
     }
-    summary.reports.push_back(std::move(report));
   }
   // A unique execution served from the persistent store never replayed:
   // a fully warm re-check reports unique_replays == 0 (and DedupRatio 1.0).

@@ -133,8 +133,8 @@ struct BatchSummary {
 // batch summary (progress reporting, early alerting, JSON-lines writers).
 // Callbacks arrive on the driver thread, strictly in batch order
 // (`index` == 0, 1, ...), after the config's verdicts are final; the
-// report reference is valid only during the call (the same object lands
-// in BatchSummary::reports afterwards).
+// report reference is valid only during the call (it is the
+// BatchSummary::reports element the batch returns).
 class BatchObserver {
  public:
   virtual ~BatchObserver() = default;
@@ -163,11 +163,12 @@ Status ValidateConfigText(std::string_view text, ConfigDialect dialect);
 // The batch engine behind Target::CheckConfigBatch. `campaign` carries
 // the persistent snapshot cache and may be null for static-only batches
 // (it is also ignored when options.check.mode is kStatic); `pool` may be
-// null for serial runs. Phases 1 (analysis) and 3 (unique replays) claim
-// their indices through ForEachIndex; phase 4 (fan-out and observer
-// callbacks) runs after phase 3. The batch waits only for its own pool
-// tasks, so other clients may use the same pool concurrently; it must not
-// be called from a task of `pool` (thread_pool.h). Every config is
+// null for serial runs. Phases 1 (analysis), 3 (unique replays) and the
+// report build of phase 4 (fan-out, reactions, status) claim their indices
+// through ForEachIndex; only dedup and the ordered counter fold and
+// observer callbacks run on the calling thread. The batch waits only for
+// its own pool tasks, so other clients may use the same pool concurrently;
+// it must not be called from a task of `pool` (thread_pool.h). Every config is
 // checked against `constraints` + `template_config` exactly as a
 // dedicated Target::CheckConfig call would check it.
 BatchSummary RunBatchCheck(const ModuleConstraints& constraints,

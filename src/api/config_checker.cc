@@ -204,7 +204,7 @@ class Checker {
   }
 
  private:
-  void Report(ViolationCategory category, const std::string& param, const std::string& value,
+  void Report(ViolationCategory category, std::string_view param, std::string_view value,
               uint32_t line, std::string message, SourceLoc constraint_loc) {
     Violation violation;
     violation.category = category;
@@ -475,7 +475,7 @@ class Checker {
              config_.LineOf(dep.dependent),
              "setting has no effect: it is only consulted when " + dep.master + " " +
                  IrCmpPredName(dep.pred) + " " + std::to_string(dep.value) + ", and " +
-                 dep.master + " is '" + *master_value + "'",
+                 dep.master + " is '" + std::string(*master_value) + "'",
              dep.loc);
     }
   }
@@ -495,8 +495,8 @@ class Checker {
       }
       Report(ViolationCategory::kValueRel, rel.lhs, *lhs_value, config_.LineOf(rel.lhs),
              "configuration must satisfy " + rel.lhs + " " + IrCmpPredName(rel.pred) + " " +
-                 rel.rhs + " (" + rel.lhs + " = " + *lhs_value + ", " + rel.rhs + " = " +
-                 *rhs_value + ")",
+                 rel.rhs + " (" + rel.lhs + " = " + std::string(*lhs_value) + ", " + rel.rhs +
+                 " = " + std::string(*rhs_value) + ")",
              rel.loc);
     }
   }

@@ -1,6 +1,9 @@
 #include "src/api/dynamic_check.h"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
+#include <memory_resource>
 #include <unordered_set>
 
 namespace spex {
@@ -98,17 +101,16 @@ std::vector<Misconfiguration> BuildDynamicSuspects(
   // One first-occurrence user setting plus what the static pass said about
   // it (matching on param *and* value — with duplicate keys, a violation
   // about a later occurrence's value must not adopt the replayed value's
-  // identity).
+  // identity). `entry` points into `config`, which outlives the diff.
   struct DeltaSetting {
-    std::string key;
-    std::string value;
+    const ConfigEntry* entry = nullptr;
     const Violation* flagged = nullptr;  // First matching static violation.
     bool control_dep = false;
     bool value_rel = false;
   };
   auto annotate = [&](DeltaSetting* delta) {
     for (const Violation& violation : static_violations) {
-      if (violation.param != delta->key || violation.value != delta->value) {
+      if (violation.param != delta->entry->key || violation.value != delta->entry->value) {
         continue;
       }
       if (delta->flagged == nullptr) {
@@ -127,29 +129,31 @@ std::vector<Misconfiguration> BuildDynamicSuspects(
   // once the user's master disables it, and the verdict contract promises
   // every violation its observed reaction.
   std::vector<DeltaSetting> deltas;
-  std::unordered_set<std::string> seen;
+  // The seen-set's nodes and buckets live on the stack up to about two
+  // hundred keys; a bigger config spills to the heap.
+  std::array<std::byte, 8192> seen_buffer;
+  std::pmr::monotonic_buffer_resource seen_memory(seen_buffer.data(), seen_buffer.size());
+  std::pmr::unordered_set<std::string_view> seen(&seen_memory);
   seen.reserve(config.entries().size());
   for (const ConfigEntry& entry : config.entries()) {
     if (entry.kind != ConfigEntry::Kind::kSetting || !seen.insert(entry.key).second) {
       continue;
     }
-    DeltaSetting delta;
-    delta.key = entry.key;
-    delta.value = entry.value;
+    DeltaSetting delta{.entry = &entry};
     annotate(&delta);
-    auto template_value = template_config.Get(entry.key);
+    std::optional<std::string_view> template_value = template_config.Get(entry.key);
     if (template_value.has_value() && *template_value == entry.value &&
         delta.flagged == nullptr) {
       continue;  // Matches the known-good baseline and nobody flagged it.
     }
-    deltas.push_back(std::move(delta));
+    deltas.push_back(delta);
   }
 
   std::vector<Misconfiguration> suspects;
   suspects.reserve(deltas.size());
   for (const DeltaSetting& delta : deltas) {
-    const std::string& key = delta.key;
-    const std::string& value = delta.value;
+    const std::string& key = delta.entry->key;
+    const std::string& value = delta.entry->value;
     const ParamConstraints* param = constraints.FindParam(key);
     bool control_dep = delta.control_dep;
     bool value_rel = delta.value_rel;
@@ -213,7 +217,7 @@ std::vector<Misconfiguration> BuildDynamicSuspects(
           return;
         }
       }
-      suspect.extra_settings.emplace_back(partner, *user_value);
+      suspect.extra_settings.emplace_back(partner, std::string(*user_value));
     };
     if (suspect.kind == ViolationKind::kControlDep) {
       for (const ControlDepConstraint& dep : constraints.control_deps) {

@@ -1,5 +1,6 @@
 #include "src/confgen/config_file.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/support/strings.h"
@@ -33,42 +34,45 @@ std::string SupportedConfigDialectNames() {
 
 ConfigFile ConfigFile::Parse(std::string_view text, ConfigDialect dialect) {
   ConfigFile file(dialect);
+  file.entries_.reserve(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
   uint32_t line_number = 0;
-  for (const std::string& raw_line : SplitString(text, '\n')) {
-    ++line_number;
+  std::string_view raw_line;
+  for (LineCursor lines(text); lines.Next(&raw_line);) {
     std::string_view line = TrimWhitespace(raw_line);
-    ConfigEntry entry;
-    entry.line = line_number;
+    ConfigEntry& entry = file.entries_.emplace_back();
+    entry.line = ++line_number;
     if (line.empty()) {
       entry.kind = ConfigEntry::Kind::kBlank;
-      file.entries_.push_back(std::move(entry));
       continue;
     }
     if (line[0] == '#' || line[0] == ';') {
       entry.kind = ConfigEntry::Kind::kComment;
-      entry.raw = std::string(line);
-      file.entries_.push_back(std::move(entry));
+      entry.raw = line;
       continue;
     }
     entry.kind = ConfigEntry::Kind::kSetting;
     if (dialect == ConfigDialect::kKeyEqualsValue) {
       size_t eq = line.find('=');
       if (eq == std::string_view::npos) {
-        entry.key = std::string(TrimWhitespace(line));
+        entry.key = line;
       } else {
-        entry.key = std::string(TrimWhitespace(line.substr(0, eq)));
-        entry.value = std::string(TrimWhitespace(line.substr(eq + 1)));
+        entry.key = TrimWhitespace(line.substr(0, eq));
+        entry.value = TrimWhitespace(line.substr(eq + 1));
       }
     } else {
-      size_t space = line.find_first_of(" \t");
-      if (space == std::string_view::npos) {
-        entry.key = std::string(line);
+      // A plain scan: find_first_of tests each character against the set
+      // with a call of its own.
+      size_t space = 0;
+      while (space < line.size() && line[space] != ' ' && line[space] != '\t') {
+        ++space;
+      }
+      if (space == line.size()) {
+        entry.key = line;
       } else {
-        entry.key = std::string(line.substr(0, space));
-        entry.value = std::string(TrimWhitespace(line.substr(space + 1)));
+        entry.key = line.substr(0, space);
+        entry.value = TrimWhitespace(line.substr(space + 1));
       }
     }
-    file.entries_.push_back(std::move(entry));
   }
   // Drop a single trailing blank produced by a final newline.
   if (!file.entries_.empty() && file.entries_.back().kind == ConfigEntry::Kind::kBlank) {
@@ -77,7 +81,7 @@ ConfigFile ConfigFile::Parse(std::string_view text, ConfigDialect dialect) {
   return file;
 }
 
-std::optional<std::string> ConfigFile::Get(std::string_view key) const {
+std::optional<std::string_view> ConfigFile::Get(std::string_view key) const {
   for (const ConfigEntry& entry : entries_) {
     if (entry.kind == ConfigEntry::Kind::kSetting && entry.key == key) {
       return entry.value;

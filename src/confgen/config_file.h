@@ -48,7 +48,9 @@ class ConfigFile {
   ConfigDialect dialect() const { return dialect_; }
   const std::vector<ConfigEntry>& entries() const { return entries_; }
 
-  std::optional<std::string> Get(std::string_view key) const;
+  // The value of a key's first setting, as a view into this file's own
+  // entry: valid until the file is modified or destroyed.
+  std::optional<std::string_view> Get(std::string_view key) const;
   // Line number of a key's setting (for error reports), 0 if absent.
   uint32_t LineOf(std::string_view key) const;
   // Overwrites the first setting of `key`, or appends one.

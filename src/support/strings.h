@@ -19,6 +19,36 @@ std::string_view TrimWhitespace(std::string_view text);
 
 std::vector<std::string> SplitString(std::string_view text, char delimiter);
 
+// Walks `text` one '\n'-separated line at a time, as views into `text`:
+// the same pieces, in the same order, as SplitString(text, '\n'), so empty
+// text is one empty line and a final newline ends with one.
+//
+//   std::string_view line;
+//   for (LineCursor lines(text); lines.Next(&line);) { ... }
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view text) : rest_(text) {}
+
+  bool Next(std::string_view* line) {
+    if (done_) {
+      return false;
+    }
+    size_t newline = rest_.find('\n');
+    if (newline == std::string_view::npos) {
+      *line = rest_;
+      done_ = true;
+    } else {
+      *line = rest_.substr(0, newline);
+      rest_.remove_prefix(newline + 1);
+    }
+    return true;
+  }
+
+ private:
+  std::string_view rest_;
+  bool done_ = false;
+};
+
 // Splits on runs of whitespace; no empty fields are produced.
 std::vector<std::string> SplitWhitespace(std::string_view text);
 

@@ -23,23 +23,29 @@
 // all. A single unreadable or unparseable file inside a directory scan is
 // contained as a per-config error record — it never aborts the rest of
 // the fleet.
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
-#include <string>
-#include <vector>
-
+#include <iterator>
 #include <set>
+#include <string>
+#include <string_view>
+#include <unordered_set>
+#include <vector>
 
 #include "src/api/config_set.h"
 #include "src/api/report_json.h"
 #include "src/api/session.h"
 #include "src/corpus/spec.h"
+#include "src/support/thread_pool.h"
 #include "src/support/verdict_store.h"
 
 namespace spex {
@@ -75,7 +81,8 @@ options:
                        listed version, diff adjacent columns (text: grid +
                        transitions; jsonl: cell/version/diff records)
   --mode <m>           static | dynamic (default: dynamic)
-  --threads <n>        batch workers: 1 = serial, 0 = hardware (default: 0)
+  --threads <n>        batch and file-read workers: 1 = serial, 0 = hardware
+                       (default: 0)
   --format <f>         text | jsonl (default: text)
   --pattern <glob>     filename filter for directories, * and ? wildcards
                        (default: *.conf)
@@ -547,20 +554,69 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, std::string* error) {
   return true;
 }
 
+// What reading one file whole found.
+enum class ReadResult { kOk, kCannotOpen, kFailedMidFile };
+
+// Reads a whole file with one open, fstat and read; one more read sees the
+// end, and the buffer grows only if the file grew since the fstat.
+ReadResult ReadWholeFile(const std::string& path, std::string* out) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return ReadResult::kCannotOpen;
+  }
+  struct stat info {};
+  size_t expected =
+      ::fstat(fd, &info) == 0 && info.st_size > 0 ? static_cast<size_t>(info.st_size) : 0;
+  std::string text(expected + 1, '\0');  // One spare byte for the read that sees the end.
+  size_t used = 0;
+  while (true) {
+    if (used == text.size()) {
+      text.resize(text.size() * 2);
+    }
+    ssize_t got = ::read(fd, text.data() + used, text.size() - used);
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got < 0) {
+      ::close(fd);
+      return ReadResult::kFailedMidFile;
+    }
+    if (got == 0) {
+      break;
+    }
+    used += static_cast<size_t>(got);
+  }
+  ::close(fd);
+  text.resize(used);
+  *out = std::move(text);
+  return ReadResult::kOk;
+}
+
 // Expands files and directories into the config list. Directory scans are
-// non-recursive (ListMatching).
+// non-recursive (ListMatching). The per-path work — one stat per
+// argument, then each file's canonical path and text — is claimed through
+// ForEachIndex at `workers` wide into pre-sized slots; everything that
+// decides order (expansion, dedup, error records) stays serial and
+// follows the command line.
 //
 // Containment boundary: a file that cannot be READ (vanished mid-scan,
 // permission denied) becomes a per-config error record in `errors` and
 // the rest of the fleet is still checked. Only structural problems with
 // the invocation itself — a path that does not exist, an unlistable
 // directory, a glob matching nothing — fail the whole run.
-bool CollectConfigs(const CliOptions& options, std::vector<ConfigInput>* configs,
-                    std::vector<ConfigError>* errors, std::string* error) {
-  std::vector<std::string> files;
-  for (const std::string& path : options.paths) {
+bool CollectConfigs(const CliOptions& options, ThreadPool* pool, size_t workers,
+                    std::vector<ConfigInput>* configs, std::vector<ConfigError>* errors,
+                    std::string* error) {
+  std::vector<fs::file_status> kinds(options.paths.size());
+  ForEachIndex(pool, kinds.size(), workers, [&](size_t i) {
     std::error_code ec;
-    if (fs::is_directory(path, ec)) {
+    kinds[i] = fs::status(options.paths[i], ec);
+  });
+  std::vector<std::string> files;
+  for (size_t i = 0; i < options.paths.size(); ++i) {
+    const std::string& path = options.paths[i];
+    if (fs::is_directory(kinds[i])) {
+      std::error_code ec;
       std::vector<std::string> in_dir = ListMatching(path, options.pattern, ec);
       if (ec) {
         *error = "cannot read directory " + path + ": " + ec.message();
@@ -570,43 +626,53 @@ bool CollectConfigs(const CliOptions& options, std::vector<ConfigInput>* configs
         *error = "no files matching '" + options.pattern + "' in " + path;
         return false;
       }
-      files.insert(files.end(), in_dir.begin(), in_dir.end());
-    } else if (fs::is_regular_file(path, ec)) {
+      files.insert(files.end(), std::make_move_iterator(in_dir.begin()),
+                   std::make_move_iterator(in_dir.end()));
+    } else if (fs::is_regular_file(kinds[i])) {
       files.push_back(path);
     } else {
       *error = "no such file or directory: " + path;
       return false;
     }
   }
+
+  struct FileSlot {
+    std::string canonical;
+    std::string text;
+    ReadResult read = ReadResult::kOk;
+  };
+  std::vector<FileSlot> slots(files.size());
+  ForEachIndex(pool, files.size(), workers, [&](size_t i) {
+    FileSlot& slot = slots[i];
+    std::error_code canon_ec;
+    fs::path canonical = fs::weakly_canonical(files[i], canon_ec);
+    slot.canonical = canon_ec ? files[i] : canonical.string();
+    slot.read = ReadWholeFile(files[i], &slot.text);
+  });
+
   // A config reachable twice — a directory listed twice, a symlinked
   // sibling of itself, a file repeated on the command line — is checked
   // and counted once: dedup by canonical path, first mention wins (so
   // report order still follows the command line).
-  std::set<std::string> seen;
-  std::vector<std::string> unique_files;
-  unique_files.reserve(files.size());
-  for (const std::string& file : files) {
-    std::error_code canon_ec;
-    fs::path canonical = fs::weakly_canonical(file, canon_ec);
-    if (seen.insert(canon_ec ? file : canonical.string()).second) {
-      unique_files.push_back(file);
-    }
-  }
-  files = std::move(unique_files);
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(slots.size());
   configs->reserve(files.size());
-  for (const std::string& file : files) {
-    std::ifstream stream(file, std::ios::binary);
-    if (!stream) {
-      errors->push_back(ConfigError{file, "cannot read file"});
+  for (size_t i = 0; i < files.size(); ++i) {
+    FileSlot& slot = slots[i];
+    if (!seen.insert(slot.canonical).second) {
       continue;
     }
-    std::ostringstream content;
-    content << stream.rdbuf();
-    if (stream.bad()) {
-      errors->push_back(ConfigError{file, "read failed mid-file"});
-      continue;
+    switch (slot.read) {
+      case ReadResult::kCannotOpen:
+        errors->push_back(ConfigError{files[i], "cannot read file"});
+        break;
+      case ReadResult::kFailedMidFile:
+        errors->push_back(ConfigError{files[i], "read failed mid-file"});
+        break;
+      case ReadResult::kOk:
+        configs->push_back(ConfigInput{std::move(files[i]), std::move(slot.text)});
+        break;
     }
-    configs->push_back(ConfigInput{file, content.str()});
   }
   return true;
 }
@@ -620,16 +686,11 @@ class FileConfigSetSource : public ConfigSetSource {
   explicit FileConfigSetSource(std::string pattern) : pattern_(std::move(pattern)) {}
 
   std::optional<std::string> Load(const std::string& name) override {
-    std::ifstream stream(name, std::ios::binary);
-    if (!stream) {
+    std::string text;
+    if (ReadWholeFile(name, &text) != ReadResult::kOk) {
       return std::nullopt;
     }
-    std::ostringstream content;
-    content << stream.rdbuf();
-    if (stream.bad()) {
-      return std::nullopt;
-    }
-    return content.str();
+    return text;
   }
 
   std::optional<std::vector<std::string>> ListDir(const std::string& dir) override {
@@ -683,15 +744,18 @@ bool CollectConfigSetRoots(const CliOptions& options, std::vector<std::string>* 
 // jsonl, "<file>: ERROR <message>" in text). Returns the exit code when the run must
 // stop: a usage error, or not one config readable — exit 2 is reserved
 // for "nothing was checked at all".
-std::optional<int> CollectFleet(const CliOptions& options, std::vector<ConfigInput>* configs,
-                                size_t* unreadable) {
+std::optional<int> CollectFleet(const CliOptions& options, Session& session,
+                                std::vector<ConfigInput>* configs, size_t* unreadable) {
   if (options.paths.empty()) {
     std::cerr << "spexcheck: no config files or directories given\n" << kUsage;
     return 2;
   }
+  // Files are read at the batch's width, on the pool the batch will use.
+  ThreadPool* pool = options.threads != 1 ? session.worker_pool() : nullptr;
   std::vector<ConfigError> read_errors;
   std::string error;
-  if (!CollectConfigs(options, configs, &read_errors, &error)) {
+  if (!CollectConfigs(options, pool, ClaimerCount(options.threads, pool), configs,
+                      &read_errors, &error)) {
     return Fail(error);
   }
   for (const ConfigError& read_error : read_errors) {
@@ -711,19 +775,17 @@ std::optional<int> CollectFleet(const CliOptions& options, std::vector<ConfigInp
 // Reads one target-definition file whole. Unlike fleet configs, these are
 // structural inputs: a missing annotations file fails the run (exit 2).
 bool ReadFile(const std::string& path, std::string* out, std::string* error) {
-  std::ifstream stream(path, std::ios::binary);
-  if (!stream) {
-    *error = "cannot read " + path;
-    return false;
+  switch (ReadWholeFile(path, out)) {
+    case ReadResult::kOk:
+      return true;
+    case ReadResult::kCannotOpen:
+      *error = "cannot read " + path;
+      return false;
+    case ReadResult::kFailedMidFile:
+      *error = "read failed mid-file: " + path;
+      return false;
   }
-  std::ostringstream content;
-  content << stream.rdbuf();
-  if (stream.bad()) {
-    *error = "read failed mid-file: " + path;
-    return false;
-  }
-  *out = content.str();
-  return true;
+  return false;
 }
 
 // Turns command-line version args into loadable TargetVersion specs:
@@ -878,7 +940,7 @@ int Run(int argc, char** argv) {
 
     std::vector<ConfigInput> configs;
     size_t unreadable = 0;
-    if (std::optional<int> stop = CollectFleet(options, &configs, &unreadable)) {
+    if (std::optional<int> stop = CollectFleet(options, session, &configs, &unreadable)) {
       return *stop;
     }
     BatchOptions batch;
@@ -895,7 +957,7 @@ int Run(int argc, char** argv) {
   }
   std::vector<ConfigInput> configs;
   size_t unreadable = 0;
-  if (std::optional<int> stop = CollectFleet(options, &configs, &unreadable)) {
+  if (std::optional<int> stop = CollectFleet(options, session, &configs, &unreadable)) {
     return *stop;
   }
 

@@ -171,6 +171,62 @@ TEST(BatchCheckTest, BatchVerdictsMatchIndependentChecksAtEveryThreadCount) {
   }
 }
 
+// Phase 4 builds reports on claimers and folds counters on the driver:
+// the whole summary — every counter array, and per report the status,
+// suspect counts and violations with their reaction fields — must not
+// depend on the width.
+TEST(BatchCheckTest, SummaryIsIdenticalAtEveryThreadCount) {
+  std::vector<ConfigInput> corpus = FleetCorpus();
+  corpus.insert(corpus.begin() + 2,
+                ConfigInput{"poisoned.conf", "worker_threads = 4\nno equals sign\n"});
+  corpus.push_back({"crash-again.conf", "worker_threads = 99\nidle_timeout = 120\n"});
+  corpus.push_back({"ignored-again.conf", "cache_ttl = 600\nuse_cache = off\n"});
+
+  auto run = [&](int threads) {
+    Session session(SessionOptions{.campaign_threads = 4});
+    Target* target = LoadFleetServer(session);
+    EXPECT_NE(target, nullptr);
+    BatchOptions options;
+    options.check.mode = CheckMode::kDynamic;
+    options.num_threads = threads;
+    return target->CheckConfigBatch(corpus, options);
+  };
+  const BatchSummary serial = run(1);
+  ASSERT_EQ(serial.reports.size(), corpus.size());
+  EXPECT_EQ(serial.configs_with_errors, 1u);
+  EXPECT_GT(serial.total_suspects, serial.unique_replays);
+
+  for (int threads : {2, 4, 0}) {
+    const BatchSummary wide = run(threads);
+    const std::string at = " @" + std::to_string(threads) + " threads";
+    EXPECT_EQ(wide.configs_checked, serial.configs_checked) << at;
+    EXPECT_EQ(wide.configs_with_violations, serial.configs_with_violations) << at;
+    EXPECT_EQ(wide.configs_with_errors, serial.configs_with_errors) << at;
+    EXPECT_EQ(wide.total_violations, serial.total_violations) << at;
+    EXPECT_EQ(wide.violations_by_category, serial.violations_by_category) << at;
+    EXPECT_EQ(wide.reactions_by_category, serial.reactions_by_category) << at;
+    EXPECT_EQ(wide.total_suspects, serial.total_suspects) << at;
+    EXPECT_EQ(wide.unique_replays, serial.unique_replays) << at;
+    EXPECT_EQ(wide.store_hits, serial.store_hits) << at;
+    EXPECT_EQ(wide.store_misses, serial.store_misses) << at;
+    EXPECT_EQ(wide.store_appends, serial.store_appends) << at;
+    EXPECT_EQ(wide.finalized_overlapped, serial.finalized_overlapped) << at;
+    ASSERT_EQ(wide.reports.size(), serial.reports.size()) << at;
+    for (size_t i = 0; i < serial.reports.size(); ++i) {
+      const ConfigReport& a = serial.reports[i];
+      const ConfigReport& b = wide.reports[i];
+      const std::string label = a.name + at;
+      EXPECT_EQ(b.index, a.index) << label;
+      EXPECT_EQ(b.name, a.name) << label;
+      EXPECT_EQ(b.status.code(), a.status.code()) << label;
+      EXPECT_EQ(b.status.message(), a.status.message()) << label;
+      EXPECT_EQ(b.suspects, a.suspects) << label;
+      EXPECT_EQ(b.shared_replays, a.shared_replays) << label;
+      ExpectSameViolations(a.violations, b.violations, label);
+    }
+  }
+}
+
 TEST(BatchCheckTest, DedupCountersAccountEverySharedExecution) {
   Session session;
   Target* target = LoadFleetServer(session);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/batch_check.h"
+#include "src/corpus/synthesizer.h"
+#include "src/support/strings.h"
+
 namespace spex {
 namespace {
 
@@ -46,6 +50,138 @@ TEST(ConfigFileTest, SetOverwritesOrAppends) {
   EXPECT_EQ(file.SettingCount(), 2u);
   EXPECT_TRUE(file.Remove("a"));
   EXPECT_FALSE(file.Remove("a"));
+}
+
+// Reference walkers: SplitString copies the text into owned lines first,
+// then each line is handled exactly as ConfigFile::Parse and
+// ValidateConfigText must handle it.
+std::vector<ConfigEntry> ReferenceParse(std::string_view text, ConfigDialect dialect) {
+  std::vector<ConfigEntry> entries;
+  uint32_t line_number = 0;
+  for (const std::string& raw_line : SplitString(text, '\n')) {
+    ++line_number;
+    std::string_view line = TrimWhitespace(raw_line);
+    ConfigEntry entry;
+    entry.line = line_number;
+    if (line.empty()) {
+      entry.kind = ConfigEntry::Kind::kBlank;
+      entries.push_back(std::move(entry));
+      continue;
+    }
+    if (line[0] == '#' || line[0] == ';') {
+      entry.kind = ConfigEntry::Kind::kComment;
+      entry.raw = std::string(line);
+      entries.push_back(std::move(entry));
+      continue;
+    }
+    entry.kind = ConfigEntry::Kind::kSetting;
+    if (dialect == ConfigDialect::kKeyEqualsValue) {
+      size_t eq = line.find('=');
+      if (eq == std::string_view::npos) {
+        entry.key = std::string(TrimWhitespace(line));
+      } else {
+        entry.key = std::string(TrimWhitespace(line.substr(0, eq)));
+        entry.value = std::string(TrimWhitespace(line.substr(eq + 1)));
+      }
+    } else {
+      size_t space = line.find_first_of(" \t");
+      if (space == std::string_view::npos) {
+        entry.key = std::string(line);
+      } else {
+        entry.key = std::string(line.substr(0, space));
+        entry.value = std::string(TrimWhitespace(line.substr(space + 1)));
+      }
+    }
+    entries.push_back(std::move(entry));
+  }
+  if (!entries.empty() && entries.back().kind == ConfigEntry::Kind::kBlank) {
+    entries.pop_back();
+  }
+  return entries;
+}
+
+Status ReferenceValidate(std::string_view text, ConfigDialect dialect) {
+  uint32_t line_number = 0;
+  for (const std::string& raw_line : SplitString(text, '\n')) {
+    ++line_number;
+    std::string_view line = TrimWhitespace(raw_line);
+    if (line.empty() || line[0] == '#' || line[0] == ';') {
+      continue;
+    }
+    if (dialect != ConfigDialect::kKeyEqualsValue) {
+      continue;
+    }
+    size_t eq = line.find('=');
+    if (eq == std::string_view::npos) {
+      return Status::InvalidArgument("line " + std::to_string(line_number) +
+                                     ": settings line has no '='");
+    }
+    if (TrimWhitespace(line.substr(0, eq)).empty()) {
+      return Status::InvalidArgument("line " + std::to_string(line_number) +
+                                     ": settings line has an empty key");
+    }
+  }
+  return Status::Ok();
+}
+
+// Every corpus template plus the shapes a line walker gets wrong.
+std::vector<std::string> WalkerInputs() {
+  std::vector<std::string> inputs;
+  for (const TargetSpec& spec : EvaluatedTargets()) {
+    inputs.push_back(SynthesizeTarget(spec).template_config);
+  }
+  EXPECT_EQ(inputs.size(), 7u);
+  for (const char* text : {
+           "a = 1\nb = 2",              // No trailing newline.
+           "a = 1\n\n\n\n",             // Several trailing blank lines.
+           "a = 1\n   ",                // A whitespace-only last line.
+           "a = 1\r\nb = 2\r\n\r\n",    // CRLF line endings.
+           "# hash\n; semicolon\n  # indented\na = 1 # not a comment\n",
+           "\tkey\t=\tvalue\t\nKey\tValue with  spaces\n",  // Tabs.
+           "bare_key\nempty_value =\n= no key\nkey only \n",  // Missing parts.
+           "k = a = b\nk2  v2 = v3\n",
+           "",
+           "\n",
+           "\n\n",
+           "   \t  ",
+       }) {
+    inputs.push_back(text);
+  }
+  return inputs;
+}
+
+TEST(ConfigFileTest, ParseMatchesLineSplitReference) {
+  for (const std::string& text : WalkerInputs()) {
+    for (ConfigDialect dialect : {ConfigDialect::kKeyEqualsValue, ConfigDialect::kKeyValue}) {
+      std::string label = std::string(ConfigDialectName(dialect)) + " <" + text.substr(0, 40) + ">";
+      std::vector<ConfigEntry> want = ReferenceParse(text, dialect);
+      const ConfigFile parsed = ConfigFile::Parse(text, dialect);
+      const std::vector<ConfigEntry>& got = parsed.entries();
+      ASSERT_EQ(got.size(), want.size()) << label;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].kind, want[i].kind) << label << " #" << i;
+        EXPECT_EQ(got[i].key, want[i].key) << label << " #" << i;
+        EXPECT_EQ(got[i].value, want[i].value) << label << " #" << i;
+        EXPECT_EQ(got[i].raw, want[i].raw) << label << " #" << i;
+        EXPECT_EQ(got[i].line, want[i].line) << label << " #" << i;
+      }
+    }
+  }
+}
+
+TEST(ConfigFileTest, ValidateConfigTextMatchesLineSplitReference) {
+  std::vector<std::string> inputs = WalkerInputs();
+  inputs.push_back("a = 1\n\n# c\nno equals here\n");
+  inputs.push_back("a = 1\r\n  = 2\r\n");
+  for (const std::string& text : inputs) {
+    for (ConfigDialect dialect : {ConfigDialect::kKeyEqualsValue, ConfigDialect::kKeyValue}) {
+      std::string label = std::string(ConfigDialectName(dialect)) + " <" + text.substr(0, 40) + ">";
+      Status want = ReferenceValidate(text, dialect);
+      Status got = ValidateConfigText(text, dialect);
+      EXPECT_EQ(got.code(), want.code()) << label;
+      EXPECT_EQ(got.message(), want.message()) << label;
+    }
+  }
 }
 
 TEST(OsSimTest, FilesystemSemantics) {
