@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Fail on broken intra-repo markdown links, dead anchors, untagged
-fenced code blocks, and documented counters the code does not have.
+fenced code blocks, and documented names the code does not have.
 
 Three checks over every tracked .md file:
 
@@ -13,7 +13,7 @@ Three checks over every tracked .md file:
  3. Every fenced code block must carry a language tag (```cpp, ```sh,
     ```text, ...) so renderers highlight instead of guessing.
 
-Two checks tie the docs to the code:
+Three checks tie the docs to the code:
 
  4. Every backticked counter name in the `CampaignCacheStats` table of
     docs/api.md must be a field of `struct CampaignCacheStats` in
@@ -23,6 +23,11 @@ Two checks tie the docs to the code:
     the member must appear inside that type's braces. Top-level notes
     (every .md at the repo root but README.md: change records, roadmap,
     paper notes) are exempt: they name what the code was or will be.
+ 6. Every backticked CamelCase identifier in README.md and docs/*.md
+    (`ConfigReport`, the `CheckConfigBatch` in `CheckConfigBatch(...)`)
+    must occur as a word in a file under src/, tests/, bench/,
+    perfbench/, scripts/ or examples/, so the docs cannot keep naming a
+    type or function after it is deleted.
 
 Run from anywhere:
 
@@ -51,6 +56,10 @@ BACKTICKED_RE = re.compile(r"`([^`]+)`")
 FIELD_RE = re.compile(r"^\s*[\w:<>]+\s+(\w+)\s*(?:=[^;]*)?;")
 # `Type::member`, possibly followed by a call's arguments or a value.
 QUALIFIED_RE = re.compile(r"^([A-Z]\w*)::(\w+)\b")
+# An UpperCamelCase word: `ConfigReport`, `CheckConfigBatch`, `RtValue`.
+CAMEL_RE = re.compile(r"\b[A-Z][a-z0-9]+[A-Z]\w*\b")
+WORD_RE = re.compile(r"\w+")
+CODE_DIRS = ("src", "tests", "bench", "perfbench", "scripts", "examples")
 # The head of a type definition, opening its line: `struct A {`,
 # `class A final : B {`, `enum class A : int {`, `struct Outer::A {`.
 # Group 1 is the name.
@@ -200,6 +209,34 @@ def check_qualified_members(scanned, problems):
                                     f"{member}")
 
 
+def code_words():
+    """Every word of every file under CODE_DIRS."""
+    words = set()
+    for top in CODE_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(REPO_ROOT, top)):
+            for name in filenames:
+                with open(os.path.join(dirpath, name), encoding="utf-8",
+                          errors="ignore") as handle:
+                    words.update(WORD_RE.findall(handle.read()))
+    return words
+
+
+def check_camel_case_names(scanned, problems):
+    """Check 6: every backticked CamelCase name in README.md and docs/*.md
+    occurs in the code."""
+    words = code_words()
+    for path, (_, prose) in scanned.items():
+        rel = os.path.relpath(path, REPO_ROOT)
+        if rel != "README.md" and os.path.dirname(rel) != "docs":
+            continue
+        for lineno, line in prose:
+            for text in BACKTICKED_RE.findall(line):
+                for name in CAMEL_RE.findall(text):
+                    if name not in words:
+                        problems.append(f"{rel}:{lineno}: `{name}` occurs nowhere under "
+                                        f"{', '.join(d + '/' for d in CODE_DIRS)}")
+
+
 def main():
     problems = []
     files = sorted(markdown_files())
@@ -230,6 +267,7 @@ def main():
                         )
     check_cache_stats_table(problems)
     check_qualified_members(scanned, problems)
+    check_camel_case_names(scanned, problems)
 
     if problems:
         print("check_docs: documentation problems:", file=sys.stderr)
@@ -237,7 +275,7 @@ def main():
             print(f"  {entry}", file=sys.stderr)
         return 1
     print(f"check_docs: {len(files)} markdown files OK "
-          "(links, anchors, code fences, counters, Type::member)")
+          "(links, anchors, code fences, counters, Type::member, CamelCase names)")
     return 0
 
 

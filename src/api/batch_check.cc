@@ -43,12 +43,8 @@ Status ValidateConfigText(std::string_view text, ConfigDialect dialect) {
 BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
                            const ConfigFile& template_config, ConfigDialect dialect,
                            InjectionCampaign* campaign, ThreadPool* pool,
-                           std::span<const ConfigInput> configs, const BatchOptions& options,
-                           BatchObserver* observer) {
+                           std::span<const ConfigInput> configs, const BatchOptions& options) {
   const size_t count = configs.size();
-  if (observer != nullptr) {
-    observer->OnBatchBegin(count);
-  }
   const bool dynamic = campaign != nullptr && options.check.mode == CheckMode::kDynamic;
 
   // --- Phase 1 (claimed): parse, static check and suspect extraction are
@@ -162,8 +158,7 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
     slot.suspects = {};
   });
 
-  // --- Phase 4b (driver thread, batch order): fold the counters and
-  // stream each report. Serial on purpose: observer callbacks are ordered.
+  // --- Phase 4b (driver thread): fold the counters.
   for (size_t i = 0; i < count; ++i) {
     const ConfigReport& report = summary.reports[i];
     for (size_t unique_idx : state[i].unique_index) {
@@ -181,9 +176,6 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
     for (const Violation& violation : report.violations) {
       ++summary.violations_by_category[static_cast<size_t>(violation.category)];
     }
-    if (observer != nullptr) {
-      observer->OnConfigChecked(i, report);
-    }
   }
   // A unique execution served from the persistent store never replayed:
   // a fully warm re-check reports unique_replays == 0 (and DedupRatio 1.0).
@@ -191,9 +183,6 @@ BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
   summary.store_hits = replay_stats.store_hits;
   summary.store_misses = replay_stats.store_misses;
   summary.store_appends = replay_stats.store_appends;
-  if (observer != nullptr) {
-    observer->OnBatchEnd(summary);
-  }
   return summary;
 }
 

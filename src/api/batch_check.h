@@ -70,7 +70,7 @@ struct BatchOptions {
 // finds (`max_connections 5000` becomes an unknown parameter); the batch
 // rejects the whole config with kInvalidArgument and no violations.
 struct ConfigReport {
-  size_t index = 0;    // Position in the batch (== callback index).
+  size_t index = 0;    // Position in the batch.
   std::string name;    // ConfigInput::name, echoed for self-contained logs.
   std::vector<Violation> violations;
   // Replayable deviations this config contributed (0 in static mode).
@@ -129,23 +129,6 @@ struct BatchSummary {
   std::vector<ConfigReport> reports;
 };
 
-// Streaming per-config callbacks — the fleet-scale complement to the
-// batch summary (progress reporting, early alerting, JSON-lines writers).
-// Callbacks arrive on the driver thread, strictly in batch order
-// (`index` == 0, 1, ...), after the config's verdicts are final; the
-// report reference is valid only during the call (it is the
-// BatchSummary::reports element the batch returns).
-class BatchObserver {
- public:
-  virtual ~BatchObserver() = default;
-  virtual void OnBatchBegin(size_t total_configs) { (void)total_configs; }
-  virtual void OnConfigChecked(size_t index, const ConfigReport& report) {
-    (void)index;
-    (void)report;
-  }
-  virtual void OnBatchEnd(const BatchSummary& summary) { (void)summary; }
-};
-
 // The execution identity two suspects must share to be served by one
 // replay — SuspectExecutionKey — lives in src/inject/campaign.h now: the
 // persistent VerdictStore keys on the same identity, so the key belongs
@@ -165,17 +148,17 @@ Status ValidateConfigText(std::string_view text, ConfigDialect dialect);
 // (it is also ignored when options.check.mode is kStatic); `pool` may be
 // null for serial runs. Phases 1 (analysis), 3 (unique replays) and the
 // report build of phase 4 (fan-out, reactions, status) claim their indices
-// through ForEachIndex; only dedup and the ordered counter fold and
-// observer callbacks run on the calling thread. The batch waits only for
-// its own pool tasks, so other clients may use the same pool concurrently;
-// it must not be called from a task of `pool` (thread_pool.h). Every config is
-// checked against `constraints` + `template_config` exactly as a
-// dedicated Target::CheckConfig call would check it.
+// through ForEachIndex; only dedup and the counter fold run on the calling
+// thread. The batch waits only for its own pool tasks, so other clients
+// may use the same pool concurrently; it must not be called from a task of
+// `pool` (thread_pool.h). Every config is checked against `constraints` +
+// `template_config` exactly as a dedicated Target::CheckConfig call would
+// check it. The per-config reports come back in BatchSummary::reports, in
+// batch order.
 BatchSummary RunBatchCheck(const ModuleConstraints& constraints,
                            const ConfigFile& template_config, ConfigDialect dialect,
                            InjectionCampaign* campaign, ThreadPool* pool,
-                           std::span<const ConfigInput> configs, const BatchOptions& options,
-                           BatchObserver* observer);
+                           std::span<const ConfigInput> configs, const BatchOptions& options);
 
 }  // namespace spex
 

@@ -93,6 +93,33 @@ bool IsAcceptedEnumWord(const ParamConstraints* param, const std::string& value)
   return std::find(accepted.begin(), accepted.end(), value) != accepted.end();
 }
 
+// One-sentence "what the system will do with this setting" message for an
+// observed reaction ("the system will silently use a different effective
+// value (configured 99 but effective value is 64)").
+std::string DescribeReaction(const InjectionResult& result) {
+  std::string detail = result.detail.empty() ? "" : " (" + result.detail + ")";
+  switch (result.category) {
+    case ReactionCategory::kCrashHang:
+      return "the system will crash or hang" + detail;
+    case ReactionCategory::kEarlyTermination:
+      return "the system will terminate at startup without pinpointing this setting" + detail;
+    case ReactionCategory::kFunctionalFailure:
+      return "the system will start, then fail later without pinpointing this setting" +
+             detail;
+    case ReactionCategory::kSilentViolation:
+      return "the system will silently use a different value than configured" + detail;
+    case ReactionCategory::kSilentIgnorance:
+      return "the system will silently ignore this setting" + detail;
+    case ReactionCategory::kGoodReaction:
+      return "the system detects this setting and pinpoints it in its error message" + detail;
+    case ReactionCategory::kNoIssue:
+      return "the system tolerates this setting" + detail;
+    case ReactionCategory::kDeadlineExceeded:
+      return "the check ran out of time before observing the system's reaction" + detail;
+  }
+  return detail;
+}
+
 }  // namespace
 
 std::vector<Misconfiguration> BuildDynamicSuspects(
@@ -235,30 +262,6 @@ std::vector<Misconfiguration> BuildDynamicSuspects(
     }
   }
   return suspects;
-}
-
-std::string DescribeReaction(const InjectionResult& result) {
-  std::string detail = result.detail.empty() ? "" : " (" + result.detail + ")";
-  switch (result.category) {
-    case ReactionCategory::kCrashHang:
-      return "the system will crash or hang" + detail;
-    case ReactionCategory::kEarlyTermination:
-      return "the system will terminate at startup without pinpointing this setting" + detail;
-    case ReactionCategory::kFunctionalFailure:
-      return "the system will start, then fail later without pinpointing this setting" +
-             detail;
-    case ReactionCategory::kSilentViolation:
-      return "the system will silently use a different value than configured" + detail;
-    case ReactionCategory::kSilentIgnorance:
-      return "the system will silently ignore this setting" + detail;
-    case ReactionCategory::kGoodReaction:
-      return "the system detects this setting and pinpoints it in its error message" + detail;
-    case ReactionCategory::kNoIssue:
-      return "the system tolerates this setting" + detail;
-    case ReactionCategory::kDeadlineExceeded:
-      return "the check ran out of time before observing the system's reaction" + detail;
-  }
-  return detail;
 }
 
 void AttachReactions(const std::vector<Misconfiguration>& suspects,

@@ -57,11 +57,6 @@ std::vector<Misconfiguration> BuildDynamicSuspects(
     const ModuleConstraints& constraints, const ConfigFile& template_config,
     const ConfigFile& config, const std::vector<Violation>& static_violations);
 
-// One-sentence "what the system will do with this setting" message for an
-// observed reaction ("the system will silently use a different effective
-// value (configured 99 but effective value is 64)").
-std::string DescribeReaction(const InjectionResult& result);
-
 // Folds observed reactions into the static violation list: every violation
 // whose parameter matches a suspect gains the reaction/evidence/prediction
 // fields, and a suspect with a vulnerability reaction but no static

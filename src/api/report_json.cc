@@ -129,6 +129,21 @@ void AppendKey(std::string_view name, std::string* out) {
   *out += "\":";
 }
 
+// "schema","status": how a spexcheckd closing record opens.
+void AppendServeStatus(const Status& status, std::string* out) {
+  AppendJsonNumber("schema", kJsonlSchemaVersion, out);
+  AppendJsonString("status", StatusCodeName(status.code()), out);
+}
+
+// "degraded","cached": how a spexcheckd closing record ends.
+void AppendServeFlags(const BatchSummary& summary, bool degraded, std::string* out) {
+  AppendJsonBool("degraded", degraded, out);
+  AppendJsonBool("cached",
+                 summary.total_suspects > 0 && summary.unique_replays == 0 &&
+                     summary.store_hits > 0,
+                 out);
+}
+
 // category, param, value, file, line, message, [note],
 // [reaction, vulnerability, prediction].
 void AppendViolationFields(const Violation& violation, std::string* out) {
@@ -146,6 +161,35 @@ void AppendViolationFields(const Violation& violation, std::string* out) {
     AppendJsonBool("vulnerability", IsVulnerability(*violation.reaction), out);
     AppendJsonString("prediction", violation.prediction, out);
   }
+}
+
+// config, index, suspects, shared_replays, [status, error] (failed
+// reports only), violations: [{<violation fields>}, ...].
+void AppendReportFields(const ConfigReport& report, std::string* out) {
+  AppendJsonString("config", report.name, out);
+  AppendJsonNumber("index", report.index, out);
+  AppendJsonNumber("suspects", report.suspects, out);
+  AppendJsonNumber("shared_replays", report.shared_replays, out);
+  if (!report.status.ok()) {
+    AppendJsonString("status", StatusCodeName(report.status.code()), out);
+    AppendJsonString("error", report.status.message(), out);
+  }
+  AppendKey("violations", out);
+  *out += '[';
+  for (const Violation& violation : report.violations) {
+    *out += out->back() == '[' ? "{" : ",{";
+    AppendViolationFields(violation, out);
+    *out += '}';
+  }
+  *out += ']';
+}
+
+// kind, file, line, target: one contained include-resolution fault.
+void AppendConfigSetErrorFields(const ConfigSetError& error, std::string* out) {
+  AppendJsonString("kind", ConfigSetErrorKindName(error.kind), out);
+  AppendJsonString("file", error.file, out);
+  AppendJsonNumber("line", error.line, out);
+  AppendJsonString("target", error.target, out);
 }
 
 }  // namespace
@@ -210,32 +254,6 @@ Status DecodeJsonString(std::string_view text, size_t* pos, std::string* out) {
   return Status::InvalidArgument("unterminated string");
 }
 
-void AppendReportFields(const ConfigReport& report, std::string* out) {
-  AppendJsonString("config", report.name, out);
-  AppendJsonNumber("index", report.index, out);
-  AppendJsonNumber("suspects", report.suspects, out);
-  AppendJsonNumber("shared_replays", report.shared_replays, out);
-  if (!report.status.ok()) {
-    AppendJsonString("status", StatusCodeName(report.status.code()), out);
-    AppendJsonString("error", report.status.message(), out);
-  }
-  AppendKey("violations", out);
-  *out += '[';
-  for (const Violation& violation : report.violations) {
-    *out += out->back() == '[' ? "{" : ",{";
-    AppendViolationFields(violation, out);
-    *out += '}';
-  }
-  *out += ']';
-}
-
-void AppendConfigSetErrorFields(const ConfigSetError& error, std::string* out) {
-  AppendJsonString("kind", ConfigSetErrorKindName(error.kind), out);
-  AppendJsonString("file", error.file, out);
-  AppendJsonNumber("line", error.line, out);
-  AppendJsonString("target", error.target, out);
-}
-
 void AppendBatchCounters(const BatchSummary& summary, std::string* out) {
   AppendJsonNumber("configs_checked", summary.configs_checked, out);
   AppendJsonNumber("configs_with_errors", summary.configs_with_errors, out);
@@ -289,6 +307,94 @@ std::string SummaryRecord(const BatchSummary& summary) {
   std::string out = R"({"summary":{)";
   AppendBatchCounters(summary, &out);
   return out + R"(},"schema":)" + std::to_string(kJsonlSchemaVersion) + "}";
+}
+
+std::string CellRecord(size_t version, std::string_view version_label,
+                       const ConfigReport& report) {
+  std::string out = R"({"type":"cell")";
+  AppendJsonNumber("version", version, &out);
+  AppendJsonString("version_label", version_label, &out);
+  AppendReportFields(report, &out);
+  return out + "}";
+}
+
+std::string VersionRecord(const VersionReport& column) {
+  std::string out = R"({"type":"version")";
+  AppendJsonNumber("version", column.index, &out);
+  AppendJsonString("label", column.label, &out);
+  if (!column.status.ok()) {
+    AppendJsonString("status", StatusCodeName(column.status.code()), &out);
+    AppendJsonString("error", column.status.message(), &out);
+  } else {
+    AppendBatchCounters(column.batch, &out);
+  }
+  return out + "}";
+}
+
+std::string DiffRecord(const ConfigTransition& transition) {
+  std::string out = R"({"type":"diff")";
+  AppendJsonString("config", transition.config, &out);
+  AppendJsonNumber("config_index", transition.config_index, &out);
+  AppendJsonNumber("from", transition.from_version, &out);
+  AppendJsonNumber("to", transition.to_version, &out);
+  AppendJsonString("from_label", transition.from_label, &out);
+  AppendJsonString("to_label", transition.to_label, &out);
+  AppendJsonString("transition", TransitionName(transition.transition), &out);
+  AppendJsonNumber("added", transition.added, &out);
+  AppendJsonNumber("removed", transition.removed, &out);
+  AppendJsonNumber("changed", transition.changed, &out);
+  AppendJsonString("detail", transition.detail, &out);
+  return out + "}";
+}
+
+std::string MatrixSummaryRecord(const MatrixSummary& summary) {
+  auto transitions = [&](Transition kind) {
+    return summary.transitions_by_kind[static_cast<size_t>(kind)];
+  };
+  std::string out = R"({"type":"matrix_summary")";
+  AppendJsonNumber("schema", kJsonlSchemaVersion, &out);
+  AppendJsonNumber("versions_requested", summary.versions_requested, &out);
+  AppendJsonNumber("versions_checked", summary.versions_checked, &out);
+  AppendJsonNumber("configs", summary.configs, &out);
+  AppendJsonNumber("cells", summary.cells, &out);
+  AppendJsonNumber("total_violations", summary.total_violations, &out);
+  AppendJsonNumber("unique_replays", summary.unique_replays, &out);
+  AppendJsonNumber("store_hits", summary.store_hits, &out);
+  AppendJsonNumber("regressions", transitions(Transition::kRegression), &out);
+  AppendJsonNumber("fixes", transitions(Transition::kFix), &out);
+  AppendJsonNumber("changed_reactions", transitions(Transition::kChangedReaction), &out);
+  AppendJsonNumber("stable", transitions(Transition::kStable), &out);
+  return out + "}";
+}
+
+std::string ConfigSetErrorRecord(const ConfigSetError& error) {
+  std::string out = R"({"type":"config_set_error")";
+  AppendConfigSetErrorFields(error, &out);
+  return out + "}";
+}
+
+std::string CheckSummaryRecord(const BatchSummary& summary, const Status& status,
+                               std::string_view target, CheckMode mode,
+                               std::optional<size_t> files, bool degraded) {
+  std::string out = R"({"type":"summary")";
+  AppendServeStatus(status, &out);
+  AppendJsonString("target", target, &out);
+  AppendJsonString("mode", mode == CheckMode::kDynamic ? "dynamic" : "static", &out);
+  AppendJsonNumber("violations", summary.total_violations, &out);
+  if (files.has_value()) {
+    AppendJsonNumber("files", *files, &out);
+  }
+  AppendServeFlags(summary, degraded, &out);
+  return out + "}";
+}
+
+std::string BatchSummaryRecord(const BatchSummary& summary, const Status& status,
+                               bool degraded) {
+  std::string out = R"({"type":"batch_summary")";
+  AppendServeStatus(status, &out);
+  AppendBatchCounters(summary, &out);
+  AppendServeFlags(summary, degraded, &out);
+  return out + "}";
 }
 
 }  // namespace spex

@@ -216,7 +216,7 @@ std::vector<Violation> Target::CheckConfig(std::string_view config_text,
 }
 
 BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
-                                      const BatchOptions& options, BatchObserver* observer) {
+                                      const BatchOptions& options) {
   // Dynamic batches share the target's persistent campaign (and its
   // snapshot cache) with single checks and RunCampaign; targets that
   // cannot be driven dynamically degrade to the static result per config,
@@ -227,11 +227,11 @@ BatchSummary Target::CheckConfigBatch(std::span<const ConfigInput> configs,
   // own tasks, so they run alongside campaigns and other batches.
   ThreadPool* pool = options.num_threads != 1 ? session_->worker_pool() : nullptr;
   return RunBatchCheck(analysis_.constraints, template_config_, dialect(), campaign, pool,
-                       configs, options, observer);
+                       configs, options);
 }
 
 BatchSummary Target::CheckConfigSet(std::span<const ConfigSetInput> sets,
-                                    const BatchOptions& options, BatchObserver* observer,
+                                    const BatchOptions& options,
                                     std::vector<ResolvedConfigSet>* resolutions) {
   std::vector<ResolvedConfigSet> local;
   std::vector<ResolvedConfigSet>& resolved = resolutions != nullptr ? *resolutions : local;
@@ -244,22 +244,19 @@ BatchSummary Target::CheckConfigSet(std::span<const ConfigSetInput> sets,
     }
     resolved.push_back(std::move(resolution));
   }
-  return CheckResolvedConfigSets(resolved, options, observer);
+  return CheckResolvedConfigSets(resolved, options);
 }
 
 BatchSummary Target::CheckResolvedConfigSets(std::span<const ResolvedConfigSet> sets,
-                                             const BatchOptions& options,
-                                             BatchObserver* observer) {
+                                             const BatchOptions& options) {
   std::vector<ConfigInput> effective;
   effective.reserve(sets.size());
   for (const ResolvedConfigSet& resolution : sets) {
     effective.push_back(ConfigInput{resolution.name, resolution.effective.Serialize()});
   }
   // The batch sees only the flattened configs, so dedup across sets keys
-  // on effective values exactly as it does for single files. The observer
-  // is withheld here and replayed below: reports stream only after their
-  // violations have been re-addressed to winning-assignment origins.
-  BatchSummary summary = CheckConfigBatch(effective, options, nullptr);
+  // on effective values exactly as it does for single files.
+  BatchSummary summary = CheckConfigBatch(effective, options);
   for (size_t i = 0; i < summary.reports.size() && i < sets.size(); ++i) {
     ConfigReport& report = summary.reports[i];
     const ResolvedConfigSet& resolution = sets[i];
@@ -274,13 +271,6 @@ BatchSummary Target::CheckResolvedConfigSets(std::span<const ResolvedConfigSet> 
       continue;  // An empty effective config produced no violations to rewrite.
     }
     RewriteViolationsWithProvenance(resolution, analysis_.constraints, &report.violations);
-  }
-  if (observer != nullptr) {
-    observer->OnBatchBegin(summary.reports.size());
-    for (const ConfigReport& report : summary.reports) {
-      observer->OnConfigChecked(report.index, report);
-    }
-    observer->OnBatchEnd(summary);
   }
   return summary;
 }

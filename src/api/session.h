@@ -199,16 +199,15 @@ class Target {
   // user mistake replays once and its Table-3 verdict fans out to every
   // config that contributed it (BatchSummary::unique_replays vs.
   // total_suspects; see src/api/batch_check.h for the identity
-  // guarantee). `observer` streams one OnConfigChecked per config, on the
-  // calling thread, in batch order.
+  // guarantee). Every per-config report is in the returned summary, in
+  // batch order.
   //
   // Thread-safety: any number of batches may run concurrently, with each
   // other and with RunCampaign, like dynamic CheckConfig. Parallel batches
   // (num_threads != 1) fan out on the session worker pool and wait only
   // for their own tasks.
   BatchSummary CheckConfigBatch(std::span<const ConfigInput> configs,
-                                const BatchOptions& options = {},
-                                BatchObserver* observer = nullptr);
+                                const BatchOptions& options = {});
 
   // Multi-file fleet checking: each ConfigSetInput is an include tree
   // (files[0] the root) that is resolved to its flattened effective
@@ -225,22 +224,18 @@ class Target {
   // ResolvedConfigSet (written to `resolutions` when non-null, batch
   // order) and checking continues
   // with the partial effective config; only a set whose root cannot be
-  // loaded carries kInvalidArgument in its report. `observer` streams
-  // per-set reports on the calling thread in batch order — after the
-  // whole batch, since provenance rewriting happens batch-wide.
-  // Thread-safety matches CheckConfigBatch.
+  // loaded carries kInvalidArgument in its report. Thread-safety matches
+  // CheckConfigBatch.
   BatchSummary CheckConfigSet(std::span<const ConfigSetInput> sets,
                               const BatchOptions& options = {},
-                              BatchObserver* observer = nullptr,
                               std::vector<ResolvedConfigSet>* resolutions = nullptr);
 
   // As CheckConfigSet, but over sets the caller already resolved (e.g.
   // spexcheck's --include-roots, which resolves against the filesystem
-  // rather than an in-memory file list). Same guarantees and observer
-  // contract; the resolution step is simply the caller's.
+  // rather than an in-memory file list). Same guarantees; the resolution
+  // step is simply the caller's.
   BatchSummary CheckResolvedConfigSets(std::span<const ResolvedConfigSet> sets,
-                                       const BatchOptions& options = {},
-                                       BatchObserver* observer = nullptr);
+                                       const BatchOptions& options = {});
 
   // SPEX-INJ through the façade: generates misconfigurations from the
   // inferred constraints (once, cached) and runs them through the

@@ -451,7 +451,7 @@ void Interpreter::LayOutRoot(Layout* layout, const IrType* type, int64_t bound,
     return;
   }
   for (int64_t k = 0; k < bound; ++k) {
-    LayOutNode(layout, WalkStep(type, k), fields, owner);
+    LayOutNode(layout, type, fields, owner);  // Every row is one element.
   }
 }
 
@@ -743,9 +743,11 @@ RtValue Interpreter::Advance(RtValue addr, int64_t step) {
   const Layout& layout = *space.layout;
   const IrType* walk = nullptr;
   int32_t owner = -1;
+  bool array_step = false;  // A step into an array root keeps its element type.
   if (addr.cell < layout.shape.size()) {
     const Shape& shape = layout.shape[addr.cell];
-    if (shape.bound > 0) {
+    array_step = shape.bound > 0;
+    if (array_step) {
       if (step < 0 || step >= shape.bound) {
         addr.cell = RtValue::kOutOfBounds;
         addr.i = step;
@@ -771,7 +773,7 @@ RtValue Interpreter::Advance(RtValue addr, int64_t step) {
   auto [it, inserted] = space.overflow.try_emplace(OverflowStep{addr.cell, step},
                                                    static_cast<uint32_t>(space.cells.size()));
   if (inserted) {
-    const IrType* child = WalkStep(walk, step);
+    const IrType* child = array_step ? walk : WalkStep(walk, step);
     space.cells.push_back(DefaultValueFor(child));
     space.overflow_cells.push_back(OverflowCell{child, owner});
   }
@@ -1573,14 +1575,6 @@ std::optional<RtValue> Interpreter::ReadGlobal(const std::string& name) const {
     return std::nullopt;
   }
   return globals_.cells[global_layout_.root[static_cast<size_t>(GlobalSlotOf(global))]];
-}
-
-void Interpreter::WriteGlobal(const std::string& name, RtValue value) {
-  const GlobalVariable* global = LookupGlobal(name);
-  if (global == nullptr) {
-    return;
-  }
-  globals_.cells[global_layout_.root[static_cast<size_t>(GlobalSlotOf(global))]] = value;
 }
 
 bool Interpreter::GlobalWasRead(const std::string& name) const {

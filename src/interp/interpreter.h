@@ -115,10 +115,10 @@ class Interpreter {
   // Which cells one step from a cell reaches, and what the cell defaults to.
   struct FieldLayout;
   struct Shape {
-    // Type an untouched cell's value defaults from. It is found by walking
-    // the steps from the root as field indices into struct types (array
-    // steps keep the type), so a struct-array row's fields default like the
-    // struct's field at the row's index. Overflow cells extend the walk.
+    // Type an untouched cell's value defaults from, found by walking the
+    // steps from the root: an array step keeps the element type, a struct
+    // step takes the field's type (as C zero-initializes). Overflow cells
+    // extend the walk.
     const IrType* walk = nullptr;
     int64_t bound = 0;     // > 0: an array root, whose first step is bounds-checked.
     uint32_t stride = 0;   // Array root: cells per element; 0 = elements are overflow cells.
@@ -227,7 +227,6 @@ class Interpreter {
   const std::vector<std::string>& logs() const { return logs_; }
   // Current value of a scalar global, or nullopt if it does not exist.
   std::optional<RtValue> ReadGlobal(const std::string& name) const;
-  void WriteGlobal(const std::string& name, RtValue value);
   // Was the global's storage loaded since the last Reset()?
   bool GlobalWasRead(const std::string& name) const;
   int64_t steps_used() const { return steps_; }

@@ -7,29 +7,6 @@
 #include "src/api/session.h"
 
 namespace spex {
-namespace {
-
-// Adapts the batch layer's per-config stream into per-cell matrix
-// callbacks: a cell IS a ConfigReport, tagged with its column.
-class CellForwarder : public BatchObserver {
- public:
-  CellForwarder(MatrixObserver* observer, size_t version, const std::string& label)
-      : observer_(observer), version_(version), label_(label) {}
-
-  void OnConfigChecked(size_t index, const ConfigReport& report) override {
-    (void)index;
-    if (observer_ != nullptr) {
-      observer_->OnCellChecked(version_, label_, report);
-    }
-  }
-
- private:
-  MatrixObserver* observer_;
-  size_t version_;
-  const std::string& label_;
-};
-
-}  // namespace
 
 MatrixSummary RunMatrixCheck(Session& session, std::span<const TargetVersion> versions,
                              std::span<const ConfigInput> configs,
@@ -68,18 +45,20 @@ MatrixSummary RunMatrixCheck(Session& session, std::span<const TargetVersion> ve
     column.label = version.label;
     column.status = version.status;
     if (version.status.ok()) {
-      CellForwarder forwarder(observer, version.index, version.label);
       // Columns run sequentially: the observer streams them in order and
       // each is diffed against the previous one. The matrix parallelism
       // lives *inside* a column, where the batch layer shards cells over
       // the session pool with cross-config dedup intact.
-      column.batch = version.target->CheckConfigBatch(configs, batch_options, &forwarder);
+      column.batch = version.target->CheckConfigBatch(configs, batch_options);
       summary.versions_checked += 1;
       summary.cells += column.batch.reports.size();
       summary.total_violations += column.batch.total_violations;
       summary.unique_replays += column.batch.unique_replays;
       summary.store_hits += column.batch.store_hits;
       for (const ConfigReport& report : column.batch.reports) {
+        if (observer != nullptr) {
+          observer->OnCellChecked(version.index, version.label, report);
+        }
         if (!report.violations.empty() && report.index < summary.per_config.size()) {
           summary.per_config[report.index].versions_with_violations += 1;
         }

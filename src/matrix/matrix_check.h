@@ -115,9 +115,9 @@ struct MatrixSummary {
 
 // Streaming callbacks, all on the calling thread. Cells stream through
 // OnCellChecked in column-major order (every config of version 0, then
-// version 1, ...), each after its verdicts are final — the same per-cell
-// ordering contract BatchObserver gives within a column. References are
-// valid only during the call; the same objects land in MatrixSummary.
+// version 1, ...) as soon as their column returns, in batch order within
+// the column. References are valid only during the call; the same objects
+// land in MatrixSummary.
 class MatrixObserver {
  public:
   virtual ~MatrixObserver() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -722,15 +723,14 @@ bool CheckServer::HandleCheck(int fd, const std::string& query, const std::strin
     BatchOptions batch_options;
     batch_options.check = check;
     batch_options.num_threads = 1;  // Concurrency comes from the worker pool.
-    bool set_body = false;
-    size_t files_resolved = 0;
+    std::optional<size_t> files_resolved;  // Multi-file /check bodies only.
     if (!batch) {
       // A body opening with '{' is the multi-file form: a JSON object
       // naming the set's files, resolved (includes, last-wins overrides)
       // to one flattened effective config before checking. Anything else
       // is the classic raw-config-text form.
       size_t first_byte = body.find_first_not_of(" \t\r\n");
-      set_body = first_byte != std::string::npos && body[first_byte] == '{';
+      const bool set_body = first_byte != std::string::npos && body[first_byte] == '{';
       ConfigSetInput set_input;
       Status valid = set_body ? ParseConfigSetJson(body, &set_input)
                               : ValidateConfigText(body, entry->target->dialect());
@@ -752,12 +752,10 @@ bool CheckServer::HandleCheck(int fd, const std::string& query, const std::strin
         std::vector<ConfigSetInput> sets;
         sets.push_back(std::move(set_input));
         std::vector<ResolvedConfigSet> resolutions;
-        summary = entry->target->CheckConfigSet(sets, batch_options, nullptr, &resolutions);
+        summary = entry->target->CheckConfigSet(sets, batch_options, &resolutions);
         files_resolved = resolutions.front().files_resolved;
         for (const ConfigSetError& set_error : resolutions.front().errors) {
-          response += "{\"type\":\"config_set_error\"";
-          AppendConfigSetErrorFields(set_error, &response);
-          response += "}\n";
+          response += ConfigSetErrorRecord(set_error) + "\n";
         }
       } else {
         std::vector<ConfigInput> single;
@@ -787,28 +785,10 @@ bool CheckServer::HandleCheck(int fd, const std::string& query, const std::strin
                    : token.reason() == CancelToken::Reason::kDeadline
                        ? Status::DeadlineExceeded(std::string("request budget exhausted ") + phase)
                        : Status::Cancelled(std::string("request cancelled ") + phase);
-    response += batch ? R"({"type":"batch_summary")" : R"({"type":"summary")";
-    AppendJsonNumber("schema", kJsonlSchemaVersion, &response);
-    AppendJsonString("status", StatusCodeName(final.code()), &response);
-    if (batch) {
-      AppendBatchCounters(summary, &response);
-    } else {
-      AppendJsonString("target", target_name, &response);
-      AppendJsonString("mode", check.mode == CheckMode::kDynamic ? "dynamic" : "static",
-                       &response);
-      AppendJsonNumber("violations", summary.total_violations, &response);
-      if (set_body) {
-        AppendJsonNumber("files", files_resolved, &response);
-      }
-    }
-    AppendJsonBool("degraded", degraded, &response);
-    // cached: every suspect execution was served from the persistent
-    // verdict store — nothing replayed for this request.
-    AppendJsonBool("cached",
-                   summary.total_suspects > 0 && summary.unique_replays == 0 &&
-                       summary.store_hits > 0,
-                   &response);
-    response += "}\n";
+    response += batch ? BatchSummaryRecord(summary, final, degraded)
+                      : CheckSummaryRecord(summary, final, target_name, check.mode,
+                                           files_resolved, degraded);
+    response += "\n";
     int http = HttpStatusFor(final.code());
     (final.ok() ? stat_served_ok_
                 : final.code() == StatusCode::kDeadlineExceeded ? stat_deadline_

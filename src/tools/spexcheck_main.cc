@@ -36,6 +36,7 @@
 #include <iostream>
 #include <iterator>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -190,73 +191,71 @@ struct ConfigError {
   std::string message;
 };
 
-// A fleet report format. OnConfigSet comes ahead of an include tree's
-// report: how the tree resolved and every contained resolution fault.
-class FleetWriter : public BatchObserver {
- public:
-  virtual void OnConfigSet(const ResolvedConfigSet& set) = 0;
-};
-
-// One JSON line per config as its report streams in, plus a final
-// summary line — the format a fleet pipeline tails.
-class JsonlWriter : public FleetWriter {
- public:
-  void OnConfigSet(const ResolvedConfigSet& set) override {
-    std::cout << ConfigSetRecord(set) << "\n";
+// One report's text: "<name>: OK", "<name>: ERROR <message>", or a
+// violation count and one indented line per violation.
+void WriteTextReport(const ConfigReport& report) {
+  if (!report.status.ok()) {
+    std::cout << report.name << ": ERROR " << report.status.message() << "\n";
+    return;
   }
-
-  void OnConfigChecked(size_t, const ConfigReport& report) override {
-    std::cout << ReportRecord(report) << "\n";
+  if (report.violations.empty()) {
+    std::cout << report.name << ": OK\n";
+    return;
   }
+  std::cout << report.name << ": " << report.violations.size() << " violation"
+            << (report.violations.size() == 1 ? "" : "s") << "\n";
+  for (const Violation& violation : report.violations) {
+    std::cout << "  " << violation.ToString() << "\n";
+  }
+}
 
-  void OnBatchEnd(const BatchSummary& summary) override {
+void WriteTextSummary(const BatchSummary& summary) {
+  std::cout << "checked " << summary.configs_checked << " config(s): "
+            << summary.configs_with_violations << " with violations, "
+            << summary.total_violations << " violation(s) total";
+  if (summary.configs_with_errors != 0) {
+    std::cout << "; " << summary.configs_with_errors << " with errors";
+  }
+  if (summary.total_suspects != 0) {
+    std::cout << "; " << summary.total_suspects << " suspect setting(s), "
+              << summary.unique_replays << " unique replay(s) (dedup "
+              << static_cast<int>(summary.DedupRatio() * 100.0) << "%)";
+  }
+  if (summary.store_hits != 0 || summary.store_appends != 0) {
+    std::cout << "; verdict store: " << summary.store_hits << " hit(s), "
+              << summary.store_appends << " appended";
+  }
+  std::cout << "\n";
+}
+
+// Writes a checked fleet as text or JSON lines: per config in batch order,
+// how its include tree resolved (when `sets` holds one set per report)
+// and then its report; a summary line closes the stream.
+void WriteFleetReport(const BatchSummary& summary, std::span<const ResolvedConfigSet> sets,
+                      bool jsonl) {
+  for (const ConfigReport& report : summary.reports) {
+    if (!sets.empty()) {
+      const ResolvedConfigSet& set = sets[report.index];
+      if (jsonl) {
+        std::cout << ConfigSetRecord(set) << "\n";
+      } else {
+        for (const ConfigSetError& error : set.errors) {
+          std::cout << set.name << ": include error: " << error.ToString() << "\n";
+        }
+      }
+    }
+    if (jsonl) {
+      std::cout << ReportRecord(report) << "\n";
+    } else {
+      WriteTextReport(report);
+    }
+  }
+  if (jsonl) {
     std::cout << SummaryRecord(summary) << "\n";
+  } else {
+    WriteTextSummary(summary);
   }
-};
-
-class TextWriter : public FleetWriter {
- public:
-  void OnConfigSet(const ResolvedConfigSet& set) override {
-    for (const ConfigSetError& error : set.errors) {
-      std::cout << set.name << ": include error: " << error.ToString() << "\n";
-    }
-  }
-
-  void OnConfigChecked(size_t, const ConfigReport& report) override {
-    if (!report.status.ok()) {
-      std::cout << report.name << ": ERROR " << report.status.message() << "\n";
-      return;
-    }
-    if (report.violations.empty()) {
-      std::cout << report.name << ": OK\n";
-      return;
-    }
-    std::cout << report.name << ": " << report.violations.size() << " violation"
-              << (report.violations.size() == 1 ? "" : "s") << "\n";
-    for (const Violation& violation : report.violations) {
-      std::cout << "  " << violation.ToString() << "\n";
-    }
-  }
-
-  void OnBatchEnd(const BatchSummary& summary) override {
-    std::cout << "checked " << summary.configs_checked << " config(s): "
-              << summary.configs_with_violations << " with violations, "
-              << summary.total_violations << " violation(s) total";
-    if (summary.configs_with_errors != 0) {
-      std::cout << "; " << summary.configs_with_errors << " with errors";
-    }
-    if (summary.total_suspects != 0) {
-      std::cout << "; " << summary.total_suspects << " suspect setting(s), "
-                << summary.unique_replays << " unique replay(s) (dedup "
-                << static_cast<int>(summary.DedupRatio() * 100.0) << "%)";
-    }
-    if (summary.store_hits != 0 || summary.store_appends != 0) {
-      std::cout << "; verdict store: " << summary.store_hits << " hit(s), "
-                << summary.store_appends << " appended";
-    }
-    std::cout << "\n";
-  }
-};
+}
 
 // A matrix report format. Either one warns on stderr when a version
 // fails to load.
@@ -371,56 +370,19 @@ class MatrixJsonlWriter : public MatrixWriter {
  public:
   void OnCellChecked(size_t version, const std::string& version_label,
                      const ConfigReport& report) override {
-    std::string line = "{\"type\":\"cell\",\"version\":" + std::to_string(version) +
-                       ",\"version_label\":\"" + JsonEscape(version_label) + "\"";
-    AppendReportFields(report, &line);
-    std::cout << line << "}\n";
+    std::cout << CellRecord(version, version_label, report) << "\n";
   }
 
   void OnVersionChecked(const VersionReport& column) override {
-    std::string line = "{\"type\":\"version\",\"version\":" + std::to_string(column.index) +
-                       ",\"label\":\"" + JsonEscape(column.label) + "\"";
-    if (!column.status.ok()) {
-      line += std::string(",\"status\":\"") + StatusCodeName(column.status.code()) +
-              "\",\"error\":\"" + JsonEscape(column.status.message()) + "\"";
-    } else {
-      AppendBatchCounters(column.batch, &line);
-    }
-    std::cout << line << "}\n";
+    std::cout << VersionRecord(column) << "\n";
   }
 
   void OnTransition(const ConfigTransition& transition) override {
-    std::cout << "{\"type\":\"diff\",\"config\":\"" << JsonEscape(transition.config)
-              << "\",\"config_index\":" << transition.config_index
-              << ",\"from\":" << transition.from_version
-              << ",\"to\":" << transition.to_version << ",\"from_label\":\""
-              << JsonEscape(transition.from_label) << "\",\"to_label\":\""
-              << JsonEscape(transition.to_label) << "\",\"transition\":\""
-              << TransitionName(transition.transition)
-              << "\",\"added\":" << transition.added
-              << ",\"removed\":" << transition.removed
-              << ",\"changed\":" << transition.changed << ",\"detail\":\""
-              << JsonEscape(transition.detail) << "\"}\n";
+    std::cout << DiffRecord(transition) << "\n";
   }
 
   void OnMatrixEnd(const MatrixSummary& summary) override {
-    std::cout << "{\"type\":\"matrix_summary\",\"schema\":" << kJsonlSchemaVersion
-              << ",\"versions_requested\":"
-              << summary.versions_requested
-              << ",\"versions_checked\":" << summary.versions_checked
-              << ",\"configs\":" << summary.configs << ",\"cells\":" << summary.cells
-              << ",\"total_violations\":" << summary.total_violations
-              << ",\"unique_replays\":" << summary.unique_replays
-              << ",\"store_hits\":" << summary.store_hits << ",\"regressions\":"
-              << summary.transitions_by_kind[static_cast<size_t>(Transition::kRegression)]
-              << ",\"fixes\":"
-              << summary.transitions_by_kind[static_cast<size_t>(Transition::kFix)]
-              << ",\"changed_reactions\":"
-              << summary.transitions_by_kind[static_cast<size_t>(
-                     Transition::kChangedReaction)]
-              << ",\"stable\":"
-              << summary.transitions_by_kind[static_cast<size_t>(Transition::kStable)]
-              << "}\n";
+    std::cout << MatrixSummaryRecord(summary) << "\n";
   }
 };
 
@@ -896,10 +858,12 @@ int Run(int argc, char** argv) {
       std::cout << target->analysis().bundle.template_config;
       return 0;
     }
-    JsonlWriter jsonl;
-    TextWriter text;
-    FleetWriter* writer = options.jsonl ? static_cast<FleetWriter*>(&jsonl) : &text;
-
+    BatchOptions batch;
+    batch.check.mode = options.mode;
+    batch.num_threads = options.threads;
+    BatchSummary summary;
+    std::vector<ResolvedConfigSet> sets;
+    bool any_input_error = false;  // An unreadable file or a contained include fault.
     if (!options.include_roots.empty()) {
       // Multi-file mode: each root file in the include-roots directories
       // is an include tree, resolved against the filesystem and checked
@@ -909,14 +873,12 @@ int Run(int argc, char** argv) {
         return Fail(error);
       }
       FileConfigSetSource source(options.pattern);
-      std::vector<ResolvedConfigSet> sets;
       sets.reserve(roots.size());
       size_t resolvable = 0;
-      bool any_set_error = false;
       for (const std::string& root : roots) {
         ResolvedConfigSet set = ResolveConfigSet(root, source, target->dialect());
         resolvable += set.resolved() ? 1 : 0;
-        any_set_error = any_set_error || !set.errors.empty();
+        any_input_error = any_input_error || !set.errors.empty();
         sets.push_back(std::move(set));
       }
       if (resolvable == 0) {
@@ -925,29 +887,18 @@ int Run(int argc, char** argv) {
         return Fail("no config set could be resolved (" + std::to_string(sets.size()) +
                     " unresolvable root(s))");
       }
-      BatchOptions batch;
-      batch.check.mode = options.mode;
-      batch.num_threads = options.threads;
-      BatchSummary summary = target->CheckResolvedConfigSets(sets, batch, nullptr);
-      for (size_t i = 0; i < summary.reports.size(); ++i) {
-        writer->OnConfigSet(sets[i]);
-        writer->OnConfigChecked(i, summary.reports[i]);
+      summary = target->CheckResolvedConfigSets(sets, batch);
+    } else {
+      std::vector<ConfigInput> configs;
+      size_t unreadable = 0;
+      if (std::optional<int> stop = CollectFleet(options, session, &configs, &unreadable)) {
+        return *stop;
       }
-      writer->OnBatchEnd(summary);
-      bool any_error = any_set_error || summary.configs_with_errors != 0;
-      return summary.total_violations == 0 && !any_error ? 0 : 1;
+      any_input_error = unreadable != 0;
+      summary = target->CheckConfigBatch(configs, batch);
     }
-
-    std::vector<ConfigInput> configs;
-    size_t unreadable = 0;
-    if (std::optional<int> stop = CollectFleet(options, session, &configs, &unreadable)) {
-      return *stop;
-    }
-    BatchOptions batch;
-    batch.check.mode = options.mode;
-    batch.num_threads = options.threads;
-    BatchSummary summary = target->CheckConfigBatch(configs, batch, writer);
-    bool any_error = unreadable != 0 || summary.configs_with_errors != 0;
+    WriteFleetReport(summary, sets, options.jsonl);
+    bool any_error = any_input_error || summary.configs_with_errors != 0;
     return summary.total_violations == 0 && !any_error ? 0 : 1;
   }
 

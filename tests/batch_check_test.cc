@@ -1,6 +1,6 @@
 // Fleet-scale batch checking (Target::CheckConfigBatch + RunBatchCheck):
 // batch verdicts bit-identical to N independent CheckConfig calls (serial
-// and sharded), cross-config dedup counters, observer ordering, empty /
+// and sharded), cross-config dedup counters, report order, empty /
 // all-clean batches, static mode, warm-cache reuse, and the execution-key
 // identity the dedup rests on.
 #include "src/api/batch_check.h"
@@ -294,22 +294,7 @@ TEST(BatchCheckTest, WarmBatchBuildsNoNewSnapshots) {
   }
 }
 
-class RecordingObserver : public BatchObserver {
- public:
-  void OnBatchBegin(size_t total_configs) override { total_ = total_configs; }
-  void OnConfigChecked(size_t index, const ConfigReport& report) override {
-    indices_.push_back(index);
-    names_.push_back(report.name);
-  }
-  void OnBatchEnd(const BatchSummary& summary) override { end_reports_ = summary.reports.size(); }
-
-  size_t total_ = 0;
-  std::vector<size_t> indices_;
-  std::vector<std::string> names_;
-  size_t end_reports_ = 0;
-};
-
-TEST(BatchCheckTest, ObserverStreamsInBatchOrder) {
+TEST(BatchCheckTest, ReportsAreInBatchOrder) {
   Session session(SessionOptions{.campaign_threads = 4});
   Target* target = LoadFleetServer(session);
   ASSERT_NE(target, nullptr);
@@ -317,33 +302,27 @@ TEST(BatchCheckTest, ObserverStreamsInBatchOrder) {
   BatchOptions options;
   options.check.mode = CheckMode::kDynamic;
   options.num_threads = 4;  // Ordering holds even for sharded batches.
-  RecordingObserver observer;
-  BatchSummary summary = target->CheckConfigBatch(corpus, options, &observer);
+  BatchSummary summary = target->CheckConfigBatch(corpus, options);
 
-  EXPECT_EQ(observer.total_, corpus.size());
-  ASSERT_EQ(observer.indices_.size(), corpus.size());
+  EXPECT_EQ(summary.configs_checked, corpus.size());
+  ASSERT_EQ(summary.reports.size(), corpus.size());
   for (size_t i = 0; i < corpus.size(); ++i) {
-    EXPECT_EQ(observer.indices_[i], i);
-    EXPECT_EQ(observer.names_[i], corpus[i].name);
+    EXPECT_EQ(summary.reports[i].index, i);
+    EXPECT_EQ(summary.reports[i].name, corpus[i].name);
   }
-  EXPECT_EQ(observer.end_reports_, summary.reports.size());
 }
 
-TEST(BatchCheckTest, EmptyBatchYieldsZeroSummaryAndStillSignalsObserver) {
+TEST(BatchCheckTest, EmptyBatchYieldsZeroSummary) {
   Session session;
   Target* target = LoadFleetServer(session);
   ASSERT_NE(target, nullptr);
-  RecordingObserver observer;
-  BatchSummary summary = target->CheckConfigBatch({}, BatchOptions{}, &observer);
+  BatchSummary summary = target->CheckConfigBatch({}, BatchOptions{});
   EXPECT_EQ(summary.configs_checked, 0u);
   EXPECT_EQ(summary.total_violations, 0u);
   EXPECT_EQ(summary.total_suspects, 0u);
   EXPECT_EQ(summary.unique_replays, 0u);
   EXPECT_EQ(summary.DedupRatio(), 0.0);
   EXPECT_TRUE(summary.reports.empty());
-  EXPECT_EQ(observer.total_, 0u);
-  EXPECT_TRUE(observer.indices_.empty());
-  EXPECT_EQ(observer.end_reports_, 0u);
 }
 
 TEST(BatchCheckTest, AllCleanBatchReplaysNothing) {

@@ -308,7 +308,7 @@ TEST(ConfigSetTest, ViolationsPointAtWinningAssignmentWithOverrideNote) {
       {"conf.d/override.conf", "worker_threads = 99\n"},
   };
   std::vector<ResolvedConfigSet> resolutions;
-  BatchSummary summary = target->CheckConfigSet(sets, {}, nullptr, &resolutions);
+  BatchSummary summary = target->CheckConfigSet(sets, {}, &resolutions);
   ASSERT_EQ(summary.reports.size(), 1u);
   ASSERT_EQ(resolutions.size(), 1u);
   EXPECT_EQ(summary.reports[0].name, "base.conf");
@@ -353,7 +353,7 @@ TEST(ConfigSetTest, UnresolvableSetIsContainedWithinTheBatch) {
   sets[0].name = "empty-set";  // No files at all: the root cannot load.
   sets[1].files = {{"good.conf", "worker_threads = 99\n"}};
   std::vector<ResolvedConfigSet> resolutions;
-  BatchSummary summary = target->CheckConfigSet(sets, {}, nullptr, &resolutions);
+  BatchSummary summary = target->CheckConfigSet(sets, {}, &resolutions);
   ASSERT_EQ(summary.reports.size(), 2u);
   EXPECT_EQ(summary.configs_with_errors, 1u);
   EXPECT_EQ(summary.reports[0].status.code(), StatusCode::kInvalidArgument);
@@ -398,26 +398,7 @@ TEST(ConfigSetTest, IncludeShapeDoesNotChangeExecutionIdentity) {
   }
 }
 
-class RecordingObserver : public BatchObserver {
- public:
-  void OnBatchBegin(size_t total_configs) override { begin_total_ = total_configs; }
-  void OnConfigChecked(size_t index, const ConfigReport& report) override {
-    indices_.push_back(index);
-    names_.push_back(report.name);
-    if (!report.violations.empty()) {
-      first_files_.push_back(report.violations.front().file);
-    }
-  }
-  void OnBatchEnd(const BatchSummary& summary) override { end_checked_ = summary.configs_checked; }
-
-  size_t begin_total_ = 0;
-  size_t end_checked_ = 0;
-  std::vector<size_t> indices_;
-  std::vector<std::string> names_;
-  std::vector<std::string> first_files_;
-};
-
-TEST(ConfigSetTest, ObserverStreamsRewrittenReportsInBatchOrder) {
+TEST(ConfigSetTest, ReportsCarryRewrittenViolationsInBatchOrder) {
   Session session;
   Target* target = LoadFleetServer(session);
   ASSERT_NE(target, nullptr);
@@ -427,15 +408,19 @@ TEST(ConfigSetTest, ObserverStreamsRewrittenReportsInBatchOrder) {
       {"sub/x.conf", "worker_threads = 99\n"},
   };
   sets[1].files = {{"b.conf", "idle_timeout = 120\n"}};
-  RecordingObserver observer;
-  target->CheckConfigSet(sets, {}, &observer);
-  EXPECT_EQ(observer.begin_total_, 2u);
-  EXPECT_EQ(observer.end_checked_, 2u);
-  ASSERT_EQ(observer.indices_, (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(observer.names_, (std::vector<std::string>{"a.conf", "b.conf"}));
-  // The observer sees provenance-rewritten violations, not flattened ones.
-  ASSERT_EQ(observer.first_files_.size(), 1u);
-  EXPECT_EQ(observer.first_files_[0], "sub/x.conf");
+  BatchSummary summary = target->CheckConfigSet(sets);
+  EXPECT_EQ(summary.configs_checked, 2u);
+  ASSERT_EQ(summary.reports.size(), 2u);
+  for (size_t i = 0; i < summary.reports.size(); ++i) {
+    EXPECT_EQ(summary.reports[i].index, i);
+  }
+  EXPECT_EQ(summary.reports[0].name, "a.conf");
+  EXPECT_EQ(summary.reports[1].name, "b.conf");
+  // The returned reports carry provenance-rewritten violations, not
+  // flattened ones.
+  ASSERT_FALSE(summary.reports[0].violations.empty());
+  EXPECT_EQ(summary.reports[0].violations.front().file, "sub/x.conf");
+  EXPECT_TRUE(summary.reports[1].violations.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -797,7 +782,7 @@ TEST(ConfigSetDifferentialTest, SetChecksMatchSingleFileChecksAtEveryThreadCount
     options.check.mode = CheckMode::kDynamic;
     options.num_threads = threads;
     std::vector<ResolvedConfigSet> resolutions;
-    BatchSummary actual = target->CheckConfigSet(sets, options, nullptr, &resolutions);
+    BatchSummary actual = target->CheckConfigSet(sets, options, &resolutions);
 
     std::string label = "@" + std::to_string(threads) + " threads";
     ASSERT_EQ(actual.reports.size(), reference.reports.size()) << label;

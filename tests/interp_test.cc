@@ -348,6 +348,7 @@ TEST(InterpTest, GlobalReadTracking) {
   Sut sut(R"(
     int master = 0;
     int dependent = 5;
+    void set_master(int v) { master = v; }
     int run() {
       if (master != 0) { return dependent + 1; }
       return 0;
@@ -357,7 +358,8 @@ TEST(InterpTest, GlobalReadTracking) {
   EXPECT_TRUE(sut.interp->GlobalWasRead("master"));
   EXPECT_FALSE(sut.interp->GlobalWasRead("dependent"));  // Guard was off.
   sut.interp->Reset();
-  sut.interp->WriteGlobal("master", RtValue::Int(1));
+  sut.Call("set_master", {RtValue::Int(1)});
+  EXPECT_FALSE(sut.interp->GlobalWasRead("master"));  // A store is not a read.
   sut.Call("run");
   EXPECT_TRUE(sut.interp->GlobalWasRead("dependent"));
 }
@@ -543,6 +545,7 @@ TEST(InterpTest, UntouchedCellsDefaultByLeafType) {
     struct rec { int n; char *name; double w; int *ptr; };
     struct rec one;
     struct rec rows[4];
+    struct rec big[20000];
     int counts[4];
     double weights[4];
     char *names[4];
@@ -555,6 +558,8 @@ TEST(InterpTest, UntouchedCellsDefaultByLeafType) {
     char *name_at(int i) { return names[i]; }
     int row_n(int i) { return rows[i].n; }
     char *row_name(int i) { return rows[i].name; }
+    int big_n(int i) { return big[i].n; }
+    char *big_name(int i) { return big[i].name; }
     int local_n() { struct rec mine; return mine.n; }
     char *local_name() { struct rec mine; return mine.name; }
     double local_w() { struct rec mine; return mine.w; }
@@ -578,14 +583,17 @@ TEST(InterpTest, UntouchedCellsDefaultByLeafType) {
   EXPECT_EQ(kind_of("local_name"), Kind::kNull);
   EXPECT_EQ(kind_of("local_w"), Kind::kFloat);
   EXPECT_EQ(kind_of("local_count", {RtValue::Int(3)}), Kind::kInt);
-  // A struct-array row's default is found by walking every step as a field
-  // index, the row index included: row i's fields all default like field i
-  // of the struct (int, string, double, pointer, then int past the end).
-  const Kind by_row[] = {Kind::kInt, Kind::kNull, Kind::kFloat, Kind::kNull};
+  // Every struct-array row defaults like the struct, as in C: n is int 0
+  // and name a null pointer in each row. `big` is too large to lay out, so
+  // its rows are overflow cells and take the same defaults.
   for (int64_t row = 0; row < 4; ++row) {
-    EXPECT_EQ(kind_of("row_n", {RtValue::Int(row)}), by_row[row]) << row;
-    EXPECT_EQ(kind_of("row_name", {RtValue::Int(row)}), by_row[row]) << row;
-    EXPECT_EQ(kind_of("local_row_n", {RtValue::Int(row)}), by_row[row]) << row;
+    EXPECT_EQ(kind_of("row_n", {RtValue::Int(row)}), Kind::kInt) << row;
+    EXPECT_EQ(kind_of("row_name", {RtValue::Int(row)}), Kind::kNull) << row;
+    EXPECT_EQ(kind_of("local_row_n", {RtValue::Int(row)}), Kind::kInt) << row;
+  }
+  for (int64_t row : {0, 1, 2, 19999}) {
+    EXPECT_EQ(kind_of("big_n", {RtValue::Int(row)}), Kind::kInt) << row;
+    EXPECT_EQ(kind_of("big_name", {RtValue::Int(row)}), Kind::kNull) << row;
   }
 }
 

@@ -189,7 +189,7 @@ TEST(ParserRobustnessTest, MalformedTreesCheckEndToEndWithoutCrashing) {
   sets[2].files = {{"bin.conf", "depth = \xFF\xFE\n"}};
   sets[3].files = {{"huge.conf", "depth = " + std::string(1 << 20, '9') + "\n"}};
   std::vector<ResolvedConfigSet> resolutions;
-  BatchSummary summary = target->CheckConfigSet(sets, {}, nullptr, &resolutions);
+  BatchSummary summary = target->CheckConfigSet(sets, {}, &resolutions);
   ASSERT_EQ(summary.reports.size(), 4u);
   for (const ConfigReport& report : summary.reports) {
     EXPECT_TRUE(report.status.ok()) << report.name;  // Contained, not failed.

@@ -322,6 +322,82 @@ TEST(ReportJsonTest, PinnedGoldenForOneFleet) {
             R"({"type":"config_error","config":"gone.conf","error":"cannot read file"})");
 }
 
+// The --matrix and spexcheckd closing records, on hand-built values.
+TEST(ReportJsonTest, PinnedGoldenForMatrixAndServeRecords) {
+  ConfigReport cell;
+  cell.name = "a.conf";
+  cell.index = 2;
+  EXPECT_EQ(CellRecord(1, "v\"2", cell),
+            R"({"type":"cell","version":1,"version_label":"v\"2","config":"a.conf",)"
+            R"("index":2,"suspects":0,"shared_replays":0,"violations":[]})");
+
+  VersionReport column;
+  column.index = 1;
+  column.label = "v2";
+  column.status = Status::NotFound("no such target");
+  EXPECT_EQ(VersionRecord(column),
+            R"({"type":"version","version":1,"label":"v2","status":"not_found",)"
+            R"("error":"no such target"})");
+  column.status = Status::Ok();
+  std::string counters;
+  AppendBatchCounters(column.batch, &counters);
+  EXPECT_EQ(VersionRecord(column),
+            R"({"type":"version","version":1,"label":"v2",)" + counters + "}");
+
+  ConfigTransition transition;
+  transition.config = "a.conf";
+  transition.config_index = 2;
+  transition.from_version = 0;
+  transition.to_version = 1;
+  transition.from_label = "v1";
+  transition.to_label = "v2";
+  transition.transition = Transition::kRegression;
+  transition.added = 1;
+  transition.detail = "+ [range] x = \"1\"";
+  EXPECT_EQ(DiffRecord(transition),
+            R"({"type":"diff","config":"a.conf","config_index":2,"from":0,"to":1,)"
+            R"("from_label":"v1","to_label":"v2","transition":"regression","added":1,)"
+            R"("removed":0,"changed":0,"detail":"+ [range] x = \"1\""})");
+
+  MatrixSummary matrix;
+  matrix.versions_requested = 3;
+  matrix.versions_checked = 2;
+  matrix.configs = 4;
+  matrix.cells = 8;
+  matrix.total_violations = 5;
+  matrix.unique_replays = 6;
+  matrix.store_hits = 7;
+  matrix.transitions_by_kind = {1, 2, 3, 4};  // stable, changed, fix, regression.
+  EXPECT_EQ(MatrixSummaryRecord(matrix),
+            R"({"type":"matrix_summary","schema":1,"versions_requested":3,)"
+            R"("versions_checked":2,"configs":4,"cells":8,"total_violations":5,)"
+            R"("unique_replays":6,"store_hits":7,"regressions":4,"fixes":3,)"
+            R"("changed_reactions":2,"stable":1})");
+
+  EXPECT_EQ(ConfigSetErrorRecord(ConfigSetError{ConfigSetError::Kind::kMissingInclude,
+                                                "main.conf", 2, "gone.conf"}),
+            R"({"type":"config_set_error","kind":"missing-include","file":"main.conf",)"
+            R"("line":2,"target":"gone.conf"})");
+
+  BatchSummary served;
+  served.total_violations = 2;
+  served.total_suspects = 3;
+  served.store_hits = 3;  // Every suspect from the store: cached.
+  EXPECT_EQ(CheckSummaryRecord(served, Status::Ok(), "squid", CheckMode::kDynamic, 4, true),
+            R"({"type":"summary","schema":1,"status":"ok","target":"squid",)"
+            R"("mode":"dynamic","violations":2,"files":4,"degraded":true,"cached":true})");
+  served.unique_replays = 1;
+  EXPECT_EQ(CheckSummaryRecord(served, Status::Cancelled("x"), "squid", CheckMode::kStatic,
+                               std::nullopt, false),
+            R"({"type":"summary","schema":1,"status":"cancelled","target":"squid",)"
+            R"("mode":"static","violations":2,"degraded":false,"cached":false})");
+  counters.clear();
+  AppendBatchCounters(served, &counters);
+  EXPECT_EQ(BatchSummaryRecord(served, Status::Ok(), false),
+            R"({"type":"batch_summary","schema":1,"status":"ok",)" + counters +
+                R"(,"degraded":false,"cached":false})");
+}
+
 // ---------------------------------------------------------------------------
 // Cross-surface identity against a live CheckServer.
 
