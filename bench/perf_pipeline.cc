@@ -249,7 +249,7 @@ void BM_CampaignThroughput(benchmark::State& state) {
   for (auto _ : state) {
     InjectionCampaign campaign(*fixture.analysis.module, fixture.analysis.bundle.sut,
                                OsSimulator::StandardEnvironment());
-    benchmark::DoNotOptimize(campaign.RunAll(fixture.template_config, fixture.batch, nullptr,
+    benchmark::DoNotOptimize(campaign.RunAll(fixture.template_config, fixture.batch,
                                              pool ? &*pool : nullptr, workers));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -4,31 +4,10 @@
 // nothing but "Segmentation fault".
 //
 // Build & run:  ./build/example_harden_server
+#include <array>
 #include <iostream>
 
 #include "src/api/session.h"
-
-namespace {
-
-// Streaming progress through the façade's observer: a long campaign inside
-// a service would ship these to a dashboard instead of stderr.
-class ProgressObserver : public spex::CampaignObserver {
- public:
-  void OnCampaignBegin(size_t total_runs) override { total_ = total_runs; }
-  void OnRunComplete(size_t index, const spex::InjectionResult& result) override {
-    (void)index;
-    (void)result;
-    if (++completed_ % 50 == 0) {
-      std::cerr << "  ... " << completed_ << "/" << total_ << " misconfigurations injected\n";
-    }
-  }
-
- private:
-  size_t total_ = 0;
-  size_t completed_ = 0;
-};
-
-}  // namespace
 
 int main() {
   spex::Session session;
@@ -43,11 +22,20 @@ int main() {
             << analysis.bundle.param_count << " parameters, "
             << analysis.constraints.TotalConstraints() << " inferred constraints)\n\n";
 
-  ProgressObserver progress;
-  spex::CampaignSummary summary = target->RunCampaign(&progress);
+  // RunCampaign returns every run's result once the campaign is done.
+  spex::CampaignSummary summary = target->RunCampaign();
   std::cout << "Injection campaign: " << summary.results.size() << " misconfigurations, "
+            << summary.total_tests_run << " functional tests run, "
             << summary.TotalVulnerabilities() << " vulnerabilities at "
-            << summary.UniqueVulnerabilityLocations() << " source locations.\n\n";
+            << summary.UniqueVulnerabilityLocations() << " source locations.\n";
+  std::array<size_t, spex::kReactionCategoryCount> counts = summary.CategoryCounts();
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] != 0) {
+      std::cout << "  " << ReactionCategoryName(static_cast<spex::ReactionCategory>(i)) << ": "
+                << counts[i] << "\n";
+    }
+  }
+  std::cout << "\n";
 
   std::cout << "Error reports for the developer (vulnerabilities only):\n";
   int shown = 0;

@@ -65,10 +65,9 @@ cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test inte
 # Session façade under TSan: threads sharing one Session run CheckConfig
 # concurrently (static *and* dynamic mode — the latter replays through the
 # shared snapshot cache, concurrently with a campaign), a sharded batch
-# finishes while another target's campaign holds pool workers, concurrent
-# campaigns on one target stay bit-identical to a full replay, parallel
-# campaigns stream through observers, and repeated campaigns exercise the
-# persistent snapshot cache.
+# finishes while another task group holds all but one pool worker,
+# concurrent campaigns on one target stay bit-identical to a full replay,
+# and repeated campaigns exercise the persistent snapshot cache.
 ./build-tsan/session_test --gtest_filter='SessionThreadedTest.*:SessionCampaignTest.*:SessionDynamicTest.*'
 ./build-tsan/dynamic_check_test
 # Fleet batch checking: the 4-worker sharded batch (parse/static-check

@@ -397,4 +397,11 @@ std::string BatchSummaryRecord(const BatchSummary& summary, const Status& status
   return out + "}";
 }
 
+std::string ErrorRecord(const Status& status) {
+  std::string out = R"({"type":"error")";
+  AppendJsonString("status", StatusCodeName(status.code()), &out);
+  AppendJsonString("message", status.message(), &out);
+  return out + "}";
+}
+
 }  // namespace spex

@@ -89,6 +89,9 @@ std::string CheckSummaryRecord(const BatchSummary& summary, const Status& status
                                std::optional<size_t> files, bool degraded);
 std::string BatchSummaryRecord(const BatchSummary& summary, const Status& status,
                                bool degraded);
+// spexcheckd: {"type":"error","status","message"}, the whole body of a
+// request that failed before any report was written.
+std::string ErrorRecord(const Status& status);
 
 }  // namespace spex
 

@@ -285,19 +285,18 @@ const std::vector<Misconfiguration>& Target::Misconfigurations() {
   return misconfigs_;
 }
 
-CampaignSummary Target::RunCampaign(CampaignObserver* observer, int num_threads) {
+CampaignSummary Target::RunCampaign(int num_threads) {
   // One campaign serves every width, so its snapshot cache and execution
   // contexts carry over between serial and parallel calls. No lock is
-  // held across RunAll: observer callbacks (and other threads) may call
-  // Misconfigurations()/campaign_cache_stats() mid-campaign, and
-  // misconfigs_ never changes once generated.
+  // held across RunAll: other threads may call Misconfigurations() or
+  // campaign_cache_stats() mid-campaign, and misconfigs_ never changes
+  // once generated.
   InjectionCampaign* campaign = EnsureCampaign();
   const std::vector<Misconfiguration>& misconfigs = Misconfigurations();
   // Parallel campaigns run on the session's shared pool and wait only for
   // their own tasks.
   ThreadPool* pool = num_threads != 1 ? session_->worker_pool() : nullptr;
-  return campaign->RunAll(template_config_, misconfigs, observer, pool,
-                          ClaimerCount(num_threads, pool));
+  return campaign->RunAll(template_config_, misconfigs, pool, ClaimerCount(num_threads, pool));
 }
 
 CampaignCacheStats Target::campaign_cache_stats() {

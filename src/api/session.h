@@ -94,15 +94,14 @@ class Session {
   // transitions (src/matrix/matrix_diff.h). With options.store attached,
   // every version gets its own store scope automatically, so a warm
   // matrix refresh after one version bump replays only the bumped
-  // column. Version load failures are contained per column; `observer`
-  // streams cells/columns/transitions on the calling thread.
+  // column. Version load failures are contained per column: the column
+  // carries the load Status and every other version is still checked.
   //
   // Thread-safety follows CheckConfigBatch: safe concurrently with any
   // other call; sharded columns share the session pool.
   MatrixSummary CheckMatrix(std::span<const TargetVersion> versions,
                             std::span<const ConfigInput> configs,
-                            const MatrixOptions& options = {},
-                            MatrixObserver* observer = nullptr);
+                            const MatrixOptions& options = {});
 
   // Sharded corpus regeneration through the session's registry and engine
   // options: one analysis + fresh campaign per target name. Fan-out
@@ -242,13 +241,12 @@ class Target {
   // target's one campaign, which always has the default (paper) options.
   // The campaign persists across calls at every width, so repeated
   // campaigns — serial or parallel — reuse prefix snapshots instead of
-  // rebuilding them; `observer` streams per-run results. `num_threads`
-  // follows BatchOptions::num_threads (1 = serial, 0 = the session pool
-  // at its full width, N = N claimers); results are identical for every
-  // value. Concurrent calls on one target run one after another, calls on
-  // different targets run concurrently. To vary the scheduling knobs,
-  // drive an InjectionCampaign directly.
-  CampaignSummary RunCampaign(CampaignObserver* observer = nullptr, int num_threads = 1);
+  // rebuilding them. `num_threads` follows BatchOptions::num_threads
+  // (1 = serial, 0 = the session pool at its full width, N = N claimers);
+  // results are identical for every value. Concurrent calls on one target
+  // run one after another, calls on different targets run concurrently.
+  // To vary the scheduling knobs, drive an InjectionCampaign directly.
+  CampaignSummary RunCampaign(int num_threads = 1);
 
   // Cache counters of the target's campaign (zeros until the first
   // RunCampaign or dynamic check creates it) — lets embedders verify

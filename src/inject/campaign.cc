@@ -1,7 +1,6 @@
 #include "src/inject/campaign.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <string_view>
 #include <unordered_set>
@@ -738,7 +737,6 @@ struct InjectionCampaign::ReplayPass {
   std::vector<std::string> keyset_ids;
   std::vector<const std::string*> keysets;  // Per config; empty or null = full replay.
   ReplayLimits limits;
-  std::function<void(size_t)> on_result;  // Called once per written slot.
 
   // Attached verdict store, snapshotted for this pass (null = none). The
   // per-config bookkeeping is read back by ReplayExternal after the loop.
@@ -777,9 +775,6 @@ void InjectionCampaign::ReplayIndex(ReplayPass& pass, size_t i) {
     result = RunOneWith(context.interp, context.os,
                         pass.keysets.empty() ? nullptr : pass.keysets[i],
                         pass.template_config, config, per_replay ? &*per_replay : nullptr);
-  }
-  if (pass.on_result) {
-    pass.on_result(i);
   }
 }
 
@@ -878,8 +873,7 @@ bool InjectionCampaign::CacheServes(const std::string& fingerprint) {
 
 CampaignSummary InjectionCampaign::RunAll(const ConfigFile& template_config,
                                           const std::vector<Misconfiguration>& configs,
-                                          CampaignObserver* observer, ThreadPool* pool,
-                                          size_t workers) {
+                                          ThreadPool* pool, size_t workers) {
   // One RunAll at a time per campaign: the batch id is per-batch state.
   // Other campaigns are unaffected.
   std::lock_guard<std::mutex> one_at_a_time(run_all_mutex_);
@@ -905,17 +899,6 @@ CampaignSummary InjectionCampaign::RunAll(const ConfigFile& template_config,
     }
   }
 
-  std::mutex observer_mutex;
-  if (observer != nullptr) {
-    observer->OnCampaignBegin(configs.size());
-    pass.on_result = [&](size_t index) {
-      // Serialized: observers see one completed run at a time, in
-      // completion order (== batch order on the serial path).
-      std::lock_guard<std::mutex> lock(observer_mutex);
-      observer->OnRunComplete(index, pass.results[index]);
-    };
-  }
-
   // Claimed indices into pre-sized slots: result order — and therefore
   // every summary statistic — is identical for every worker count. This
   // call waits only for its own claimers (the calling thread is one).
@@ -925,9 +908,6 @@ CampaignSummary InjectionCampaign::RunAll(const ConfigFile& template_config,
   summary.results = std::move(pass.results);
   for (const InjectionResult& result : summary.results) {
     summary.total_tests_run += result.tests_run;
-  }
-  if (observer != nullptr) {
-    observer->OnCampaignEnd(summary);
   }
   return summary;
 }

@@ -159,23 +159,6 @@ struct CampaignOptions {
   bool sort_tests_by_cost = true;
 };
 
-// Streaming per-run callbacks for RunAll — the embeddable-API complement
-// to the batch CampaignSummary (progress bars, live dashboards, early log
-// shipping). Callbacks are serialized by the campaign (never concurrent),
-// but with multiple workers they arrive in completion order, not batch
-// order; `index` is the misconfiguration's position in the batch, which is
-// also its slot in the final summary.
-class CampaignObserver {
- public:
-  virtual ~CampaignObserver() = default;
-  virtual void OnCampaignBegin(size_t total_runs) { (void)total_runs; }
-  virtual void OnRunComplete(size_t index, const InjectionResult& result) {
-    (void)index;
-    (void)result;
-  }
-  virtual void OnCampaignEnd(const CampaignSummary& summary) { (void)summary; }
-};
-
 // Cumulative counters over a campaign's lifetime (all RunAll / RunOne /
 // ReplayExternal calls); the observable that proves a repeated campaign —
 // or a warm dynamic config check — skipped snapshot rebuilds. Reading them
@@ -232,18 +215,15 @@ class InjectionCampaign {
   // Single-shot ground-truth run (never snapshots: a prefix snapshot would
   // cost exactly what it saves).
   InjectionResult RunOne(const ConfigFile& template_config, const Misconfiguration& config);
-  // Runs the whole batch. `observer`, when given, receives one serialized
-  // OnRunComplete per misconfiguration as it finishes (completion order).
-  // Concurrent calls on one campaign run one after another. Fan-out is
-  // ReplayExternal's: with a `pool` and `workers` > 1 the configs are
-  // claimed by up to `workers` threads, the calling one included (it must
-  // not be a task of `pool`); otherwise the batch runs serially on the
-  // calling thread. Results are written into pre-sized slots, so order,
-  // categories and totals are identical either way.
+  // Runs the whole batch. Concurrent calls on one campaign run one after
+  // another. Fan-out is ReplayExternal's: with a `pool` and `workers` > 1
+  // the configs are claimed by up to `workers` threads, the calling one
+  // included (it must not be a task of `pool`); otherwise the batch runs
+  // serially on the calling thread. Results are written into pre-sized
+  // slots, so order, categories and totals are identical either way.
   CampaignSummary RunAll(const ConfigFile& template_config,
                          const std::vector<Misconfiguration>& configs,
-                         CampaignObserver* observer = nullptr, ThreadPool* pool = nullptr,
-                         size_t workers = 1);
+                         ThreadPool* pool = nullptr, size_t workers = 1);
 
   // Replays externally supplied misconfigurations — the suspect settings of
   // a *user's* config, not generator output — through the campaign's

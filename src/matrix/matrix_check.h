@@ -39,7 +39,6 @@
 #include <array>
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -48,8 +47,6 @@
 #include "src/matrix/version_set.h"
 
 namespace spex {
-
-class Session;
 
 // Options for one matrix check. Freely copyable.
 struct MatrixOptions {
@@ -88,9 +85,9 @@ struct ConfigRollup {
 };
 
 // Matrix-wide rollup. `columns` holds every version in request order
-// (failed loads included, with their status); `transitions` holds one
-// entry per (config, adjacent-checked-version-pair) in version-major,
-// batch order.
+// (failed loads included, with their status), each checked column's
+// reports in batch order; `transitions` holds one entry per (config,
+// adjacent-checked-version-pair) in version-major, batch order.
 struct MatrixSummary {
   size_t versions_requested = 0;
   size_t versions_checked = 0;  // Columns that actually ran.
@@ -112,38 +109,6 @@ struct MatrixSummary {
     return transitions_by_kind[static_cast<size_t>(Transition::kRegression)] > 0;
   }
 };
-
-// Streaming callbacks, all on the calling thread. Cells stream through
-// OnCellChecked in column-major order (every config of version 0, then
-// version 1, ...) as soon as their column returns, in batch order within
-// the column. References are valid only during the call; the same objects
-// land in MatrixSummary.
-class MatrixObserver {
- public:
-  virtual ~MatrixObserver() = default;
-  virtual void OnMatrixBegin(size_t versions, size_t configs) {
-    (void)versions;
-    (void)configs;
-  }
-  // Once per requested version, before its column runs (or with the load
-  // failure that prevents it from running).
-  virtual void OnVersionLoaded(const LoadedVersion& version) { (void)version; }
-  virtual void OnCellChecked(size_t version, const std::string& version_label,
-                             const ConfigReport& report) {
-    (void)version;
-    (void)version_label;
-    (void)report;
-  }
-  virtual void OnVersionChecked(const VersionReport& column) { (void)column; }
-  virtual void OnTransition(const ConfigTransition& transition) { (void)transition; }
-  virtual void OnMatrixEnd(const MatrixSummary& summary) { (void)summary; }
-};
-
-// The engine behind Session::CheckMatrix — exposed, like RunBatchCheck,
-// so tests and custom drivers can reach it directly.
-MatrixSummary RunMatrixCheck(Session& session, std::span<const TargetVersion> versions,
-                             std::span<const ConfigInput> configs,
-                             const MatrixOptions& options, MatrixObserver* observer);
 
 }  // namespace spex
 

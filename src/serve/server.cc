@@ -55,13 +55,6 @@ void SetNonBlocking(int fd) {
   }
 }
 
-std::string StatusJson(const Status& status) {
-  std::string json = R"({"type":"error")";
-  AppendJsonString("status", StatusCodeName(status.code()), &json);
-  AppendJsonString("message", status.message(), &json);
-  return json + "}\n";
-}
-
 // "=== <name>" framing for /batch bodies. Content before the first frame
 // marker must be blank — anything else is a malformed batch, reported as
 // such rather than silently dropped.
@@ -406,8 +399,8 @@ void CheckServer::HandleReadable(int fd) {
       stat_invalid_.fetch_add(1, std::memory_order_relaxed);
       Status error = conn->parser->error();
       int http = HttpStatusFor(error.code());
-      WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", StatusJson(error),
-                        {}, false, /*eagain_timeout_ms=*/0);
+      WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json",
+                        ErrorRecord(error) + "\n", {}, false, /*eagain_timeout_ms=*/0);
       CloseConn(fd);
       return;
     }
@@ -451,8 +444,8 @@ void CheckServer::ExpireDeadlines(MonotonicTime now) {
     // the read timeout gets 408 and its connection slot back.
     stat_read_timeouts_.fetch_add(1, std::memory_order_relaxed);
     WriteHttpResponse(entry.fd, 408, HttpReasonFor(408), "application/json",
-                      StatusJson(Status::DeadlineExceeded("timed out reading request")), {},
-                      false, /*eagain_timeout_ms=*/0);
+                      ErrorRecord(Status::DeadlineExceeded("timed out reading request")) + "\n",
+                      {}, false, /*eagain_timeout_ms=*/0);
     CloseConn(entry.fd);
   });
 }
@@ -513,7 +506,7 @@ void CheckServer::DispatchConn(int fd) {
                             "request queue full (" +
                             std::to_string(queue_->capacity()) + " pending); retry later");
   int http = HttpStatusFor(status.code());
-  WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", StatusJson(status),
+  WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", ErrorRecord(status) + "\n",
                     {{"Retry-After", "1"}}, false, /*eagain_timeout_ms=*/0);
   DestroyConn(std::move(conn));
 }
@@ -521,7 +514,7 @@ void CheckServer::DispatchConn(int fd) {
 void CheckServer::ShedConn(int fd, const Status& status) {
   stat_shed_.fetch_add(1, std::memory_order_relaxed);
   int http = HttpStatusFor(status.code());
-  WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", StatusJson(status),
+  WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", ErrorRecord(status) + "\n",
                     {{"Retry-After", "1"}}, false, /*eagain_timeout_ms=*/0);
   ::close(fd);
 }
@@ -591,7 +584,7 @@ void CheckServer::WriteError(int fd, const Status& status) {
   if (http == 503) {
     extra.emplace_back("Retry-After", "1");
   }
-  WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", StatusJson(status),
+  WriteHttpResponse(fd, http, HttpReasonFor(http), "application/json", ErrorRecord(status) + "\n",
                     extra);
 }
 

@@ -257,134 +257,124 @@ void WriteFleetReport(const BatchSummary& summary, std::span<const ResolvedConfi
   }
 }
 
-// A matrix report format. Either one warns on stderr when a version
-// fails to load.
-class MatrixWriter : public MatrixObserver {
- public:
-  void OnVersionLoaded(const LoadedVersion& version) override {
-    if (!version.status.ok()) {
-      std::cerr << "spexcheck: version '" << version.label
-                << "' failed to load: " << version.status.message() << "\n";
+// Matrix text: a checked column's summary line, after its transitions.
+void WriteTextVersion(const VersionReport& column) {
+  std::cout << "version " << column.label << ": " << column.batch.configs_with_violations
+            << "/" << column.batch.configs_checked << " config(s) with violations, "
+            << column.batch.total_violations << " violation(s)";
+  if (column.batch.total_suspects != 0) {
+    std::cout << "; " << column.batch.unique_replays << " unique replay(s)";
+    if (column.batch.store_hits != 0) {
+      std::cout << ", " << column.batch.store_hits << " store hit(s)";
     }
   }
-};
+  std::cout << "\n";
+}
 
-// Matrix text report: per-version summary lines and non-stable
-// transitions as they stream, then the config × version grid. Per-cell
-// violation detail is the jsonl format's job — a text grid that printed
-// every violation of every cell would bury the upgrade story.
-class MatrixTextWriter : public MatrixWriter {
- public:
-  void OnMatrixBegin(size_t versions, size_t configs) override {
-    std::cout << "matrix: " << versions << " version(s) x " << configs
-              << " config(s)\n";
+// Matrix text: one non-stable transition; stable ones print nothing.
+void WriteTextTransition(const ConfigTransition& transition) {
+  if (transition.transition == Transition::kStable) {
+    return;
   }
-
-  void OnVersionChecked(const VersionReport& column) override {
-    if (!column.status.ok()) {
-      return;
-    }
-    std::cout << "version " << column.label << ": "
-              << column.batch.configs_with_violations << "/"
-              << column.batch.configs_checked << " config(s) with violations, "
-              << column.batch.total_violations << " violation(s)";
-    if (column.batch.total_suspects != 0) {
-      std::cout << "; " << column.batch.unique_replays << " unique replay(s)";
-      if (column.batch.store_hits != 0) {
-        std::cout << ", " << column.batch.store_hits << " store hit(s)";
-      }
-    }
-    std::cout << "\n";
+  std::cout << "  " << transition.from_label << " -> " << transition.to_label << "  "
+            << transition.config << ": " << TransitionName(transition.transition);
+  if (!transition.detail.empty()) {
+    std::cout << "  " << transition.detail;
   }
+  std::cout << "\n";
+}
 
-  void OnTransition(const ConfigTransition& transition) override {
-    if (transition.transition == Transition::kStable) {
-      return;
-    }
-    std::cout << "  " << transition.from_label << " -> " << transition.to_label
-              << "  " << transition.config << ": "
-              << TransitionName(transition.transition);
-    if (!transition.detail.empty()) {
-      std::cout << "  " << transition.detail;
-    }
-    std::cout << "\n";
-  }
-
-  void OnMatrixEnd(const MatrixSummary& summary) override {
-    // Grid of violation counts, checked columns only.
-    size_t name_width = std::strlen("config");
-    for (const ConfigRollup& rollup : summary.per_config) {
-      name_width = std::max(name_width, rollup.name.size());
-    }
-    std::cout << "\n" << std::left << std::setw(static_cast<int>(name_width))
-              << "config" << std::right;
-    for (const VersionReport& column : summary.columns) {
-      if (column.status.ok()) {
-        std::cout << "  " << std::setw(ColumnWidth(column)) << column.label;
-      }
-    }
-    std::cout << "  trend\n";
-    for (const ConfigRollup& rollup : summary.per_config) {
-      std::cout << std::left << std::setw(static_cast<int>(name_width)) << rollup.name
-                << std::right;
-      for (const VersionReport& column : summary.columns) {
-        if (!column.status.ok()) {
-          continue;
-        }
-        std::cout << "  " << std::setw(ColumnWidth(column));
-        if (rollup.index < column.batch.reports.size()) {
-          std::cout << column.batch.reports[rollup.index].violations.size();
-        } else {
-          std::cout << "-";
-        }
-      }
-      std::cout << "  " << Trend(rollup) << "\n";
-    }
-    std::cout << "matrix: " << summary.versions_checked << " version(s) checked, "
-              << summary.cells << " cell(s), "
-              << summary.transitions_by_kind[static_cast<size_t>(Transition::kRegression)]
-              << " regression(s), "
-              << summary.transitions_by_kind[static_cast<size_t>(Transition::kFix)]
-              << " fix(es), "
-              << summary.transitions_by_kind[static_cast<size_t>(
-                     Transition::kChangedReaction)]
-              << " changed reaction(s)\n";
-  }
-
- private:
-  static int ColumnWidth(const VersionReport& column) {
+// Matrix text: the config x version grid of violation counts (checked
+// columns only) and the closing summary line.
+void WriteTextGrid(const MatrixSummary& summary) {
+  auto column_width = [](const VersionReport& column) {
     return static_cast<int>(std::max<size_t>(column.label.size(), 3));
-  }
-
-  static const char* Trend(const ConfigRollup& rollup) {
+  };
+  auto trend = [](const ConfigRollup& rollup) {
     if (rollup.regressions != 0) return "REGRESSED";
     if (rollup.changed_reactions != 0) return "changed";
     if (rollup.fixes != 0) return "fixed";
     return "";
+  };
+  size_t name_width = std::strlen("config");
+  for (const ConfigRollup& rollup : summary.per_config) {
+    name_width = std::max(name_width, rollup.name.size());
   }
-};
-
-// Matrix JSONL: typed records — "cell" per (version, config), "version"
-// per column, "diff" per classified transition, one "matrix_summary".
-class MatrixJsonlWriter : public MatrixWriter {
- public:
-  void OnCellChecked(size_t version, const std::string& version_label,
-                     const ConfigReport& report) override {
-    std::cout << CellRecord(version, version_label, report) << "\n";
+  std::cout << "\n" << std::left << std::setw(static_cast<int>(name_width)) << "config"
+            << std::right;
+  for (const VersionReport& column : summary.columns) {
+    if (column.status.ok()) {
+      std::cout << "  " << std::setw(column_width(column)) << column.label;
+    }
   }
-
-  void OnVersionChecked(const VersionReport& column) override {
-    std::cout << VersionRecord(column) << "\n";
+  std::cout << "  trend\n";
+  for (const ConfigRollup& rollup : summary.per_config) {
+    std::cout << std::left << std::setw(static_cast<int>(name_width)) << rollup.name
+              << std::right;
+    for (const VersionReport& column : summary.columns) {
+      if (!column.status.ok()) {
+        continue;
+      }
+      std::cout << "  " << std::setw(column_width(column));
+      if (rollup.index < column.batch.reports.size()) {
+        std::cout << column.batch.reports[rollup.index].violations.size();
+      } else {
+        std::cout << "-";
+      }
+    }
+    std::cout << "  " << trend(rollup) << "\n";
   }
+  std::cout << "matrix: " << summary.versions_checked << " version(s) checked, "
+            << summary.cells << " cell(s), "
+            << summary.transitions_by_kind[static_cast<size_t>(Transition::kRegression)]
+            << " regression(s), "
+            << summary.transitions_by_kind[static_cast<size_t>(Transition::kFix)]
+            << " fix(es), "
+            << summary.transitions_by_kind[static_cast<size_t>(Transition::kChangedReaction)]
+            << " changed reaction(s)\n";
+}
 
-  void OnTransition(const ConfigTransition& transition) override {
-    std::cout << DiffRecord(transition) << "\n";
+// Writes a checked matrix as text or JSON lines, column by column in
+// request order: the column's cells, the transitions into it, then its
+// version line or record. Text prints no cells and skips failed columns:
+// per-cell violation detail is the jsonl format's job, and a grid that
+// printed every violation of every cell would bury the upgrade story.
+// Jsonl gives every column a "version" record, failed loads included.
+// The text grid or the "matrix_summary" record closes the stream.
+void WriteMatrixReport(const MatrixSummary& summary, bool jsonl) {
+  if (!jsonl) {
+    std::cout << "matrix: " << summary.versions_requested << " version(s) x "
+              << summary.configs << " config(s)\n";
   }
-
-  void OnMatrixEnd(const MatrixSummary& summary) override {
+  size_t next_transition = 0;
+  for (const VersionReport& column : summary.columns) {
+    if (jsonl) {
+      for (const ConfigReport& report : column.batch.reports) {
+        std::cout << CellRecord(column.index, column.label, report) << "\n";
+      }
+    }
+    for (; next_transition < summary.transitions.size() &&
+           summary.transitions[next_transition].to_version == column.index;
+         ++next_transition) {
+      const ConfigTransition& transition = summary.transitions[next_transition];
+      if (jsonl) {
+        std::cout << DiffRecord(transition) << "\n";
+      } else {
+        WriteTextTransition(transition);
+      }
+    }
+    if (jsonl) {
+      std::cout << VersionRecord(column) << "\n";
+    } else if (column.status.ok()) {
+      WriteTextVersion(column);
+    }
+  }
+  if (jsonl) {
     std::cout << MatrixSummaryRecord(summary) << "\n";
+  } else {
+    WriteTextGrid(summary);
   }
-};
+}
 
 int Fail(const std::string& message) {
   std::cerr << "spexcheck: " << message << "\n";
@@ -912,16 +902,19 @@ int Run(int argc, char** argv) {
     return *stop;
   }
 
-  MatrixJsonlWriter matrix_jsonl;
-  MatrixTextWriter matrix_text;
   MatrixOptions matrix_options;
   matrix_options.check.mode = options.mode;
   matrix_options.num_threads = options.threads;
   matrix_options.store = store;
-  MatrixWriter* writer =
-      options.jsonl ? static_cast<MatrixWriter*>(&matrix_jsonl) : &matrix_text;
-  MatrixSummary summary = session.CheckMatrix(versions, configs, matrix_options, writer);
+  MatrixSummary summary = session.CheckMatrix(versions, configs, matrix_options);
+  WriteMatrixReport(summary, options.jsonl);
   if (summary.versions_checked != summary.versions_requested) {
+    for (const VersionReport& column : summary.columns) {
+      if (!column.status.ok()) {
+        std::cerr << "spexcheck: version '" << column.label
+                  << "' failed to load: " << column.status.message() << "\n";
+      }
+    }
     return Fail(std::to_string(summary.versions_requested - summary.versions_checked) +
                 " version(s) failed to load");
   }

@@ -19,8 +19,8 @@
 #include "src/ir/dominance.h"
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
-#include "src/support/rng.h"
 #include "src/support/strings.h"
+#include "tests/rng.h"
 
 namespace spex {
 namespace {

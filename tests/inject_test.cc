@@ -358,7 +358,7 @@ TEST(CampaignParallelTest, ParallelRunAllMatchesSerialOnSquid) {
   InjectionCampaign parallel(*analysis.module, analysis.bundle.sut,
                              OsSimulator::StandardEnvironment());
   CampaignSummary parallel_summary =
-      parallel.RunAll(template_config, configs, nullptr, &pool, /*workers=*/4);
+      parallel.RunAll(template_config, configs, &pool, /*workers=*/4);
 
   ASSERT_EQ(parallel_summary.results.size(), serial_summary.results.size());
   for (size_t i = 0; i < serial_summary.results.size(); ++i) {
@@ -401,7 +401,7 @@ TEST(CampaignSnapshotTest, SnapshotReplayBitIdenticalToFullReplaySquid) {
   auto run = [&](size_t threads, bool snapshot) {
     InjectionCampaign campaign(*analysis.module, analysis.bundle.sut,
                                OsSimulator::StandardEnvironment());
-    return snapshot ? campaign.RunAll(template_config, configs, nullptr, &pool, threads)
+    return snapshot ? campaign.RunAll(template_config, configs, &pool, threads)
                     : FullReplaySummary(campaign, template_config, configs, &pool, threads);
   };
 

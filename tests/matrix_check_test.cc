@@ -2,7 +2,7 @@
 // cell bit-identical to an independent per-version CheckConfigBatch
 // (serial and sharded), transition classification between seeded
 // versions, warm column-refresh replaying only the bumped version,
-// per-version failure containment, and observer ordering.
+// per-version failure containment, and the order the summary holds.
 #include "src/matrix/matrix_check.h"
 
 #include <gtest/gtest.h>
@@ -354,48 +354,48 @@ TEST(MatrixCheckTest, ValidatesVersionSpecs) {
   EXPECT_TRUE(ValidateVersion(corpus).ok());
 }
 
-TEST(MatrixCheckTest, StreamsObserverCallbacksInColumnMajorOrder) {
-  struct Recorder : MatrixObserver {
-    std::vector<std::string> events;
-    void OnMatrixBegin(size_t versions, size_t configs) override {
-      events.push_back("begin " + std::to_string(versions) + "x" +
-                       std::to_string(configs));
-    }
-    void OnVersionLoaded(const LoadedVersion& version) override {
-      events.push_back("load " + version.label);
-    }
-    void OnCellChecked(size_t version, const std::string& label,
-                       const ConfigReport& report) override {
-      (void)version;
-      events.push_back("cell " + label + "/" + report.name);
-    }
-    void OnVersionChecked(const VersionReport& column) override {
-      events.push_back("column " + column.label);
-    }
-    void OnTransition(const ConfigTransition& transition) override {
-      events.push_back("diff " + transition.config);
-    }
-    void OnMatrixEnd(const MatrixSummary& summary) override {
-      events.push_back("end " + std::to_string(summary.cells));
-    }
-  };
-
+// The summary is the whole report, in the order spexcheck writes it:
+// columns in request order, each column's cells in batch order, and
+// transitions version-major (every config of one version pair, then the
+// next pair).
+TEST(MatrixCheckTest, SummaryOrdersColumnsCellsAndTransitions) {
   Session session;
   std::vector<ConfigInput> fleet = {{"a.conf", "worker_threads = 12\n"},
-                                    {"b.conf", "cache_ttl = 0\n"}};
+                                    {"b.conf", "cache_ttl = 0\n"},
+                                    {"c.conf", "idle_timeout = 5400\n"}};
   std::vector<TargetVersion> versions = {MakeVersion("v1", kServerV1),
-                                         MakeVersion("v2", kServerV2)};
-  Recorder recorder;
+                                         MakeVersion("v2", kServerV2),
+                                         MakeVersion("v3", kServerV1)};
   MatrixOptions options;
   options.check.mode = CheckMode::kDynamic;
-  session.CheckMatrix(versions, fleet, options, &recorder);
+  MatrixSummary summary = session.CheckMatrix(versions, fleet, options);
 
-  std::vector<std::string> expected = {
-      "begin 2x2",    "load v1",      "cell v1/a.conf", "cell v1/b.conf",
-      "column v1",    "load v2",      "cell v2/a.conf", "cell v2/b.conf",
-      "diff a.conf",  "diff b.conf",  "column v2",      "end 4",
-  };
-  EXPECT_EQ(recorder.events, expected);
+  ASSERT_EQ(summary.columns.size(), versions.size());
+  for (size_t v = 0; v < versions.size(); ++v) {
+    const VersionReport& column = summary.columns[v];
+    EXPECT_EQ(column.index, v);
+    EXPECT_EQ(column.label, versions[v].label);
+    ASSERT_TRUE(column.status.ok()) << column.status.message();
+    ASSERT_EQ(column.batch.reports.size(), fleet.size());
+    for (size_t c = 0; c < fleet.size(); ++c) {
+      EXPECT_EQ(column.batch.reports[c].index, c);
+      EXPECT_EQ(column.batch.reports[c].name, fleet[c].name);
+    }
+  }
+
+  ASSERT_EQ(summary.transitions.size(), (versions.size() - 1) * fleet.size());
+  for (size_t t = 0; t < summary.transitions.size(); ++t) {
+    const ConfigTransition& transition = summary.transitions[t];
+    EXPECT_EQ(transition.from_version, t / fleet.size()) << t;
+    EXPECT_EQ(transition.to_version, t / fleet.size() + 1) << t;
+    EXPECT_EQ(transition.config_index, t % fleet.size()) << t;
+    EXPECT_EQ(transition.config, fleet[t % fleet.size()].name) << t;
+  }
+  // v1 -> v2 breaks a.conf and fixes c.conf; the rollback v2 -> v3 undoes both.
+  EXPECT_EQ(summary.transitions[0].transition, Transition::kRegression);
+  EXPECT_EQ(summary.transitions[2].transition, Transition::kFix);
+  EXPECT_EQ(summary.transitions[3].transition, Transition::kFix);
+  EXPECT_EQ(summary.transitions[5].transition, Transition::kRegression);
 }
 
 // ClassifyTransition's severity precedence, on hand-built reports: a pair

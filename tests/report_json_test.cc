@@ -396,6 +396,16 @@ TEST(ReportJsonTest, PinnedGoldenForMatrixAndServeRecords) {
   EXPECT_EQ(BatchSummaryRecord(served, Status::Ok(), false),
             R"({"type":"batch_summary","schema":1,"status":"ok",)" + counters +
                 R"(,"degraded":false,"cached":false})");
+
+  // spexcheckd's error bodies, less their trailing newline.
+  EXPECT_EQ(ErrorRecord(Status::NotFound("no route for GET /a\"b\\c\tz")),
+            R"({"type":"error","status":"not_found",)"
+            R"("message":"no route for GET /a\"b\\c\tz"})");
+  EXPECT_EQ(ErrorRecord(Status::InvalidArgument("missing required query parameter 'target'")),
+            R"({"type":"error","status":"invalid_argument",)"
+            R"("message":"missing required query parameter 'target'"})");
+  EXPECT_EQ(ErrorRecord(Status::InvalidArgument("malformed request line")),
+            R"({"type":"error","status":"invalid_argument","message":"malformed request line"})");
 }
 
 // ---------------------------------------------------------------------------

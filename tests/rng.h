@@ -1,11 +1,8 @@
-// Deterministic random number generation.
-//
-// Everything in the corpus synthesizer and the injection generators that
-// "picks" a value goes through this RNG so that two runs of any bench or test
-// produce byte-identical output. SplitMix64 is small, fast, and has no global
-// state.
-#ifndef SPEX_SUPPORT_RNG_H_
-#define SPEX_SUPPORT_RNG_H_
+// Deterministic random number generation for tests: a seeded test draws
+// the same values on every run. SplitMix64 is small, fast, and has no
+// global state.
+#ifndef SPEX_TESTS_RNG_H_
+#define SPEX_TESTS_RNG_H_
 
 #include <cstdint>
 #include <string>
@@ -52,4 +49,4 @@ class DeterministicRng {
 
 }  // namespace spex
 
-#endif  // SPEX_SUPPORT_RNG_H_
+#endif  // SPEX_TESTS_RNG_H_

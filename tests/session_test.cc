@@ -1,8 +1,8 @@
 // spex::Session façade tests: the user-facing ConfigChecker (one seeded
 // violation per constraint category), clean-config behaviour, campaign
 // bit-identity through the façade vs. a directly driven full replay,
-// snapshot-cache reuse across repeated campaigns, streaming observers,
-// and the dynamic check mode (observed Table-3 reactions per seeded category, bit-identity
+// snapshot-cache reuse across repeated campaigns, and the dynamic check
+// mode (observed Table-3 reactions per seeded category, bit-identity
 // against ground-truth full replay, warm-cache reuse, concurrency).
 #include "src/api/session.h"
 
@@ -13,10 +13,10 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
-#include <set>
 #include <thread>
 
 #include "src/inject/generator.h"
+#include "src/support/thread_pool.h"
 
 namespace spex {
 namespace {
@@ -291,7 +291,7 @@ TEST(SessionCampaignTest, FacadeCampaignBitIdenticalToFullReplay) {
   Target* target = session.LoadTarget("squid");
   ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
   ExpectSameSummaries(reference, target->RunCampaign(), "facade serial");
-  ExpectSameSummaries(reference, target->RunCampaign(nullptr, 4), "facade 4 workers");
+  ExpectSameSummaries(reference, target->RunCampaign(4), "facade 4 workers");
 }
 
 TEST(SessionCampaignTest, RepeatedCampaignReusesSnapshots) {
@@ -334,7 +334,7 @@ TEST(SessionCampaignTest, WidthChangeKeepsTheCampaign) {
   target->RunCampaign();
   const CampaignCacheStats serial = target->campaign_cache_stats();
   EXPECT_GT(serial.snapshots_built, 0u);
-  target->RunCampaign(nullptr, 2);
+  target->RunCampaign(2);
   const CampaignCacheStats parallel = target->campaign_cache_stats();
   at_least(parallel, serial, "serial -> 2 workers");
   EXPECT_EQ(parallel.snapshots_built, serial.snapshots_built);
@@ -342,68 +342,6 @@ TEST(SessionCampaignTest, WidthChangeKeepsTheCampaign) {
   const CampaignCacheStats serial_again = target->campaign_cache_stats();
   at_least(serial_again, parallel, "2 workers -> serial");
   EXPECT_EQ(serial_again.snapshots_built, serial.snapshots_built);
-}
-
-TEST(SessionCampaignTest, ObserverStreamsEveryRun) {
-  Session session;
-  Target* target = session.LoadTarget("openldap");
-  ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
-
-  struct Collector : CampaignObserver {
-    size_t announced_total = 0;
-    std::vector<size_t> indices;
-    std::vector<ReactionCategory> categories;
-    bool saw_end = false;
-    size_t end_results = 0;
-    void OnCampaignBegin(size_t total_runs) override { announced_total = total_runs; }
-    void OnRunComplete(size_t index, const InjectionResult& result) override {
-      indices.push_back(index);
-      categories.push_back(result.category);
-    }
-    void OnCampaignEnd(const CampaignSummary& summary) override {
-      saw_end = true;
-      end_results = summary.results.size();
-    }
-  };
-
-  Collector collector;
-  CampaignSummary summary = target->RunCampaign(&collector, 4);
-  EXPECT_EQ(collector.announced_total, summary.results.size());
-  EXPECT_TRUE(collector.saw_end);
-  EXPECT_EQ(collector.end_results, summary.results.size());
-  ASSERT_EQ(collector.indices.size(), summary.results.size());
-  // Every index streamed exactly once, and each streamed result matches
-  // its slot in the batch summary (order across workers is completion
-  // order, so compare per-index).
-  std::set<size_t> unique(collector.indices.begin(), collector.indices.end());
-  EXPECT_EQ(unique.size(), summary.results.size());
-  for (size_t i = 0; i < collector.indices.size(); ++i) {
-    EXPECT_EQ(collector.categories[i], summary.results[collector.indices[i]].category);
-  }
-}
-
-TEST(SessionCampaignTest, ObserverMayQueryTargetMidCampaign) {
-  // Regression: stats/misconfig accessors must be callable from observer
-  // callbacks (campaign_mutex_ is not held across RunAll).
-  Session session;
-  Target* target = session.LoadTarget("openldap");
-  ASSERT_NE(target, nullptr) << session.RenderDiagnostics();
-
-  struct Prober : CampaignObserver {
-    Target* target = nullptr;
-    size_t probes = 0;
-    void OnRunComplete(size_t index, const InjectionResult& result) override {
-      (void)index;
-      (void)result;
-      CampaignCacheStats stats = target->campaign_cache_stats();
-      (void)target->Misconfigurations();
-      probes += stats.full_replays + stats.delta_replays > 0 ? 1 : 0;
-    }
-  };
-  Prober prober;
-  prober.target = target;
-  CampaignSummary summary = target->RunCampaign(&prober);
-  EXPECT_EQ(prober.probes, summary.results.size());
 }
 
 TEST(SessionCampaignTest, SourceLoadedTargetCampaignUsesTemplate) {
@@ -898,52 +836,37 @@ TEST(SessionThreadedTest, ConcurrentDynamicChecksOnSharedSession) {
   EXPECT_EQ(mismatches.load(), 0u);
 }
 
-// Holds a campaign's workers mid-flight: the first OnRunComplete blocks
-// until Release(), and the campaign serializes the rest behind it.
-class BlockingObserver : public CampaignObserver {
- public:
-  void OnRunComplete(size_t index, const InjectionResult& result) override {
-    (void)index;
-    (void)result;
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (entered_) {
-      return;
-    }
-    entered_ = true;
-    changed_.notify_all();
-    changed_.wait(lock, [this] { return released_; });
-  }
-  void AwaitEntered() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    changed_.wait(lock, [this] { return entered_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    released_ = true;
-    changed_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable changed_;
-  bool entered_ = false;
-  bool released_ = false;
-};
-
-// Completion is per call: a sharded batch on one target finishes while a
-// parallel campaign on another target is stuck mid-flight on the same
-// session pool. The wait is bounded, so a session-wide lock makes this
-// test fail rather than hang.
-TEST(SessionThreadedTest, ShardedBatchRunsWhileAnotherTargetsCampaignIsBlocked) {
+// Completion is per call: a sharded batch finishes while an embedder's
+// tasks hold all but one worker of the same session pool. The wait is
+// bounded, so a Wait() that joins the whole pool instead of its own group
+// makes this test fail rather than hang.
+TEST(SessionThreadedTest, ShardedBatchFinishesWhileOtherTasksHoldMostOfThePool) {
   Session session(SessionOptions{.campaign_threads = 4});
-  Target* campaign_target = session.LoadTarget("vsftpd");
-  ASSERT_NE(campaign_target, nullptr) << session.RenderDiagnostics();
   Target* batch_target = LoadDynamicServer(session);
   ASSERT_NE(batch_target, nullptr);
+  ThreadPool& pool = *session.worker_pool();
+  ASSERT_GE(pool.size(), 2u);
 
-  BlockingObserver blocker;
-  std::thread campaign([&] { campaign_target->RunCampaign(&blocker, 2); });
-  blocker.AwaitEntered();
+  // Nothing may fail between the first Submit and the release below: the
+  // group's destructor would wait on tasks that are never released.
+  std::mutex mutex;
+  std::condition_variable changed;
+  size_t entered = 0;
+  bool released = false;
+  const size_t held = pool.size() - 1;
+  ThreadPool::TaskGroup blockers(pool);
+  for (size_t k = 0; k < held; ++k) {
+    blockers.Submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++entered;
+      changed.notify_all();
+      changed.wait(lock, [&] { return released; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    changed.wait(lock, [&] { return entered == held; });
+  }
 
   const std::vector<ConfigInput> fleet = {
       {"a.conf", "worker_threads = not_a_number\n"},
@@ -958,9 +881,13 @@ TEST(SessionThreadedTest, ShardedBatchRunsWhileAnotherTargetsCampaignIsBlocked) 
     return batch_target->CheckConfigBatch(fleet, sharded);
   });
   const bool finished = batch.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
-  blocker.Release();
-  campaign.join();
-  EXPECT_TRUE(finished) << "the sharded batch queued behind another target's campaign";
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+  }
+  changed.notify_all();
+  blockers.Wait();
+  EXPECT_TRUE(finished) << "the sharded batch waited for tasks of another group";
 
   BatchSummary summary = batch.get();
   BatchOptions serial = sharded;
@@ -986,9 +913,9 @@ TEST(SessionThreadedTest, ConcurrentCampaignsOnOneTargetMatchFullReplay) {
   CampaignSummary first;
   CampaignSummary second;
   CampaignSummary wider;
-  std::thread a([&] { first = target->RunCampaign(nullptr, 2); });
-  std::thread b([&] { second = target->RunCampaign(nullptr, 2); });
-  std::thread c([&] { wider = target->RunCampaign(nullptr, 4); });
+  std::thread a([&] { first = target->RunCampaign(2); });
+  std::thread b([&] { second = target->RunCampaign(2); });
+  std::thread c([&] { wider = target->RunCampaign(4); });
   a.join();
   b.join();
   c.join();
