@@ -8,10 +8,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,6 +24,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "src/api/config_set.h"
 #include "src/api/session.h"
 #include "src/corpus/pipeline.h"
 #include "src/ir/lowering.h"
@@ -636,6 +640,80 @@ void BM_FleetCheckRecheck(benchmark::State& state) {
                           static_cast<int64_t>(kCorpus->size()));
 }
 BENCHMARK(BM_FleetCheckRecheck)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Filesystem ConfigSetSource that counts its loads; safe to share across
+// resolver threads.
+class CountingFileSource : public ConfigSetSource {
+ public:
+  std::optional<std::string> Load(const std::string& name) override {
+    loads.fetch_add(1, std::memory_order_relaxed);
+    std::ifstream in(name, std::ios::binary);
+    if (!in) {
+      return std::nullopt;
+    }
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::optional<std::vector<std::string>> ListDir(const std::string&) override {
+    return std::nullopt;
+  }
+
+  std::atomic<size_t> loads{0};
+};
+
+// Include-tree resolution of a layered fleet: 600 roots in a temp dir,
+// each including one 136-setting base and one of 16 site fragments, then
+// setting two values of its own. Arg 0: ResolveConfigSets width (1 =
+// serial, 0 = hardware concurrency), on a pool built outside the timed
+// loop. files_loaded is the loads of one call: each distinct file once,
+// 600 + 1 + 16 = 617 however many roots share it.
+void BM_ResolveConfigSets(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("spex_bench_resolve_" + std::to_string(::getpid()));
+  fs::create_directories(dir / "shared");
+  auto write = [](const fs::path& path, const std::string& text) {
+    std::ofstream(path, std::ios::binary) << text;
+  };
+  std::string base;
+  for (int k = 0; k < 136; ++k) {
+    base += "setting_" + std::to_string(k) + " = " + std::to_string(k) + "\n";
+  }
+  write(dir / "shared" / "base.conf", base);
+  for (int site = 0; site < 16; ++site) {
+    std::string text;
+    for (int k = 0; k < 3; ++k) {
+      text += "setting_" + std::to_string(site * 3 + k) + " = site" + std::to_string(site) + "\n";
+    }
+    write(dir / "shared" / ("site_" + std::to_string(site) + ".conf"), text);
+  }
+  std::vector<std::string> roots;
+  for (int i = 0; i < 600; ++i) {
+    roots.push_back((dir / ("set_" + std::to_string(i) + ".conf")).string());
+    write(roots.back(), "include shared/base.conf\ninclude shared/site_" +
+                            std::to_string(i % 16) + ".conf\nsetting_" +
+                            std::to_string(100 + i % 36) + " = user" + std::to_string(i) +
+                            "\nuser_only_" + std::to_string(i) + " = 1\n");
+  }
+
+  const size_t workers = ThreadPool::ResolveThreadCount(static_cast<size_t>(state.range(0)));
+  std::optional<ThreadPool> pool;
+  if (workers > 1) {
+    pool.emplace(workers - 1);  // The calling thread claims too.
+  }
+  CountingFileSource source;
+  size_t files_loaded = 0;
+  for (auto _ : state) {
+    source.loads.store(0);
+    benchmark::DoNotOptimize(ResolveConfigSets(roots, source, ConfigDialect::kKeyEqualsValue,
+                                               pool ? &*pool : nullptr, workers));
+    files_loaded = source.loads.load();
+  }
+  fs::remove_all(dir);
+  state.counters["files_loaded"] = static_cast<double>(files_loaded);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(roots.size()));
+}
+BENCHMARK(BM_ResolveConfigSets)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Two inline versions of a MiniC server for the matrix benchmark: v2
 // tightens worker_threads (64 -> 8) — the upgrade-regression shape.

@@ -3,9 +3,10 @@
 
 Timings swing from run to run, but some counters must hold exactly on every
 run: how many suspects a fleet yields, how many of them replay, how many
-snapshots a warm path builds, how many verdicts a warm store serves. Each
-gate below pins one such counter. A gate fails when its benchmark or its
-counter is missing from the file, or when the value differs.
+snapshots a warm path builds, how many verdicts a warm store serves, how
+many files an include-tree fleet loads. Each gate below pins one such
+counter. A gate fails when its benchmark or its counter is missing from the
+file, or when the value differs.
 
     python3 scripts/bench_gates.py build-release/BENCH_pipeline.json
 
@@ -37,6 +38,7 @@ GATES = [
     ("BM_DynamicCheckWarm", "snapshots_built_warm", 0),
     ("BM_VersionMatrix/1", "unique_replays_unchanged", 0),
     ("BM_HangReplay", "steps_used", 2000001),
+    ("BM_ResolveConfigSets/0", "files_loaded", 617),
 ]
 
 

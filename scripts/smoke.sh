@@ -98,7 +98,8 @@ cmake --build build-tsan -j "${JOBS}" --target thread_pool_test inject_test inte
 # Multi-file config sets under TSan: the seeded differential harness runs
 # the 4-worker sharded CheckConfigSet path (resolution + provenance rewrite
 # around the sharded batch), which must be race-free and bit-identical to
-# the serial single-file reference.
+# the serial single-file reference; ResolveConfigSets claims roots at 2
+# and 4 workers over one shared file memo, each file loaded once.
 ./build-tsan/config_set_test
 # Malformed-input corpus (truncated includes, self-includes, include
 # bombs, non-UTF8, megabyte lines, hostile JSON bodies): containment must

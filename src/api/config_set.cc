@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/api/report_json.h"
 #include "src/support/strings.h"
+#include "src/support/thread_pool.h"
 
 namespace spex {
 
@@ -125,22 +127,64 @@ std::string JoinIncludePath(std::string_view including_file, std::string_view op
 
 namespace {
 
+// The per-call file memo: every distinct name is loaded and parsed at most
+// once, however many roots and threads ask for it, and a name that cannot
+// be loaded is remembered as such. Each entry is filled under its own
+// once_flag, so a racing reader waits for the one load instead of making a
+// second. Entries never move once made; resolvers keep pointers into them
+// for the whole call.
+class FileMemo {
+ public:
+  FileMemo(ConfigSetSource& source, ConfigDialect dialect) : source_(source), dialect_(dialect) {}
+
+  ConfigSetSource& source() { return source_; }
+
+  // The file named `name`, or nullptr when it cannot be loaded.
+  const ConfigFile* Find(const std::string& name) {
+    Entry* entry;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      entry = &entries_[name];
+    }
+    std::call_once(entry->once, [&] { Load(name, entry); });
+    return entry->file.has_value() ? &*entry->file : nullptr;
+  }
+
+ private:
+  struct Entry {
+    std::once_flag once;
+    std::optional<ConfigFile> file;
+  };
+
+  void Load(const std::string& name, Entry* entry) {
+    std::optional<std::string> text = source_.Load(name);
+    if (text.has_value()) {
+      entry->file = ConfigFile::Parse(*text, dialect_);
+    }
+  }
+
+  ConfigSetSource& source_;
+  ConfigDialect dialect_;
+  std::mutex mutex_;  // Guards the map, not the entries.
+  std::unordered_map<std::string, Entry> entries_;
+};
+
 // Depth-first include expansion with per-fault containment. One instance
-// resolves one root; all state is local, so concurrent resolutions never
-// share anything but the (read-only) source.
+// resolves one root; everything but the shared memo is local, so
+// concurrent resolutions share only read-only loaded files.
 class SetResolver {
  public:
-  SetResolver(ConfigSetSource& source, ConfigDialect dialect)
-      : source_(source), dialect_(dialect) {}
+  SetResolver(FileMemo& memo, ConfigDialect dialect) : memo_(memo), dialect_(dialect) {}
 
   ResolvedConfigSet Run(const std::string& root_name) {
     out_.name = root_name;
     ExpandFile(root_name, /*from_file=*/"", /*from_line=*/0, /*depth=*/0);
     // Materialize the effective config: each key once, at the position of
-    // its first assignment, carrying the value of its last.
+    // its first assignment, carrying the value of its last. Provenance
+    // keys are unique, so each one is appended without a lookup.
     ConfigFile effective(dialect_);
     for (const SettingProvenance& prov : out_.provenance) {
-      effective.Set(prov.key, prov.winner.value);
+      effective.Append(prov.key, prov.winner.value);
     }
     out_.effective = std::move(effective);
     return std::move(out_);
@@ -187,20 +231,20 @@ class SetResolver {
     }
     if (out_.files_resolved >= kMaxIncludeFiles) {
       // Include-bomb guard: one record, then stop expanding entirely —
-      // a bomb would otherwise flood the error list too.
+      // a bomb would otherwise flood the error list too. It counts
+      // expansions, so a memoized file included twice counts twice.
       AddError(ConfigSetError::Kind::kTooManyFiles, from_file, from_line, name);
       expansion_stopped_ = true;
       return;
     }
-    std::optional<std::string> text = source_.Load(name);
-    if (!text.has_value()) {
+    const ConfigFile* file = memo_.Find(name);
+    if (file == nullptr) {
       AddError(ConfigSetError::Kind::kMissingInclude, from_file, from_line, name);
       return;
     }
     ++out_.files_resolved;
     stack_.insert(name);
-    ConfigFile file = ConfigFile::Parse(*text, dialect_);
-    for (const ConfigEntry& entry : file.entries()) {
+    for (const ConfigEntry& entry : file->entries()) {
       if (entry.kind != ConfigEntry::Kind::kSetting) {
         continue;
       }
@@ -219,7 +263,7 @@ class SetResolver {
         ExpandFile(target, name, entry.line, depth + 1);
         continue;
       }
-      std::optional<std::vector<std::string>> listed = source_.ListDir(target);
+      std::optional<std::vector<std::string>> listed = memo_.source().ListDir(target);
       if (!listed.has_value()) {
         AddError(ConfigSetError::Kind::kMissingInclude, name, entry.line, target);
         continue;
@@ -231,19 +275,30 @@ class SetResolver {
     stack_.erase(name);
   }
 
-  ConfigSetSource& source_;
+  FileMemo& memo_;
   ConfigDialect dialect_;
   ResolvedConfigSet out_;
-  std::unordered_map<std::string, size_t> key_index_;
+  // Keys view the memo's entries, which outlive this resolver.
+  std::unordered_map<std::string_view, size_t> key_index_;
   std::unordered_set<std::string> stack_;
   bool expansion_stopped_ = false;
 };
 
 }  // namespace
 
+std::vector<ResolvedConfigSet> ResolveConfigSets(std::span<const std::string> roots,
+                                                 ConfigSetSource& source, ConfigDialect dialect,
+                                                 ThreadPool* pool, size_t workers) {
+  FileMemo memo(source, dialect);
+  std::vector<ResolvedConfigSet> sets(roots.size());
+  ForEachIndex(pool, roots.size(), workers,
+               [&](size_t i) { sets[i] = SetResolver(memo, dialect).Run(roots[i]); });
+  return sets;
+}
+
 ResolvedConfigSet ResolveConfigSet(const std::string& root_name, ConfigSetSource& source,
                                    ConfigDialect dialect) {
-  return SetResolver(source, dialect).Run(root_name);
+  return std::move(ResolveConfigSets({&root_name, 1}, source, dialect).front());
 }
 
 ResolvedConfigSet ResolveConfigSet(std::span<const ConfigInput> files, ConfigDialect dialect) {

@@ -41,9 +41,11 @@
 // differentially).
 //
 // Thread-safety: resolution is a pure function of the source; distinct
-// ResolveConfigSet calls may run concurrently (a ConfigSetSource shared
-// across threads must itself be thread-safe — both implementations here
-// are read-only after construction).
+// ResolveConfigSet(s) calls may run concurrently, and one
+// ResolveConfigSets call at width > 1 calls the source from several
+// threads (never twice for one name). A ConfigSetSource used that way must
+// itself be thread-safe — both implementations here are read-only after
+// construction.
 #ifndef SPEX_API_CONFIG_SET_H_
 #define SPEX_API_CONFIG_SET_H_
 
@@ -148,8 +150,19 @@ struct ConfigSetInput {
   std::vector<ConfigInput> files;
 };
 
-// Resolves `root_name` through `source`. Never throws, never crashes on
-// hostile input: every fault is an error record on the result.
+// Resolves every root through `source`, one result per root in root
+// order. Each distinct file name is loaded and parsed at most once per
+// call, however many roots include it, and a name that cannot be loaded
+// is asked for once. Roots are
+// claimed through ForEachIndex on `pool` at `workers` wide (a null pool or
+// workers <= 1 resolves them in order on the calling thread); each
+// result is the same at every width. Never throws, never crashes on
+// hostile input: every fault is an error record on its own root's result.
+std::vector<ResolvedConfigSet> ResolveConfigSets(std::span<const std::string> roots,
+                                                 ConfigSetSource& source, ConfigDialect dialect,
+                                                 ThreadPool* pool = nullptr, size_t workers = 1);
+
+// The one-root case of ResolveConfigSets.
 ResolvedConfigSet ResolveConfigSet(const std::string& root_name, ConfigSetSource& source,
                                    ConfigDialect dialect);
 

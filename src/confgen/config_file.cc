@@ -106,6 +106,10 @@ void ConfigFile::Set(std::string_view key, std::string_view value) {
       return;
     }
   }
+  Append(key, value);
+}
+
+void ConfigFile::Append(std::string_view key, std::string_view value) {
   ConfigEntry entry;
   entry.kind = ConfigEntry::Kind::kSetting;
   entry.key = std::string(key);

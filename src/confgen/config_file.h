@@ -55,6 +55,9 @@ class ConfigFile {
   uint32_t LineOf(std::string_view key) const;
   // Overwrites the first setting of `key`, or appends one.
   void Set(std::string_view key, std::string_view value);
+  // Appends a setting without looking for an existing one: for callers
+  // that already know `key` is not set (Set scans every entry).
+  void Append(std::string_view key, std::string_view value);
   bool Remove(std::string_view key);
   void AppendComment(std::string_view text);
 

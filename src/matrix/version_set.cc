@@ -56,8 +56,12 @@ std::vector<LoadedVersion> LoadVersionSet(Session& session,
                                    version.file_name, version.dialect, version.sut,
                                    version.template_config);
       if (entry.target == nullptr) {
-        entry.status = Status::Internal("loading version '" + entry.label +
-                                        "' failed:\n" + session.RenderDiagnostics());
+        // The diagnostics alone: callers name the version themselves.
+        std::string diagnostics = session.RenderDiagnostics();
+        while (!diagnostics.empty() && diagnostics.back() == '\n') {
+          diagnostics.pop_back();
+        }
+        entry.status = Status::Internal(std::move(diagnostics));
       } else if (store != nullptr) {
         // One shared store handle; the Target derives its own scope
         // fingerprint, so every version reads and writes its own column.

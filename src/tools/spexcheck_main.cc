@@ -82,8 +82,8 @@ options:
                        listed version, diff adjacent columns (text: grid +
                        transitions; jsonl: cell/version/diff records)
   --mode <m>           static | dynamic (default: dynamic)
-  --threads <n>        batch and file-read workers: 1 = serial, 0 = hardware
-                       (default: 0)
+  --threads <n>        batch, file-read and include-resolution workers:
+                       1 = serial, 0 = hardware (default: 0)
   --format <f>         text | jsonl (default: text)
   --pattern <glob>     filename filter for directories, * and ? wildcards
                        (default: *.conf)
@@ -629,10 +629,11 @@ bool CollectConfigs(const CliOptions& options, ThreadPool* pool, size_t workers,
   return true;
 }
 
-// Filesystem loader behind --include-roots. Load never throws: an
-// unreadable file is a missing include (contained per set). include_dir
-// applies the same --pattern filter as root collection, so an include
-// tree and a flat directory scan agree about what counts as a config.
+// Filesystem loader behind --include-roots. Stateless, so resolvers on
+// several threads may share it. Load never throws: an unreadable file is
+// a missing include (contained per set). include_dir applies the same
+// --pattern filter as root collection, so an include tree and a flat
+// directory scan agree about what counts as a config.
 class FileConfigSetSource : public ConfigSetSource {
  public:
   explicit FileConfigSetSource(std::string pattern) : pattern_(std::move(pattern)) {}
@@ -862,14 +863,16 @@ int Run(int argc, char** argv) {
       if (!CollectConfigSetRoots(options, &roots, &error)) {
         return Fail(error);
       }
+      // Trees are resolved at the batch's width, on the pool the batch
+      // will use, each shared file read and parsed once.
       FileConfigSetSource source(options.pattern);
-      sets.reserve(roots.size());
+      ThreadPool* pool = options.threads != 1 ? session.worker_pool() : nullptr;
+      sets = ResolveConfigSets(roots, source, target->dialect(), pool,
+                               ClaimerCount(options.threads, pool));
       size_t resolvable = 0;
-      for (const std::string& root : roots) {
-        ResolvedConfigSet set = ResolveConfigSet(root, source, target->dialect());
+      for (const ResolvedConfigSet& set : sets) {
         resolvable += set.resolved() ? 1 : 0;
         any_input_error = any_input_error || !set.errors.empty();
-        sets.push_back(std::move(set));
       }
       if (resolvable == 0) {
         // The multi-file twin of "no config could be checked": exit 2 is

@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/api/session.h"
+#include "src/support/thread_pool.h"
 
 namespace spex {
 namespace {
@@ -290,6 +293,104 @@ TEST(ConfigSetTest, UnloadableRootLeavesSetUnresolved) {
   ASSERT_EQ(set.errors.size(), 1u);
   EXPECT_EQ(set.errors[0].kind, ConfigSetError::Kind::kMissingInclude);
   EXPECT_EQ(set.errors[0].target, "nope.conf");
+}
+
+// A fleet of include trees sharing fragments, the shape of a layered
+// deployment: every root includes one large base and one of three site
+// fragments. Root 3 and root 11 also include a file that does not exist,
+// and root 7 enters a two-file include cycle. Roots come first.
+struct SharedFleet {
+  std::vector<ConfigInput> files;
+  std::vector<std::string> roots;
+};
+
+SharedFleet MakeSharedFleet(size_t root_count) {
+  SharedFleet fleet;
+  for (size_t i = 0; i < root_count; ++i) {
+    std::string text = "include shared/base.conf\n"
+                       "include shared/site-" + std::to_string(i % 3) + ".conf\n"
+                       "worker_threads = " + std::to_string(i) + "\n";
+    if (i == 3 || i == 11) {
+      text += "include shared/ghost.conf\n";
+    }
+    if (i == 7) {
+      text += "include loop-a.conf\n";
+    }
+    fleet.roots.push_back("root-" + std::to_string(i) + ".conf");
+    fleet.files.push_back(ConfigInput{fleet.roots.back(), std::move(text)});
+  }
+  std::string base;
+  for (int k = 0; k < 200; ++k) {
+    base += "base_key_" + std::to_string(k) + " = " + std::to_string(k) + "\n";
+  }
+  fleet.files.push_back(ConfigInput{"shared/base.conf", std::move(base)});
+  for (int site = 0; site < 3; ++site) {
+    fleet.files.push_back(ConfigInput{"shared/site-" + std::to_string(site) + ".conf",
+                                      "idle_timeout = " + std::to_string(30 * site) + "\n" +
+                                          "include ../extra.conf\n"});
+  }
+  fleet.files.push_back(ConfigInput{"extra.conf", "cache_kb = 512\n"});
+  fleet.files.push_back(ConfigInput{"loop-a.conf", "cache_ttl = 60\ninclude loop-b.conf\n"});
+  fleet.files.push_back(ConfigInput{"loop-b.conf", "use_cache = off\ninclude loop-a.conf\n"});
+  return fleet;
+}
+
+// Counts Load calls per name; safe to share across resolver threads.
+class CountingSource : public ConfigSetSource {
+ public:
+  explicit CountingSource(std::span<const ConfigInput> files) : inner_(files) {}
+
+  std::optional<std::string> Load(const std::string& name) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++loads_[name];
+    }
+    return inner_.Load(name);
+  }
+  std::optional<std::vector<std::string>> ListDir(const std::string& dir) override {
+    return inner_.ListDir(dir);
+  }
+
+  std::map<std::string, int> loads() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return loads_;
+  }
+
+ private:
+  MemoryConfigSetSource inner_;
+  std::mutex mutex_;
+  std::map<std::string, int> loads_;
+};
+
+TEST(ConfigSetTest, ResolveConfigSetsLoadsEachFileOnce) {
+  SharedFleet fleet = MakeSharedFleet(24);
+  // Every root, the base, three sites, the file they all include, the
+  // missing include (asked for once though two roots name it) and both
+  // files of the cycle.
+  std::set<std::string> distinct(fleet.roots.begin(), fleet.roots.end());
+  distinct.insert({"shared/base.conf", "shared/site-0.conf", "shared/site-1.conf",
+                   "shared/site-2.conf", "extra.conf", "shared/ghost.conf", "loop-a.conf",
+                   "loop-b.conf"});
+  ThreadPool pool(3);
+  for (size_t workers : {1, 2, 4}) {
+    CountingSource source(fleet.files);
+    std::vector<ResolvedConfigSet> sets = ResolveConfigSets(
+        fleet.roots, source, ConfigDialect::kKeyEqualsValue, &pool, workers);
+    std::string label = "@" + std::to_string(workers) + " workers";
+    ASSERT_EQ(sets.size(), fleet.roots.size()) << label;
+    std::map<std::string, int> loads = source.loads();
+    EXPECT_EQ(loads.size(), distinct.size()) << label;
+    for (const std::string& name : distinct) {
+      EXPECT_EQ(loads[name], 1) << label << " " << name;
+    }
+    // The memo changes how often files are read, not what roots see.
+    EXPECT_EQ(sets[3].errors.size(), 1u) << label;
+    EXPECT_EQ(CountErrors(sets[11], ConfigSetError::Kind::kMissingInclude), 1u) << label;
+    EXPECT_EQ(CountErrors(sets[7], ConfigSetError::Kind::kIncludeCycle), 1u) << label;
+    EXPECT_EQ(sets[0].files_resolved, 4u) << label;
+    EXPECT_EQ(sets[0].effective.Get("idle_timeout"), "0") << label;
+    EXPECT_TRUE(sets[0].errors.empty()) << label;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -745,6 +846,98 @@ TEST(ConfigSetDifferentialTest, SeededTreesResolveToTheirReferenceFlattening) {
   }
   // The corpus must actually exercise the containment paths.
   EXPECT_GT(trees_with_faults, 0u);
+}
+
+// Every field of a resolution, errors in order.
+void ExpectSameResolution(const ResolvedConfigSet& got, const ResolvedConfigSet& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.name, want.name) << label;
+  EXPECT_EQ(got.files_resolved, want.files_resolved) << label;
+  EXPECT_EQ(got.effective.Serialize(), want.effective.Serialize()) << label;
+  ASSERT_EQ(got.errors.size(), want.errors.size()) << label;
+  for (size_t e = 0; e < want.errors.size(); ++e) {
+    EXPECT_EQ(got.errors[e].kind, want.errors[e].kind) << label << " error #" << e;
+    EXPECT_EQ(got.errors[e].file, want.errors[e].file) << label << " error #" << e;
+    EXPECT_EQ(got.errors[e].line, want.errors[e].line) << label << " error #" << e;
+    EXPECT_EQ(got.errors[e].target, want.errors[e].target) << label << " error #" << e;
+  }
+  ASSERT_EQ(got.provenance.size(), want.provenance.size()) << label;
+  auto same_origin = [](const SettingOrigin& a, const SettingOrigin& b) {
+    return a.file == b.file && a.line == b.line && a.value == b.value;
+  };
+  for (size_t p = 0; p < want.provenance.size(); ++p) {
+    const SettingProvenance& g = got.provenance[p];
+    const SettingProvenance& w = want.provenance[p];
+    EXPECT_EQ(g.key, w.key) << label << " #" << p;
+    EXPECT_TRUE(same_origin(g.winner, w.winner)) << label << " " << w.key;
+    ASSERT_EQ(g.shadowed.size(), w.shadowed.size()) << label << " " << w.key;
+    for (size_t s = 0; s < w.shadowed.size(); ++s) {
+      EXPECT_TRUE(same_origin(g.shadowed[s], w.shadowed[s])) << label << " " << w.key;
+    }
+  }
+}
+
+TEST(ConfigSetDifferentialTest, BatchResolutionMatchesPerRootResolution) {
+  // One source holding the seeded trees, a fleet sharing fragments, and
+  // the cycle, missing-include, depth and include-bomb cases.
+  std::vector<ConfigInput> files;
+  std::vector<std::string> roots;
+  Lcg rng(0x5eed5e75u);
+  for (int t = 0; t < 24; ++t) {
+    std::vector<ConfigInput> tree = RenderTree(MakeTree(rng, t));
+    roots.push_back(tree.front().name);
+    files.insert(files.end(), tree.begin(), tree.end());
+  }
+  SharedFleet fleet = MakeSharedFleet(240);
+  roots.insert(roots.end(), fleet.roots.begin(), fleet.roots.end());
+  files.insert(files.end(), fleet.files.begin(), fleet.files.end());
+  files.push_back({"cycle.conf", "a = 1\ninclude cycle.conf\nb = 2\n"});
+  files.push_back({"missing.conf", "a = 1\ninclude nowhere.conf\ninclude\nb = 2\n"});
+  for (int i = 0; i <= 20; ++i) {
+    std::string text = "depth" + std::to_string(i) + " = " + std::to_string(i) + "\n";
+    if (i < 20) {
+      text += "include deep" + std::to_string(i + 1) + ".conf\n";
+    }
+    files.push_back({"deep" + std::to_string(i) + ".conf", text});
+  }
+  std::string bomb;
+  for (size_t i = 0; i < kMaxIncludeFiles + 64; ++i) {
+    bomb += "include leaf" + std::to_string(i % 8) + ".conf\n";  // Expansions, not loads.
+  }
+  files.push_back({"bomb.conf", bomb});
+  for (int i = 0; i < 8; ++i) {
+    files.push_back({"leaf" + std::to_string(i) + ".conf", "k" + std::to_string(i) + " = 1\n"});
+  }
+  roots.insert(roots.end(), {"cycle.conf", "missing.conf", "deep0.conf", "bomb.conf",
+                             "unloadable.conf", "cycle.conf"});
+
+  MemoryConfigSetSource source(files);
+  std::vector<ResolvedConfigSet> expected;
+  for (const std::string& root : roots) {
+    expected.push_back(ResolveConfigSet(root, source, ConfigDialect::kKeyEqualsValue));
+  }
+  // The fault cases really are faults.
+  const size_t faults = roots.size() - 6;
+  EXPECT_EQ(CountErrors(expected[faults + 2], ConfigSetError::Kind::kDepthExceeded), 1u);
+  EXPECT_EQ(CountErrors(expected[faults + 3], ConfigSetError::Kind::kTooManyFiles), 1u);
+  EXPECT_EQ(expected[faults + 3].files_resolved, kMaxIncludeFiles);
+  EXPECT_FALSE(expected[faults + 4].resolved());
+
+  // The parallel widths run several times: claimers that wrongly share
+  // state disagree only when their roots overlap in time.
+  ThreadPool pool(3);
+  for (size_t workers : {1, 2, 4, 2, 4, 2, 4}) {
+    std::vector<ResolvedConfigSet> batch = ResolveConfigSets(
+        roots, source, ConfigDialect::kKeyEqualsValue, &pool, workers);
+    ASSERT_EQ(batch.size(), roots.size());
+    for (size_t i = 0; i < roots.size(); ++i) {
+      ExpectSameResolution(batch[i], expected[i],
+                           "@" + std::to_string(workers) + " workers, root " + roots[i]);
+      if (HasFailure()) {
+        return;  // One mismatching root says enough.
+      }
+    }
+  }
 }
 
 TEST(ConfigSetDifferentialTest, SetChecksMatchSingleFileChecksAtEveryThreadCount) {
